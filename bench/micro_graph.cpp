@@ -8,7 +8,6 @@
 #include "bc/dynamic_cpu.hpp"
 #include "gen/generators.hpp"
 #include "graph/bfs.hpp"
-#include "graph/dynamic_graph.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -30,6 +29,47 @@ void BM_CsrFromCoo(benchmark::State& state) {
                           static_cast<std::int64_t>(coo.num_edges()));
 }
 BENCHMARK(BM_CsrFromCoo);
+
+std::pair<VertexId, VertexId> absent_edge(const CSRGraph& g, util::Rng& rng) {
+  const auto n = static_cast<std::uint64_t>(g.num_vertices());
+  VertexId u = 0;
+  VertexId v = 0;
+  do {
+    u = static_cast<VertexId>(rng.next_below(n));
+    v = static_cast<VertexId>(rng.next_below(n));
+  } while (u == v || g.has_edge(u, v));
+  return {u, v};
+}
+
+// The in-place patch DynamicBc applies per single-edge update: insert an
+// absent edge, then remove it again (two patches per iteration).
+void BM_CsrInsertRemoveInPlace(benchmark::State& state) {
+  CSRGraph g = test_graph();
+  util::Rng rng(3);
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  while (edges.size() < 256) edges.push_back(absent_edge(g, rng));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto [u, v] = edges[i++ % edges.size()];
+    benchmark::DoNotOptimize(g.insert_edge(u, v));
+    benchmark::DoNotOptimize(g.remove_edge(u, v));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2);
+}
+BENCHMARK(BM_CsrInsertRemoveInPlace);
+
+// The exact-size copy a batch snapshot takes per applied edge.
+void BM_CsrWithEdge(benchmark::State& state) {
+  const auto& g = test_graph();
+  util::Rng rng(4);
+  const auto [u, v] = absent_edge(g, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(g.with_edge(u, v));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          g.num_edges());
+}
+BENCHMARK(BM_CsrWithEdge);
 
 void BM_Bfs(benchmark::State& state) {
   const auto& g = test_graph();
@@ -59,33 +99,6 @@ void BM_BrandesSource(benchmark::State& state) {
                           g.num_arcs());
 }
 BENCHMARK(BM_BrandesSource);
-
-void BM_DynamicGraphInsert(benchmark::State& state) {
-  util::Rng rng(3);
-  for (auto _ : state) {
-    state.PauseTiming();
-    DynamicGraph g(10000);
-    state.ResumeTiming();
-    for (int i = 0; i < 20000; ++i) {
-      g.insert_edge(static_cast<VertexId>(rng.next_below(10000)),
-                    static_cast<VertexId>(rng.next_below(10000)));
-    }
-    benchmark::DoNotOptimize(g.num_edges());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          20000);
-}
-BENCHMARK(BM_DynamicGraphInsert);
-
-void BM_DynamicGraphSnapshot(benchmark::State& state) {
-  const DynamicGraph g = DynamicGraph::from_csr(test_graph());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(g.snapshot_csr());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          g.num_arcs());
-}
-BENCHMARK(BM_DynamicGraphSnapshot);
 
 void BM_DynamicCpuUpdate(benchmark::State& state) {
   // One full insertion update (all sources) on the small-world graph.

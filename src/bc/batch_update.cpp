@@ -261,24 +261,10 @@ BatchSnapshots DynamicBc::stage_batch(
     std::span<const std::pair<VertexId, VertexId>> edges,
     UpdateOutcome& outcome) {
   util::Stopwatch structure_clock;
-  std::vector<std::pair<VertexId, VertexId>> accepted;
-  accepted.reserve(edges.size());
-  for (const auto& [u, v] : edges) {
-    if (dyn_.insert_edge(u, v)) {
-      accepted.emplace_back(u, v);
-    } else {
-      ++outcome.skipped;
-    }
-  }
-  outcome.inserted = static_cast<int>(accepted.size());
-  if (accepted.empty()) {
-    outcome.structure_wall_seconds = structure_clock.elapsed_s();
-    return {};
-  }
-  // `accepted` holds exactly the edges dyn_ admitted against the same base
-  // graph, so the snapshot builder rejects none of them.
-  BatchSnapshots batch = build_batch_snapshots(csr_, accepted);
-  csr_ = batch.final_graph();
+  BatchSnapshots batch = build_batch_snapshots(csr_, edges);
+  outcome.inserted = static_cast<int>(batch.edges.size());
+  outcome.skipped = static_cast<int>(batch.skipped.size());
+  if (!batch.empty()) csr_ = batch.final_graph();
   outcome.structure_wall_seconds = structure_clock.elapsed_s();
   return batch;
 }

@@ -64,8 +64,7 @@ EngineKind parse_engine_flag(std::string_view flag) {
 }
 
 DynamicBc::DynamicBc(const CSRGraph& g, const Options& options)
-    : dyn_(DynamicGraph::from_csr(g)),
-      csr_(g),
+    : csr_(g),
       store_(g.num_vertices(), options.approx),
       options_(options) {
   if (options_.num_devices < 1) {
@@ -208,16 +207,15 @@ UpdateOutcome DynamicBc::insert_edge(VertexId u, VertexId v) {
                    {{"u", static_cast<double>(u)},
                     {"v", static_cast<double>(v)}});
   util::Stopwatch structure_clock;
-  UpdateOutcome outcome;
-  if (!dyn_.insert_edge(u, v)) {
-    return outcome;  // self loop, out of range, or already present
+  const bool applied = csr_.insert_edge(u, v);
+  const double structure_s = structure_clock.elapsed_s();
+  if (!applied) {
+    // Self loop, out of range, or already present.
+    return {.structure_wall_seconds = structure_s};
   }
-  csr_ = dyn_.snapshot_csr();
-  outcome.structure_wall_seconds = structure_clock.elapsed_s();
-  outcome = run_update(u, v);
+  UpdateOutcome outcome = run_update(u, v);
   outcome.inserted = 1;
-  outcome.structure_wall_seconds = structure_clock.elapsed_s() -
-                                   outcome.update_wall_seconds;
+  outcome.structure_wall_seconds = structure_s;
   record_telemetry(trace::UpdateKind::kInsert, outcome);
   return outcome;
 }
@@ -295,12 +293,14 @@ UpdateOutcome DynamicBc::remove_edge(VertexId u, VertexId v) {
                    {{"u", static_cast<double>(u)},
                     {"v", static_cast<double>(v)}});
   util::Stopwatch structure_clock;
-  UpdateOutcome outcome;
-  if (!dyn_.remove_edge(u, v)) {
-    return outcome;
+  const bool applied = csr_.remove_edge(u, v);
+  const double structure_s = structure_clock.elapsed_s();
+  if (!applied) {
+    // Self loop, out of range, or absent.
+    return {.structure_wall_seconds = structure_s};
   }
-  csr_ = dyn_.snapshot_csr();
-  outcome.structure_wall_seconds = structure_clock.elapsed_s();
+  UpdateOutcome outcome;
+  outcome.structure_wall_seconds = structure_s;
   util::Stopwatch clock;
   if (options_.engine == EngineKind::kCpu) {
     // Decremental incremental path: same-level removals are free, adjacent

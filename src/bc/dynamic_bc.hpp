@@ -13,10 +13,13 @@
 // scores. GPU engines optionally shard their per-source jobs across
 // `num_devices` simulated devices with cross-device work stealing
 // (bc/sharded_gpu.hpp) - scores stay bit-identical to one device; only the
-// modeled time scales. Graph-structure maintenance cost (the CSR snapshot
-// refresh after an insertion) is tracked separately from analytic-update
-// time, matching the paper's methodology (§IV cites STINGER [23] for the
-// structure side).
+// modeled time scales. Graph-structure maintenance - validating an update
+// and patching the analytic's CSR in place (graph/csr_graph.hpp), plus the
+// per-edge snapshots of a batch - is timed separately from the analytic
+// update as UpdateOutcome::structure_wall_seconds, the same way on every
+// path, matching the paper's methodology (§IV cites STINGER [23] for the
+// structure side). A single-edge patch is one O(m) shift of the arc arrays,
+// no rebuild.
 #pragma once
 
 #include <functional>
@@ -35,7 +38,7 @@
 #include "bc/sharded_gpu.hpp"
 #include "bc/static_gpu.hpp"
 #include "bc/update_outcome.hpp"
-#include "graph/dynamic_graph.hpp"
+#include "graph/csr_graph.hpp"
 
 namespace bcdyn {
 
@@ -94,7 +97,7 @@ class DynamicBc {
     RecoveryPolicy recovery;
   };
 
-  /// Snapshot `g`; the analytic owns its own dynamic copy of the graph.
+  /// Copies `g`; the analytic patches its own copy as edges change.
   DynamicBc(const CSRGraph& g, const Options& options);
 
   /// Initial static computation (fills the per-source store and scores).
@@ -144,7 +147,6 @@ class DynamicBc {
   const BcStore& store() const { return store_; }
   BcStore& store() { return store_; }
   const CSRGraph& graph() const { return csr_; }
-  const DynamicGraph& dynamic_graph() const { return dyn_; }
   bool computed() const { return computed_; }
   EngineKind engine() const { return options_.engine; }
   const Options& options() const { return options_; }
@@ -180,9 +182,9 @@ class DynamicBc {
   void run_recovered(const char* what,
                      const std::function<void()>& engine_pass,
                      UpdateOutcome& outcome);
-  /// Structure phase of a batch insertion: admits edges into the dynamic
-  /// graph, builds the incremental snapshots, and advances csr_ to the
-  /// batch's final graph. Fills outcome.inserted/skipped/
+  /// Structure phase of a batch insertion: builds the incremental
+  /// snapshots (which reject invalid and duplicate edges) and advances
+  /// csr_ to the batch's final graph. Fills outcome.inserted/skipped/
   /// structure_wall_seconds; the snapshots are empty when nothing was
   /// accepted. Shared by insert_edge_batch and the pipelined driver
   /// (bc/pipeline.cpp), which is what keeps their scores bit-identical.
@@ -202,7 +204,6 @@ class DynamicBc {
   void record_telemetry(trace::UpdateKind kind,
                         const UpdateOutcome& outcome) const;
 
-  DynamicGraph dyn_;
   CSRGraph csr_;
   BcStore store_;
   Options options_;

@@ -1,7 +1,11 @@
 // Public DynamicBc API: lifecycle, engine parity, degenerate inputs,
-// removal fallback, and ranking.
+// removal fallback, ranking, and the front door's graph structure under
+// mixed update streams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <set>
 #include <type_traits>
 
 #include "bc/brandes.hpp"
@@ -219,6 +223,118 @@ TEST(DynamicBcApi, SessionMatchesBareAnalytic) {
   }
   // Session exposes the wrapped analytic for surface it does not forward.
   EXPECT_EQ(&session.analytic().graph(), &session.graph());
+}
+
+TEST(DynamicBcApi, FrontDoorGraphMatchesFromCooAfterEveryCall) {
+  // A mixed insert/remove stream through bc::Session, rejected calls
+  // included: after every call the analytic's patched graph is laid out
+  // exactly as from_coo builds the reference edge set, and the outcome
+  // applies or rejects exactly what the rules say (self loops, endpoints
+  // out of range, present edges on insert, absent edges on remove).
+  using Edge = std::pair<VertexId, VertexId>;
+  const VertexId n = 30;
+  const auto g0 = test::gnp_graph(n, 0.1, 23);
+  const auto expect_layout = [n](const CSRGraph& got,
+                                 const std::set<Edge>& ref,
+                                 const std::string& where) {
+    COOGraph coo;
+    coo.num_vertices = n;
+    coo.edges.assign(ref.begin(), ref.end());
+    const CSRGraph want = CSRGraph::from_coo(std::move(coo));
+    const auto same = [](auto a, auto b) {
+      return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    };
+    EXPECT_TRUE(same(got.row_offsets(), want.row_offsets())) << where;
+    EXPECT_TRUE(same(got.arc_src(), want.arc_src())) << where;
+    EXPECT_TRUE(same(got.arc_dst(), want.arc_dst())) << where;
+  };
+  // Applies `e` to the reference set under the rules; true if it applies.
+  const auto apply = [n](std::set<Edge>& ref, Edge e, bool insert) {
+    const auto [u, v] = e;
+    if (u == v || u < 0 || v < 0 || u >= n || v >= n) return false;
+    const Edge key{std::min(u, v), std::max(u, v)};
+    return insert ? ref.insert(key).second : ref.erase(key) > 0;
+  };
+  const struct {
+    EngineKind engine;
+    int devices;
+  } configs[] = {{EngineKind::kCpu, 1},
+                 {EngineKind::kGpuEdge, 1},
+                 {EngineKind::kGpuNode, 1},
+                 {EngineKind::kGpuAdaptive, 2}};
+  for (const auto& config : configs) {
+    const std::string engine = to_string(config.engine);
+    bc::Session session(g0, {.engine = config.engine,
+                             .approx = {.num_sources = 6, .seed = 3},
+                             .num_devices = config.devices});
+    session.compute();
+    std::set<Edge> ref;
+    for (const Edge& e : g0.to_coo().edges) ref.insert(e);
+    BCDYN_SEEDED_RNG(rng, 41);
+    const auto any_vertex = [&] {
+      return static_cast<VertexId>(rng.next_below(n));
+    };
+    Edge removed{0, 0};
+    for (int step = 0; step < 30; ++step) {
+      const std::string where = engine + " step " + std::to_string(step);
+      bool insert = rng.next_bool(0.5);
+      Edge e;
+      switch (step % 6) {
+        case 0:
+        case 4:  // a random pair: mostly fresh, sometimes present
+          insert = true;
+          e = {any_vertex(), any_vertex()};
+          break;
+        case 1:  // self loop
+          e.first = e.second = any_vertex();
+          break;
+        case 2:  // a present edge
+          insert = false;
+          e = *std::next(ref.begin(),
+                         static_cast<std::ptrdiff_t>(rng.next_below(ref.size())));
+          removed = e;
+          break;
+        case 3:  // duplicate insert, or removal of the edge just removed
+          e = insert ? *ref.begin() : removed;
+          break;
+        default:  // out of range
+          e = insert ? Edge{any_vertex(), n} : Edge{-1, any_vertex()};
+          break;
+      }
+      const bool applies = apply(ref, e, insert);
+      const UpdateOutcome out = insert ? session.insert_edge(e.first, e.second)
+                                       : session.remove_edge(e.first, e.second);
+      EXPECT_EQ(out.inserted, applies ? 1 : 0) << where;
+      EXPECT_EQ(out.skipped, 0) << where;
+      expect_layout(session.graph(), ref, where);
+    }
+    // A batch: fresh edges beside an in-batch duplicate (reversed), a self
+    // loop, a present edge and an out-of-range endpoint.
+    std::vector<Edge> batch;
+    for (VertexId u = 0; u < n - 1 && batch.size() < 3; ++u) {
+      if (!ref.count({u, n - 1})) batch.emplace_back(u, n - 1);
+    }
+    ASSERT_EQ(batch.size(), 3u) << engine;
+    batch.insert(batch.end(), {{n - 1, batch[0].first},
+                               {4, 4},
+                               *ref.begin(),
+                               {0, n + 3}});
+    int inserted = 0;
+    int skipped = 0;
+    for (const Edge& e : batch) {
+      if (apply(ref, e, true)) {
+        ++inserted;
+      } else {
+        ++skipped;
+      }
+    }
+    EXPECT_EQ(inserted, 3) << engine;
+    const UpdateOutcome out = session.insert_edge_batch(batch);
+    EXPECT_EQ(out.inserted, inserted) << engine;
+    EXPECT_EQ(out.skipped, skipped) << engine;
+    expect_layout(session.graph(), ref, engine + " batch");
+    EXPECT_LT(session.verify_against_recompute(), 1e-9) << engine;
+  }
 }
 
 }  // namespace
