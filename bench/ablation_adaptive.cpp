@@ -69,7 +69,7 @@ WorkloadResult run_workload(const analysis::EdgeStream& stream,
     r.modeled_seconds += bc.insert_edge_batch(rest).modeled_seconds;
   }
   // Remove a quarter of the re-inserted edges again (exercises the removal
-  // prepass and the per-source recompute fallback).
+  // prepass and the distance-growing Case 3 repair).
   const std::size_t removals = stream.insertions.size() / 4 + 1;
   for (std::size_t i = 0; i < removals && i < stream.insertions.size(); ++i) {
     const auto [u, v] = stream.insertions[i];

@@ -5,7 +5,7 @@
 //
 //   $ ./grid_contingency [--rows=R] [--cols=C] [--failures=F]
 //
-// Demonstrates: remove_edge (recompute fallback), insert_edge (incremental
+// Demonstrates: remove_edge (decremental repair), insert_edge (incremental
 // restore), and interpreting BC deltas as load shift.
 #include <algorithm>
 #include <cstdio>

@@ -35,15 +35,15 @@ std::uint64_t probe_hash(const DecisionFeatures& f, std::uint64_t seed) {
   return h;
 }
 
-/// kStatic and kRecompute run the same per-source kernels, so they share
-/// one learned-rate arm.
+/// kRecompute prices the same per-source kernels as kStatic, so it reads
+/// the static arm.
 int arm_index(LaunchKind kind) {
   if (kind == LaunchKind::kRecompute) return static_cast<int>(LaunchKind::kStatic);
   return static_cast<int>(kind);
 }
 
 constexpr const char* kKindNames[kNumLaunchKinds] = {
-    "static", "insert-case2", "insert-case3", "removal", "recompute", "batch"};
+    "static", "insert-case2", "case3", "removal", "recompute", "batch"};
 
 /// Pre-composed counter names: decide() runs per source per launch, so no
 /// string assembly on the hot path.
@@ -172,9 +172,7 @@ DecisionFeatures ParallelismPolicy::update_features(LaunchKind kind,
       std::min(static_cast<double>(std::min<Dist>(d_low, kInfDist)), gf.levels);
   f.d_low = depth;
   f.levels = std::max(1.0, gf.levels - depth);
-  if (kind == LaunchKind::kStatic || kind == LaunchKind::kRecompute) {
-    f.levels = gf.levels;
-  }
+  if (kind == LaunchKind::kStatic) f.levels = gf.levels;
   return f;
 }
 
@@ -275,11 +273,13 @@ double ParallelismPolicy::base_estimate(const DecisionFeatures& f,
       return 2.0 * node_traversal(gf, touched, share) + sort +
              2.0 * vertex_scan(gf);
     }
-    case LaunchKind::kInsertCase3: {
+    case LaunchKind::kCase3: {
       if (edge) {
         // Per ascending level: two vertex scans (E1, E3a) and two arc
         // sweeps (E2, E3b); then the pre-pass sweep and the descending
-        // dependency sweeps from the deepest level back to 1.
+        // dependency sweeps from the deepest level back to 1. A removal's
+        // repair fuses its levels into one sweep each (DESIGN.md §7); the
+        // shared arm's learned rate absorbs the difference.
         return f.levels * (2.0 * edge_arc_sweep(gf) + 2.0 * vertex_scan(gf)) +
                (f.levels + f.d_low + 1.0) * edge_arc_sweep(gf) +
                2.0 * vertex_scan(gf);
@@ -299,7 +299,7 @@ double ParallelismPolicy::base_estimate(const DecisionFeatures& f,
       DecisionFeatures per = f;
       per.kind = LaunchKind::kInsertCase2;
       const double c2 = base_estimate(per, mode);
-      per.kind = LaunchKind::kInsertCase3;
+      per.kind = LaunchKind::kCase3;
       const double c3 = base_estimate(per, mode);
       per.kind = LaunchKind::kRecompute;
       const double cap = base_estimate(per, mode);
@@ -408,7 +408,7 @@ void ParallelismPolicy::feedback(const DecisionFeatures& f, Parallelism mode,
     arm.samples += 1.0;
   }
   if (touched > 0 && (f.kind == LaunchKind::kInsertCase2 ||
-                      f.kind == LaunchKind::kInsertCase3 ||
+                      f.kind == LaunchKind::kCase3 ||
                       f.kind == LaunchKind::kRemoval ||
                       f.kind == LaunchKind::kBatch)) {
     const GraphFeatures& gf = f.graph;
@@ -470,7 +470,7 @@ LaunchPlan ParallelismPolicy::plan_insert(const CSRGraph& g,
     if (info.update_case == UpdateCase::kNoWork) continue;
     const LaunchKind kind = info.update_case == UpdateCase::kAdjacent
                                 ? LaunchKind::kInsertCase2
-                                : LaunchKind::kInsertCase3;
+                                : LaunchKind::kCase3;
     const auto i = static_cast<std::size_t>(si);
     plan.features[i] = update_features(
         kind, si, gf, d[static_cast<std::size_t>(info.u_low)]);
@@ -503,8 +503,9 @@ LaunchPlan ParallelismPolicy::plan_remove(const CSRGraph& g,
         break;
       }
     }
+    // No surviving parent: the distance-growing Case 3 repair.
     const LaunchKind kind =
-        has_other_parent ? LaunchKind::kRemoval : LaunchKind::kRecompute;
+        has_other_parent ? LaunchKind::kRemoval : LaunchKind::kCase3;
     const auto i = static_cast<std::size_t>(si);
     plan.features[i] =
         update_features(kind, si, gf, d[static_cast<std::size_t>(u_low)]);

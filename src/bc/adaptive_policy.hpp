@@ -41,12 +41,13 @@ struct BatchSnapshots;  // bc/batch_update.hpp
 /// kind (sweep counts, touched-set scaling), so the online rates are
 /// learned per (kind, mode) arm.
 enum class LaunchKind : int {
-  kStatic = 0,   // full static pass over one source (also the batch/removal
-                 // recompute fallback's shape)
+  kStatic = 0,   // full static pass over one source
   kInsertCase2,  // adjacent-level insertion (paper Algorithms 3-8)
-  kInsertCase3,  // distance-changing insertion (generalized repair)
+  kCase3,        // distance-changing insertion or distance-growing removal
+                 // (the generalized Case 3 repair)
   kRemoval,      // adjacent-level removal with a surviving parent
-  kRecompute,    // distance-growing removal: per-source static recompute
+  kRecompute,    // per-source static recompute: only the cap of a batch
+                 // job's estimate (never decided, shares kStatic's arm)
   kBatch,        // one (source, batch) work-queue job
 };
 inline constexpr int kNumLaunchKinds = 6;

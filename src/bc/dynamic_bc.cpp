@@ -200,24 +200,11 @@ void DynamicBc::run_recovered(const char* what,
 }
 
 UpdateOutcome DynamicBc::insert_edge(VertexId u, VertexId v) {
-  if (!computed_) {
-    throw std::logic_error("DynamicBc::compute() must run before insert_edge");
-  }
-  trace::Span span("bc.insert_edge", "bc",
-                   {{"u", static_cast<double>(u)},
-                    {"v", static_cast<double>(v)}});
-  util::Stopwatch structure_clock;
-  const bool applied = csr_.insert_edge(u, v);
-  const double structure_s = structure_clock.elapsed_s();
-  if (!applied) {
-    // Self loop, out of range, or already present.
-    return {.structure_wall_seconds = structure_s};
-  }
-  UpdateOutcome outcome = run_update(u, v);
-  outcome.inserted = 1;
-  outcome.structure_wall_seconds = structure_s;
-  record_telemetry(trace::UpdateKind::kInsert, outcome);
-  return outcome;
+  return run_update(trace::UpdateKind::kInsert, u, v);
+}
+
+UpdateOutcome DynamicBc::remove_edge(VertexId u, VertexId v) {
+  return run_update(trace::UpdateKind::kRemove, u, v);
 }
 
 UpdateOutcome DynamicBc::insert_edges(
@@ -248,88 +235,59 @@ double DynamicBc::verify_against_recompute() const {
   return worst;
 }
 
-UpdateOutcome DynamicBc::run_update(VertexId u, VertexId v) {
-  trace::Span span("bc.run_update", "bc");
-  UpdateOutcome outcome;
-  util::Stopwatch clock;
-  if (options_.engine == EngineKind::kCpu) {
-    cpu_engine_->reset_counters();
-    std::vector<SourceUpdateOutcome> outcomes(
-        static_cast<std::size_t>(store_.num_sources()));
-    for (int si = 0; si < store_.num_sources(); ++si) {
-      const VertexId s = store_.sources()[static_cast<std::size_t>(si)];
-      outcomes[static_cast<std::size_t>(si)] = cpu_engine_->update_source(
-          csr_, s, store_.dist_row(si), store_.sigma_row(si),
-          store_.delta_row(si), store_.bc(), u, v);
-    }
-    fold_outcomes(outcomes, outcome);
-    const CpuOpCounters& ops = cpu_engine_->counters();
-    outcome.modeled_seconds =
-        sim::cpu_seconds(cost_model_, ops.instrs, ops.reads, ops.writes);
-  } else {
-    run_recovered("bc.insert", [&] {
-      if (sharded_) {
-        const ShardedUpdateResult r =
-            sharded_->insert_edge_update(csr_, store_, u, v);
-        fold_outcomes(r.outcomes, outcome);
-        outcome.modeled_seconds = r.launch.group.seconds;
-      } else {
-        const GpuUpdateResult r =
-            gpu_engine_->insert_edge_update(csr_, store_, u, v);
-        fold_outcomes(r.outcomes, outcome);
-        outcome.modeled_seconds = r.stats.seconds;
-      }
-    }, outcome);
-  }
-  outcome.update_wall_seconds = clock.elapsed_s();
-  return outcome;
-}
-
-UpdateOutcome DynamicBc::remove_edge(VertexId u, VertexId v) {
+UpdateOutcome DynamicBc::run_update(trace::UpdateKind kind, VertexId u,
+                                    VertexId v) {
+  const bool insert = kind == trace::UpdateKind::kInsert;
   if (!computed_) {
-    throw std::logic_error("DynamicBc::compute() must run before remove_edge");
+    throw std::logic_error(std::string("DynamicBc::compute() must run before ") +
+                           (insert ? "insert_edge" : "remove_edge"));
   }
-  trace::Span span("bc.remove_edge", "bc",
+  trace::Span span(insert ? "bc.insert_edge" : "bc.remove_edge", "bc",
                    {{"u", static_cast<double>(u)},
                     {"v", static_cast<double>(v)}});
   util::Stopwatch structure_clock;
-  const bool applied = csr_.remove_edge(u, v);
-  const double structure_s = structure_clock.elapsed_s();
-  if (!applied) {
-    // Self loop, out of range, or absent.
-    return {.structure_wall_seconds = structure_s};
-  }
-  UpdateOutcome outcome;
-  outcome.structure_wall_seconds = structure_s;
+  const bool applied = insert ? csr_.insert_edge(u, v) : csr_.remove_edge(u, v);
+  UpdateOutcome outcome{.structure_wall_seconds = structure_clock.elapsed_s()};
+  // Self loop, out of range, or already present (insert) / absent (remove).
+  if (!applied) return outcome;
+
+  // Analytic phase. Removals mirror insertions case for case: same-level
+  // edges are free, adjacent-level ones run Case 2 (negative increments
+  // for a removal), distance-changing ones run the Case 3 repair - except
+  // the CPU engine's removal, which recomputes the source as the oracle.
+  trace::Span engine_span("bc.run_update", "bc");
   util::Stopwatch clock;
   if (options_.engine == EngineKind::kCpu) {
-    // Decremental incremental path: same-level removals are free, adjacent
-    // removals with surviving parents run the negative-increment Case 2,
-    // and only distance-growing removals recompute (per source, not
-    // globally).
     cpu_engine_->reset_counters();
     std::vector<SourceUpdateOutcome> outcomes(
         static_cast<std::size_t>(store_.num_sources()));
     for (int si = 0; si < store_.num_sources(); ++si) {
       const VertexId s = store_.sources()[static_cast<std::size_t>(si)];
-      outcomes[static_cast<std::size_t>(si)] = cpu_engine_->remove_update_source(
-          csr_, s, store_.dist_row(si), store_.sigma_row(si),
-          store_.delta_row(si), store_.bc(), u, v);
+      outcomes[static_cast<std::size_t>(si)] =
+          insert ? cpu_engine_->update_source(
+                       csr_, s, store_.dist_row(si), store_.sigma_row(si),
+                       store_.delta_row(si), store_.bc(), u, v)
+                 : cpu_engine_->remove_update_source(
+                       csr_, s, store_.dist_row(si), store_.sigma_row(si),
+                       store_.delta_row(si), store_.bc(), u, v);
     }
     fold_outcomes(outcomes, outcome);
     const CpuOpCounters& ops = cpu_engine_->counters();
     outcome.modeled_seconds =
         sim::cpu_seconds(cost_model_, ops.instrs, ops.reads, ops.writes);
   } else {
-    run_recovered("bc.remove", [&] {
+    // The labels seed the fault decisions, so each kind keeps its own.
+    run_recovered(insert ? "bc.insert" : "bc.remove", [&] {
       if (sharded_) {
         const ShardedUpdateResult r =
-            sharded_->remove_edge_update(csr_, store_, u, v);
+            insert ? sharded_->insert_edge_update(csr_, store_, u, v)
+                   : sharded_->remove_edge_update(csr_, store_, u, v);
         fold_outcomes(r.outcomes, outcome);
         outcome.modeled_seconds = r.launch.group.seconds;
       } else {
         const GpuUpdateResult r =
-            gpu_engine_->remove_edge_update(csr_, store_, u, v);
+            insert ? gpu_engine_->insert_edge_update(csr_, store_, u, v)
+                   : gpu_engine_->remove_edge_update(csr_, store_, u, v);
         fold_outcomes(r.outcomes, outcome);
         outcome.modeled_seconds = r.stats.seconds;
       }
@@ -337,7 +295,7 @@ UpdateOutcome DynamicBc::remove_edge(VertexId u, VertexId v) {
   }
   outcome.inserted = 1;
   outcome.update_wall_seconds = clock.elapsed_s();
-  record_telemetry(trace::UpdateKind::kRemove, outcome);
+  record_telemetry(kind, outcome);
   return outcome;
 }
 

@@ -139,8 +139,9 @@ class DynamicBc {
       const PipelineConfig& config);
 
   /// Remove an edge and incrementally update the analytic (same-level
-  /// removals are free; only distance-growing removals recompute, and only
-  /// per affected source).
+  /// removals are free, adjacent-level ones run Case 2, distance-growing
+  /// ones the Case 3 repair; the CPU engine recomputes those per affected
+  /// source).
   UpdateOutcome remove_edge(VertexId u, VertexId v);
 
   std::span<const double> scores() const { return store_.bc(); }
@@ -167,7 +168,9 @@ class DynamicBc {
   double verify_against_recompute() const;
 
  private:
-  UpdateOutcome run_update(VertexId u, VertexId v);
+  /// The single-edge update path behind insert_edge and remove_edge:
+  /// validates and patches csr_, then runs the engine on every source.
+  UpdateOutcome run_update(trace::UpdateKind kind, VertexId u, VertexId v);
   double recompute();
   /// Charges deterministic modeled backoff cycles to every device the GPU
   /// engines run on (no-op for the CPU engine).
@@ -177,8 +180,8 @@ class DynamicBc {
   /// recompute (itself retried, with no further fallback), resetting
   /// `outcome`'s analytic fields to the recompute attribution. Every fault
   /// site fires before the pass mutates analytic state, so a retried pass
-  /// folds deltas in the original order. Shared by run_update, remove_edge,
-  /// and run_batch_kernels.
+  /// folds deltas in the original order. Shared by run_update and
+  /// run_batch_kernels.
   void run_recovered(const char* what,
                      const std::function<void()>& engine_pass,
                      UpdateOutcome& outcome);

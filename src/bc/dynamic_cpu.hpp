@@ -102,8 +102,10 @@ class DynamicCpuEngine {
   ///    increments (plus the explicit removal of u_low's old contribution
   ///    to u_high, whose edge the neighbor scans can no longer see);
   ///  - otherwise u_low's distance grows: the source row is recomputed
-  ///    from scratch (per-source fallback; reported as UpdateCase::kFar
-  ///    with touched = n).
+  ///    from scratch (reported as UpdateCase::kFar with touched = n). The
+  ///    GPU engines repair these removals incrementally (Case 3 with a
+  ///    decremental Phase 0); this engine keeps Brandes as their
+  ///    independent oracle.
   SourceUpdateOutcome remove_update_source(const CSRGraph& g, VertexId s,
                                            std::span<Dist> dist,
                                            std::span<Sigma> sigma,

@@ -335,12 +335,354 @@ void node_case2(BlockContext& ctx, const CSRGraph& g, VertexId s,
 }
 
 // ---------------------------------------------------------------------------
-// Case 3, node-parallel (generalized repair; DESIGN.md §7).
+// Case 3 for removals, Phase 0 (DESIGN.md §7): the increasing-distance
+// counterpart of Phase A's pull. u_low lost its only parent, so it is an
+// orphan; walking the old levels downward, a child of an orphan is an
+// orphan too when none of its old parents outside the orphan set survives.
+// Every orphan then takes min(d[x] + 1) over its non-orphan neighbours x
+// (infinity when there is none), and the orphans relax each other level by
+// level. Every orphan ends moved with t = kDown, sigma-hat 0 and reset set
+// (so one that stays unreachable drops out with zero dependency), and
+// every other child of an orphan - which lost that parent's paths - is
+// marked kDown at its unchanged level. Node-parallel runs these steps on
+// explicit frontiers ahead of Phase A; edge-parallel fuses them with its
+// Phase A into one arc sweep per level.
+// ---------------------------------------------------------------------------
+
+/// Marks w an orphan: new distance unknown (infinity until relevelled),
+/// paths and dependency rebuilt from scratch.
+void mark_orphan(BlockContext& ctx, GpuWorkspace& ws, std::size_t w) {
+  ctx.charge_write(ws.moved, w);
+  ctx.charge_write(ws.t, w);
+  ctx.charge_write(ws.d_new, w);
+  ctx.charge_write(ws.sigma_hat, w);
+  ctx.charge_write(ws.reset, w);
+  ws.moved[w] = 1;
+  ws.t[w] = kDown;
+  ws.d_new[w] = kInfDist;
+  ws.sigma_hat[w] = 0.0;
+  ws.reset[w] = 1;
+}
+
+/// Node-parallel Phase 0. Leaves ws.moved_list holding every orphan,
+/// ws.orphans the ones that stay reachable in ascending new level, and
+/// ws.premarked the other pre-marked children in ascending level.
+void node_removal_phase0(BlockContext& ctx, const CSRGraph& g,
+                         const Rows& rows, GpuWorkspace& ws, VertexId u_low) {
+  const auto d = rows.d;
+  const auto lo = static_cast<std::size_t>(u_low);
+  ws.moved_list.clear();
+  ws.orphans.clear();
+  ws.premarked.clear();
+  ws.q.clear();
+  mark_orphan(ctx, ws, lo);
+  ws.moved_list.push_back(u_low);
+  ws.q.push_back(u_low);
+
+  // Detection, one old level per step: q holds the previous level's
+  // orphans, q2 collects their children, qq the children found orphaned.
+  for (Dist level = d[lo] + 1; !ws.q.empty(); ++level) {
+    ws.q2.clear();
+    ctx.parallel_for(ws.q.size(), [&](std::size_t i) {
+      ctx.charge_read(ws.q, i);
+      ctx.charge_read(1);  // row offset (no span here)
+      for (VertexId wv : g.neighbors(ws.q[i])) {
+        const auto w = static_cast<std::size_t>(wv);
+        ctx.charge_instr(2);
+        ctx.charge_read(1);  // adjacency entry (no span here)
+        ctx.charge_read(d, w);
+        if (d[w] != level) continue;
+        // Unaddressed: orphans sharing a child race on its mark, benignly
+        // (every winner stores kDown), and the append may reallocate.
+        ctx.charge_read(1);
+        if (ws.t[w] != kUntouched) continue;
+        ctx.charge_write(1);
+        ws.t[w] = kDown;
+        ctx.charge_atomic_aggregated();  // q2 tail counter
+        ctx.charge_write(1);
+        ws.q2.push_back(wv);
+      }
+    });
+    ws.qq.clear();
+    ctx.parallel_for(ws.q2.size(), [&](std::size_t i) {
+      const auto w = static_cast<std::size_t>(ws.q2[i]);
+      ctx.charge_read(ws.q2, i);
+      ctx.charge_read(1);  // row offset (no span here)
+      bool survives = false;
+      for (VertexId xv : g.neighbors(ws.q2[i])) {
+        const auto x = static_cast<std::size_t>(xv);
+        ctx.charge_instr(2);
+        ctx.charge_read(1);  // adjacency entry (no span here)
+        ctx.charge_read(d, x);
+        if (d[x] + 1 != level) continue;  // not an old parent
+        ctx.charge_read(ws.moved, x);
+        if (ws.moved[x] == 0) {
+          survives = true;
+          break;
+        }
+      }
+      ctx.charge_atomic_aggregated();  // list tail counter
+      ctx.charge_write(1);  // unaddressed: the append may reallocate
+      if (survives) {
+        ws.premarked.push_back(ws.q2[i]);
+        return;
+      }
+      mark_orphan(ctx, ws, w);
+      ws.moved_list.push_back(ws.q2[i]);
+      ws.qq.push_back(ws.q2[i]);
+    });
+    ws.q.swap(ws.qq);
+  }
+
+  // Relevel seeds: the best surviving neighbour of each orphan.
+  Dist lo_seed = kInfDist;
+  Dist hi_seed = -1;
+  ctx.parallel_for(ws.moved_list.size(), [&](std::size_t i) {
+    const auto w = static_cast<std::size_t>(ws.moved_list[i]);
+    ctx.charge_read(ws.moved_list, i);
+    ctx.charge_read(1);  // row offset (no span here)
+    Dist best = kInfDist;
+    for (VertexId xv : g.neighbors(ws.moved_list[i])) {
+      const auto x = static_cast<std::size_t>(xv);
+      ctx.charge_instr(2);
+      ctx.charge_read(1);  // adjacency entry (no span here)
+      ctx.charge_read(ws.moved, x);
+      if (ws.moved[x] != 0) continue;
+      ctx.charge_read(d, x);
+      best = std::min(best, d[x] + 1);
+    }
+    ctx.charge_write(ws.d_new, w);
+    ws.d_new[w] = std::min(best, kInfDist);
+    if (ws.d_new[w] != kInfDist) {
+      lo_seed = std::min(lo_seed, ws.d_new[w]);
+      hi_seed = std::max(hi_seed, ws.d_new[w]);
+    }
+  });
+
+  // Counting sort of the seeded orphans by level into qq; afterwards
+  // flags[l - lo_seed] is the end offset of level l's bucket.
+  ws.qq.clear();
+  if (lo_seed <= hi_seed) {
+    const auto buckets = static_cast<std::size_t>(hi_seed - lo_seed) + 1;
+    ws.flags.assign(buckets, 0);
+    ctx.parallel_for(ws.moved_list.size(), [&](std::size_t i) {
+      const auto w = static_cast<std::size_t>(ws.moved_list[i]);
+      ctx.charge_read(ws.moved_list, i);
+      ctx.charge_read(ws.d_new, w);
+      if (ws.d_new[w] == kInfDist) return;
+      const auto b = static_cast<std::size_t>(ws.d_new[w] - lo_seed);
+      ctx.charge_atomic(ws.flags, b);
+      ++ws.flags[b];
+    });
+    ws.qq.resize(sim::block_exclusive_scan(ctx, ws.flags, buckets));
+    ctx.parallel_for(ws.moved_list.size(), [&](std::size_t i) {
+      const auto w = static_cast<std::size_t>(ws.moved_list[i]);
+      ctx.charge_read(ws.moved_list, i);
+      ctx.charge_read(ws.d_new, w);
+      if (ws.d_new[w] == kInfDist) return;
+      const auto b = static_cast<std::size_t>(ws.d_new[w] - lo_seed);
+      ctx.charge_atomic(ws.flags, b);
+      const std::uint32_t slot = ws.flags[b]++;
+      ctx.charge_write(ws.qq, slot);
+      ws.qq[slot] = ws.moved_list[i];
+    });
+  }
+
+  // Level-synchronous relaxation among the orphans: the frontier at each
+  // level is the orphans relaxed to it plus the seeds bucketed at it that
+  // no relaxation lowered. Finalized frontiers accumulate in ws.orphans.
+  std::size_t seed_cursor = 0;
+  const auto admit_seeds = [&](Dist level, std::vector<VertexId>& out) {
+    if (level < lo_seed || level > hi_seed) return;
+    const std::size_t begin = seed_cursor;
+    seed_cursor = ws.flags[static_cast<std::size_t>(level - lo_seed)];
+    if (seed_cursor == begin) return;
+    ctx.parallel_for(seed_cursor - begin, [&](std::size_t i) {
+      const auto w = static_cast<std::size_t>(ws.qq[begin + i]);
+      ctx.charge_read(ws.qq, begin + i);
+      ctx.charge_read(ws.d_new, w);
+      if (ws.d_new[w] != level) return;  // lowered: already admitted
+      ctx.charge_atomic_aggregated();  // frontier tail counter
+      ctx.charge_write(1);  // unaddressed: the append may reallocate
+      out.push_back(ws.qq[begin + i]);
+    });
+  };
+  ws.q.clear();
+  Dist last = hi_seed;
+  for (Dist level = lo_seed; level <= last; ++level) {
+    admit_seeds(level, ws.q);
+    if (ws.q.empty()) continue;  // a gap between seeded levels
+    observe_frontier(ws.q.size());
+    ws.q2.clear();
+    ctx.parallel_for(ws.q.size(), [&](std::size_t i) {
+      ctx.charge_read(ws.q, i);
+      ctx.charge_read(1);  // row offset (no span here)
+      for (VertexId xv : g.neighbors(ws.q[i])) {
+        const auto x = static_cast<std::size_t>(xv);
+        ctx.charge_instr(2);
+        ctx.charge_read(1);  // adjacency entry (no span here)
+        ctx.charge_read(ws.moved, x);
+        if (ws.moved[x] == 0) continue;
+        ctx.charge_atomic(ws.d_new, x);  // atomicMin: winners append once
+        if (ws.d_new[x] <= level + 1) continue;
+        ws.d_new[x] = level + 1;
+        ctx.charge_atomic_aggregated();  // q2 tail counter
+        ctx.charge_write(1);  // unaddressed: the append may reallocate
+        ws.q2.push_back(xv);
+      }
+    });
+    ctx.parallel_for(ws.q.size(), [&](std::size_t i) {
+      ctx.charge_read(ws.q, i);
+      ctx.charge_atomic_aggregated();  // orphan-list tail counter
+      ctx.charge_write(1);  // unaddressed: the append may reallocate
+      ws.orphans.push_back(ws.q[i]);
+    });
+    if (!ws.q2.empty()) last = std::max(last, level + 1);
+    ws.q.swap(ws.q2);
+  }
+}
+
+/// Edge-parallel Phases 0 and A of a removal, fused into one arc sweep
+/// per level l (plus a vertex scan while orphans are still being found):
+///   detection  old arcs into level l mark the children of level l-1's
+///              orphans and, as the survivor bit in `reset`, the children
+///              of non-orphans; the scan then turns every marked child
+///              without a survivor bit into an orphan;
+///   relevel    an orphan not placed yet that neighbours a vertex of new
+///              level l-1 is placed at l: the BFS continues into the
+///              orphaned region, so no separate seed or relax sweeps;
+///   sigma      level l-1, whose distances are final by now, folds
+///              increments into sigma-hat the way Algorithm 4 does for
+///              Case 2, extended to parent sets that changed: an orphan
+///              sums its new parents from zero, any other vertex adds each
+///              changed parent's increment, drops a parent that moved away
+///              and is marked kDown when its sigma moves.
+/// Returns the deepest level that holds a touched vertex.
+Dist edge_removal_sweeps(BlockContext& ctx, const CSRGraph& g,
+                         const Rows& rows, GpuWorkspace& ws, VertexId u_low) {
+  const auto src = g.arc_src();
+  const auto dst = g.arc_dst();
+  const auto num_arcs = static_cast<std::size_t>(g.num_arcs());
+  const std::size_t n = rows.sigma.size();
+  const auto d = rows.d;
+  const auto lo = static_cast<std::size_t>(u_low);
+  mark_orphan(ctx, ws, lo);
+  bool detecting = true;  // level l-1 holds orphans
+  Dist deepest = -1;
+  for (Dist level = d[lo] + 1;; ++level) {
+    bool placed = false;   // relevel placed an orphan at level l
+    bool kept = false;     // detection marked a child that kept a parent
+    bool changed = false;  // sigma moved at level l-1
+    ctx.parallel_for(num_arcs, [&](std::size_t a) {
+      ctx.charge_instr(2);
+      const auto x = static_cast<std::size_t>(src[a]);
+      const auto w = static_cast<std::size_t>(dst[a]);
+      ctx.charge_read(src, a);
+      ctx.charge_read(dst, a);
+      // Unaddressed: d_new of either end races the relevel stores of
+      // sibling arcs, benignly - every winner stores `level`, and no test
+      // below gives a different answer for infinity and `level`.
+      ctx.charge_read(1);
+      const Dist dw = ws.d_new[w];
+      if (dw == level) {  // detection
+        if (!detecting) return;
+        ctx.charge_read(d, w);
+        if (d[w] != level) return;  // an orphan placed here this sweep
+        ctx.charge_read(d, x);
+        if (d[x] + 1 != level) return;
+        ctx.charge_read(ws.moved, x);
+        // Unaddressed: arcs sharing a head store the same mark (benign).
+        ctx.charge_write(1);
+        if (ws.moved[x] != 0) {
+          ws.t[w] = kDown;
+        } else {
+          ws.reset[w] = 1;
+        }
+        return;
+      }
+      if (dw == kInfDist) {  // relevel
+        ctx.charge_read(ws.moved, w);
+        if (ws.moved[w] == 0) return;  // unreachable before the removal
+        ctx.charge_read(1);  // d_new[x], racing as above
+        if (ws.d_new[x] + 1 != level) return;
+        ctx.charge_write(1);  // d_new[w], racing as above
+        ws.d_new[w] = level;
+        placed = true;
+        return;
+      }
+      if (dw + 1 != level) return;  // sigma of level l-1
+      ctx.charge_read(1);  // d_new[x], racing as above
+      ctx.charge_read(ws.moved, w);
+      const bool new_parent = ws.d_new[x] + 1 == dw;
+      if (ws.moved[w] != 0) {
+        if (!new_parent) return;
+        ctx.charge_read(ws.sigma_hat, x);
+        ctx.charge_atomic(ws.sigma_hat, w);
+        ws.sigma_hat[w] += ws.sigma_hat[x];
+        return;
+      }
+      ctx.charge_read(d, x);
+      const bool old_parent = d[x] + 1 == dw;
+      if (!new_parent && !old_parent) return;
+      // x sits at level l-2, settled by the previous sweep.
+      ctx.charge_read(ws.t, x);
+      if (ws.t[x] == kUntouched) return;  // unchanged parent, zero increment
+      ctx.charge_read(ws.sigma_hat, x);
+      ctx.charge_read(rows.sigma, x);
+      const Sigma inc = (new_parent ? ws.sigma_hat[x] : 0.0) -
+                        (old_parent ? rows.sigma[x] : 0.0);
+      if (inc == 0.0) return;
+      ctx.charge_atomic(ws.sigma_hat, w);
+      ws.sigma_hat[w] += inc;
+      // Unaddressed: arcs sharing a head store the same mark (benign).
+      ctx.charge_write(1);
+      ws.t[w] = kDown;
+      changed = true;
+    });
+    if (detecting) {
+      bool found = false;
+      ctx.parallel_for(n, [&](std::size_t v) {
+        ctx.charge_instr(1);
+        ctx.charge_read(d, v);
+        if (d[v] != level) return;
+        ctx.charge_read(ws.reset, v);
+        ctx.charge_read(ws.t, v);
+        const bool survives = ws.reset[v] != 0;
+        if (survives) {
+          ctx.charge_write(ws.reset, v);
+          ws.reset[v] = 0;
+        }
+        if (ws.t[v] == kUntouched) return;
+        if (survives) {
+          kept = true;  // lost an orphan parent: touched at `level`
+          return;
+        }
+        mark_orphan(ctx, ws, v);
+        found = true;
+      });
+      detecting = found;
+    }
+    // Sweeps go on while a level changes. An orphan still unplaced when
+    // they stop is unreachable: a non-orphan neighbour sits at its old
+    // level, which detection still covers, or one level deeper as one of
+    // its kept children, which keeps the sweeps going.
+    const bool touched = placed || kept;
+    if (touched) deepest = std::max(deepest, level);
+    if (changed) deepest = std::max(deepest, level - 1);
+    if (!touched && !changed && !detecting) break;
+  }
+  return deepest;
+}
+
+// ---------------------------------------------------------------------------
+// Case 3, node-parallel (generalized repair; DESIGN.md §7). With `removal`,
+// Phase 0 replaces the single moved u_low and Phase A admits its pre-marked
+// vertices level by level.
 // ---------------------------------------------------------------------------
 
 void node_case3(BlockContext& ctx, const CSRGraph& g, VertexId s,
                 const Rows& rows, GpuWorkspace& ws, VertexId u_high,
-                VertexId u_low) {
+                VertexId u_low, bool removal = false) {
   const auto d = rows.d;
   const auto lo = static_cast<std::size_t>(u_low);
   ws.q.clear();
@@ -348,16 +690,59 @@ void node_case3(BlockContext& ctx, const CSRGraph& g, VertexId s,
   ws.qq.clear();
   ws.moved_list.clear();
 
-  const Dist level0 = d[static_cast<std::size_t>(u_high)] + 1;
-  ws.d_new[lo] = level0;
-  ws.t[lo] = kDown;
-  ws.moved[lo] = 1;
-  ws.moved_list.push_back(u_low);
-  ws.q.push_back(u_low);
-  ws.qq.push_back(u_low);
+  // Pre-marked vertices of a removal, consumed in ascending level: the
+  // orphans' other children (premarked) and the reachable orphans.
+  std::size_t premarked_cursor = 0;
+  std::size_t orphan_cursor = 0;
+  const auto next_premarked_level = [&] {
+    Dist next = kInfDist;
+    if (premarked_cursor < ws.premarked.size()) {
+      next = ws.d_new[static_cast<std::size_t>(
+          ws.premarked[premarked_cursor])];
+    }
+    if (orphan_cursor < ws.orphans.size()) {
+      next = std::min(next, ws.d_new[static_cast<std::size_t>(
+                                ws.orphans[orphan_cursor])]);
+    }
+    return next;
+  };
+  const auto admit_premarked = [&](Dist level, std::vector<VertexId>& out) {
+    const auto take = [&](const std::vector<VertexId>& list,
+                          std::size_t& cursor) {
+      const std::size_t begin = cursor;
+      while (cursor < list.size() &&
+             ws.d_new[static_cast<std::size_t>(list[cursor])] == level) {
+        ++cursor;
+      }
+      if (cursor == begin) return;
+      ctx.parallel_for(cursor - begin, [&](std::size_t i) {
+        ctx.charge_read(list, begin + i);
+        ctx.charge_atomic_aggregated();  // frontier tail counter
+        ctx.charge_write(1);  // unaddressed: the append may reallocate
+        out.push_back(list[begin + i]);
+      });
+    };
+    take(ws.premarked, premarked_cursor);
+    take(ws.orphans, orphan_cursor);
+  };
+
+  Dist level = d[static_cast<std::size_t>(u_high)] + 1;
+  if (removal) {
+    node_removal_phase0(ctx, g, rows, ws, u_low);
+    level = next_premarked_level();
+    ws.q.clear();
+    admit_premarked(level, ws.q);
+    ws.qq = ws.q;
+  } else {
+    ws.d_new[lo] = level;
+    ws.t[lo] = kDown;
+    ws.moved[lo] = 1;
+    ws.moved_list.push_back(u_low);
+    ws.q.push_back(u_low);
+    ws.qq.push_back(u_low);
+  }
 
   // Phase A: ascending levels; two sub-kernels per level.
-  Dist level = level0;
   while (!ws.q.empty()) {
     observe_frontier(ws.q.size());
     // A1: recompute sigma-hat of frontier vertices from their new parents
@@ -427,6 +812,14 @@ void node_case3(BlockContext& ctx, const CSRGraph& g, VertexId s,
         }
       }
     });
+    ++level;
+    if (removal) {
+      // A removal's frontier also admits the vertices Phase 0 pre-marked
+      // at the new level, and jumps ahead to the next pre-marked level
+      // when the marked frontier dies out.
+      if (ws.q2.empty()) level = next_premarked_level();
+      admit_premarked(level, ws.q2);
+    }
     if (ws.q2.empty()) break;
     const std::size_t unique = sim::block_remove_duplicates(
         ctx, ws.q2, ws.q2.size(), ws.scratch, ws.flags);
@@ -438,7 +831,6 @@ void node_case3(BlockContext& ctx, const CSRGraph& g, VertexId s,
       ctx.charge_write(2);  // unaddressed: QQ append may reallocate
       ws.qq.push_back(ws.q[i]);
     });
-    ++level;
   }
 
   // CARRY vertices (touched, but distance and sigma unchanged) keep their
@@ -453,49 +845,55 @@ void node_case3(BlockContext& ctx, const CSRGraph& g, VertexId s,
       ws.delta_hat[w] = rows.delta[w];
     }
   });
-
-  // Phase B pre-pass: moved vertices abandoned old parents; subtract their
-  // stale contribution from CARRY parents that are no longer parents.
-  const std::size_t num_moved = ws.moved_list.size();
-  ctx.parallel_for(num_moved, [&](std::size_t i) {
-    const auto w = static_cast<std::size_t>(ws.moved_list[i]);
-    ctx.charge_read(ws.moved_list, i);
-    ctx.charge_read(d, w);
-    const Dist dw_old = d[w];
-    if (dw_old == kInfDist) return;  // previously unreachable: no parents
-    ctx.charge_read(rows.delta, w);
-    ctx.charge_read(rows.sigma, w);
-    const double coeff_old = (1.0 + rows.delta[w]) / rows.sigma[w];
-    for (VertexId xv : g.neighbors(static_cast<VertexId>(w))) {
-      const auto x = static_cast<std::size_t>(xv);
-      ctx.charge_instr(3);
-      ctx.charge_read(1);  // adjacency entry (no span here)
-      ctx.charge_read(d, x);
-      ctx.charge_read(ws.d_new, x);
-      if (d[x] + 1 != dw_old) continue;            // not an old parent
-      if (ws.d_new[x] + 1 == ws.d_new[w]) continue;  // still a parent
-      ctx.charge_atomic(ws.t, x);  // CAS on t[x]
-      if (ws.t[x] == kUntouched) {
-        ws.t[x] = kUp;  // the store is part of the CAS, charged above
-        ctx.charge_read(rows.delta, x);
-        // Unaddressed: this CAS-winner seeding store genuinely races the
-        // concurrent atomic subtractions on delta_hat[x] below on real
-        // hardware - the untracked-access caveat documented in DESIGN.md.
-        // A CUDA port must seed delta_hat before the pre-pass instead.
-        ctx.charge_write(1);
-        ws.delta_hat[x] = rows.delta[x];
-        ctx.charge_atomic_aggregated();
-        ctx.charge_write(1);  // unaddressed: QQ append may reallocate
-        ws.qq.push_back(xv);
+  // Phase B pre-pass. A removal's moved vertices are orphans, whose old
+  // parents are orphans too (reset, so rebuilt from scratch) - all but
+  // u_high, whose vanished arc removal_prepass settles instead.
+  if (removal) {
+    removal_prepass(ctx, ws, rows, u_high, u_low, true);
+  } else {
+    // Phase B pre-pass: moved vertices abandoned old parents; subtract their
+    // stale contribution from CARRY parents that are no longer parents.
+    const std::size_t num_moved = ws.moved_list.size();
+    ctx.parallel_for(num_moved, [&](std::size_t i) {
+      const auto w = static_cast<std::size_t>(ws.moved_list[i]);
+      ctx.charge_read(ws.moved_list, i);
+      ctx.charge_read(d, w);
+      const Dist dw_old = d[w];
+      if (dw_old == kInfDist) return;  // previously unreachable: no parents
+      ctx.charge_read(rows.delta, w);
+      ctx.charge_read(rows.sigma, w);
+      const double coeff_old = (1.0 + rows.delta[w]) / rows.sigma[w];
+      for (VertexId xv : g.neighbors(static_cast<VertexId>(w))) {
+        const auto x = static_cast<std::size_t>(xv);
+        ctx.charge_instr(3);
+        ctx.charge_read(1);  // adjacency entry (no span here)
+        ctx.charge_read(d, x);
+        ctx.charge_read(ws.d_new, x);
+        if (d[x] + 1 != dw_old) continue;            // not an old parent
+        if (ws.d_new[x] + 1 == ws.d_new[w]) continue;  // still a parent
+        ctx.charge_atomic(ws.t, x);  // CAS on t[x]
+        if (ws.t[x] == kUntouched) {
+          ws.t[x] = kUp;  // the store is part of the CAS, charged above
+          ctx.charge_read(rows.delta, x);
+          // Unaddressed: this CAS-winner seeding store genuinely races the
+          // concurrent atomic subtractions on delta_hat[x] below on real
+          // hardware - the untracked-access caveat documented in DESIGN.md.
+          // A CUDA port must seed delta_hat before the pre-pass instead.
+          ctx.charge_write(1);
+          ws.delta_hat[x] = rows.delta[x];
+          ctx.charge_atomic_aggregated();
+          ctx.charge_write(1);  // unaddressed: QQ append may reallocate
+          ws.qq.push_back(xv);
+        }
+        ctx.charge_read(ws.reset, x);
+        if (ws.reset[x] == 0) {
+          ctx.charge_read(rows.sigma, x);
+          ctx.charge_atomic(ws.delta_hat, x);
+          ws.delta_hat[x] -= rows.sigma[x] * coeff_old;
+        }
       }
-      ctx.charge_read(ws.reset, x);
-      if (ws.reset[x] == 0) {
-        ctx.charge_read(rows.sigma, x);
-        ctx.charge_atomic(ws.delta_hat, x);
-        ws.delta_hat[x] -= rows.sigma[x] * coeff_old;
-      }
-    }
-  });
+    });
+  }
 
   // Phase B: descending dependency repair over the multi-level queue.
   Dist max_depth = 0;
@@ -562,7 +960,7 @@ void node_case3(BlockContext& ctx, const CSRGraph& g, VertexId s,
 
 void edge_case3(BlockContext& ctx, const CSRGraph& g, VertexId s,
                 const Rows& rows, GpuWorkspace& ws, VertexId u_high,
-                VertexId u_low) {
+                VertexId u_low, bool removal = false) {
   const auto src = g.arc_src();
   const auto dst = g.arc_dst();
   const auto num_arcs = static_cast<std::size_t>(g.num_arcs());
@@ -571,15 +969,22 @@ void edge_case3(BlockContext& ctx, const CSRGraph& g, VertexId s,
   const auto lo = static_cast<std::size_t>(u_low);
   ws.moved_list.clear();
 
-  const Dist level0 = d[static_cast<std::size_t>(u_high)] + 1;
-  ws.d_new[lo] = level0;
-  ws.t[lo] = kDown;
-  ws.moved[lo] = 1;
-  ws.moved_list.push_back(u_low);
+  Dist max_depth = 0;
+  if (removal) {
+    max_depth = std::max(edge_removal_sweeps(ctx, g, rows, ws, u_low),
+                         d[static_cast<std::size_t>(u_high)]);
+  }
 
+  const Dist level0 = d[static_cast<std::size_t>(u_high)] + 1;
   Dist level = level0;
-  Dist max_depth = level0;
-  bool progress = true;
+  bool progress = !removal;
+  if (!removal) {
+    max_depth = level0;
+    ws.d_new[lo] = level0;
+    ws.t[lo] = kDown;
+    ws.moved[lo] = 1;
+    ws.moved_list.push_back(u_low);
+  }
   while (progress) {
     progress = false;
     // E1: zero sigma-hat of touched vertices at this level.
@@ -656,10 +1061,19 @@ void edge_case3(BlockContext& ctx, const CSRGraph& g, VertexId s,
     ++level;
   }
 
-  // CARRY bases for phase-A touched vertices.
+  // CARRY bases for phase-A touched vertices. A removal classifies RESET
+  // here, once, instead of per level.
   ctx.parallel_for(n, [&](std::size_t v) {
     ctx.charge_instr(1);
     ctx.charge_read(ws.t, v);
+    if (removal && ws.t[v] == kDown) {
+      ctx.charge_read(ws.moved, v);
+      ctx.charge_read(ws.sigma_hat, v);
+      ctx.charge_read(rows.sigma, v);
+      ctx.charge_write(ws.reset, v);
+      ws.reset[v] =
+          (ws.moved[v] != 0 || ws.sigma_hat[v] != rows.sigma[v]) ? 1 : 0;
+    }
     ctx.charge_read(ws.reset, v);
     if (ws.t[v] == kDown && ws.reset[v] == 0) {
       ctx.charge_read(rows.delta, v);
@@ -667,45 +1081,49 @@ void edge_case3(BlockContext& ctx, const CSRGraph& g, VertexId s,
       ws.delta_hat[v] = rows.delta[v];
     }
   });
-
-  // Pre-pass over arcs: (w moved, x old-parent no longer parent).
-  ctx.parallel_for(num_arcs, [&](std::size_t a) {
-    ctx.charge_instr(3);
-    const auto w = static_cast<std::size_t>(src[a]);
-    const auto x = static_cast<std::size_t>(dst[a]);
-    ctx.charge_read(src, a);
-    ctx.charge_read(dst, a);
-    ctx.charge_read(ws.moved, w);
-    if (ws.moved[w] == 0) return;
-    ctx.charge_read(d, w);
-    ctx.charge_read(d, x);
-    const Dist dw_old = d[w];
-    if (dw_old == kInfDist) return;
-    if (d[x] + 1 != dw_old) return;
-    ctx.charge_read(ws.d_new, x);
-    ctx.charge_read(ws.d_new, w);
-    if (ws.d_new[x] + 1 == ws.d_new[w]) return;
-    ctx.charge_atomic(ws.t, x);  // CAS on t[x]
-    double dsv = 0.0;
-    if (ws.t[x] == kUntouched) {
-      ws.t[x] = kUp;  // the store is part of the CAS, charged above
-      ctx.charge_read(rows.delta, x);
-      dsv += rows.delta[x];
-    }
-    ctx.charge_read(ws.reset, x);
-    if (ws.reset[x] == 0) {
-      ctx.charge_read(rows.sigma, x);
-      ctx.charge_read(rows.sigma, w);
-      ctx.charge_read(rows.delta, w);
-      dsv -= rows.sigma[x] / rows.sigma[w] * (1.0 + rows.delta[w]);
-    }
-    if (dsv != 0.0) {
-      ctx.charge_atomic(ws.delta_hat, x);
-      ws.delta_hat[x] += dsv;
-    }
-    // Track the deepest level an up-marked parent lives at.
-    if (ws.d_new[x] > max_depth) max_depth = ws.d_new[x];
-  });
+  // Pre-pass; a removal needs only u_high's (see node_case3).
+  if (removal) {
+    removal_prepass(ctx, ws, rows, u_high, u_low, false);
+  } else {
+    // Pre-pass over arcs: (w moved, x old-parent no longer parent).
+    ctx.parallel_for(num_arcs, [&](std::size_t a) {
+      ctx.charge_instr(3);
+      const auto w = static_cast<std::size_t>(src[a]);
+      const auto x = static_cast<std::size_t>(dst[a]);
+      ctx.charge_read(src, a);
+      ctx.charge_read(dst, a);
+      ctx.charge_read(ws.moved, w);
+      if (ws.moved[w] == 0) return;
+      ctx.charge_read(d, w);
+      ctx.charge_read(d, x);
+      const Dist dw_old = d[w];
+      if (dw_old == kInfDist) return;
+      if (d[x] + 1 != dw_old) return;
+      ctx.charge_read(ws.d_new, x);
+      ctx.charge_read(ws.d_new, w);
+      if (ws.d_new[x] + 1 == ws.d_new[w]) return;
+      ctx.charge_atomic(ws.t, x);  // CAS on t[x]
+      double dsv = 0.0;
+      if (ws.t[x] == kUntouched) {
+        ws.t[x] = kUp;  // the store is part of the CAS, charged above
+        ctx.charge_read(rows.delta, x);
+        dsv += rows.delta[x];
+      }
+      ctx.charge_read(ws.reset, x);
+      if (ws.reset[x] == 0) {
+        ctx.charge_read(rows.sigma, x);
+        ctx.charge_read(rows.sigma, w);
+        ctx.charge_read(rows.delta, w);
+        dsv -= rows.sigma[x] / rows.sigma[w] * (1.0 + rows.delta[w]);
+      }
+      if (dsv != 0.0) {
+        ctx.charge_atomic(ws.delta_hat, x);
+        ws.delta_hat[x] += dsv;
+      }
+      // Track the deepest level an up-marked parent lives at.
+      if (ws.d_new[x] > max_depth) max_depth = ws.d_new[x];
+    });
+  }
 
   // Descending dependency repair over the whole arc list per level.
   for (Dist dep = max_depth; dep >= 1; --dep) {
@@ -827,8 +1245,7 @@ SourceUpdateOutcome gpu_insert_source_update(sim::BlockContext& ctx,
 SourceUpdateOutcome gpu_remove_source_update(
     sim::BlockContext& ctx, GpuWorkspace& ws, Parallelism mode,
     const CSRGraph& g, VertexId s, std::span<Dist> d, std::span<Sigma> sigma,
-    std::span<double> delta, std::span<double> bc, VertexId u, VertexId v,
-    std::vector<VertexId>& order, std::vector<std::size_t>& level_offsets) {
+    std::span<double> delta, std::span<double> bc, VertexId u, VertexId v) {
   Rows rows{d, sigma, delta};
   SourceUpdateOutcome outcome;
   ctx.charge_read(rows.d, static_cast<std::size_t>(u));
@@ -873,12 +1290,16 @@ SourceUpdateOutcome gpu_remove_source_update(
     return outcome;
   }
 
-  // Distance-growing removal: recompute this source's row on the device
-  // and fold the dependency differences into BC.
+  // Distance-growing removal: the decremental Case 3 repair (Phase 0
+  // relevels the orphaned region, then the generalized repair runs).
   outcome.update_case = UpdateCase::kFar;
-  outcome.touched = g.num_vertices();
-  gpu_recompute_source(ctx, ws, mode, g, s, rows.d, rows.sigma, rows.delta,
-                       bc, order, level_offsets);
+  init_kernel(ctx, ws, rows, u_high, u_low, /*case3=*/true);
+  if (mode == Parallelism::kEdge) {
+    edge_case3(ctx, g, s, rows, ws, u_high, u_low, /*removal=*/true);
+  } else {
+    node_case3(ctx, g, s, rows, ws, u_high, u_low, /*removal=*/true);
+  }
+  outcome.touched = finalize_kernel(ctx, ws, rows, bc, s, /*case3=*/true);
   record_source_update_metrics(outcome, g.num_vertices());
   return outcome;
 }
@@ -1005,15 +1426,12 @@ GpuUpdateResult DynamicGpuBc::remove_edge_update(const CSRGraph& g,
   result.stats = device_.launch(num_blocks, [&, mode, num_blocks, u,
                                              v](BlockContext& ctx) {
     GpuWorkspace& ws = workspaces[static_cast<std::size_t>(ctx.block_id())];
-    std::vector<VertexId> order;
-    std::vector<std::size_t> level_offsets;
     for (int si = ctx.block_id(); si < k; si += num_blocks) {
       const VertexId s = store.sources()[static_cast<std::size_t>(si)];
       const double c0 = ctx.cycles();
       outcomes[static_cast<std::size_t>(si)] = detail::gpu_remove_source_update(
           ctx, ws, plan.mode_or(si, mode), g, s, store.dist_row(si),
-          store.sigma_row(si), store.delta_row(si), store.bc(), u, v, order,
-          level_offsets);
+          store.sigma_row(si), store.delta_row(si), store.bc(), u, v);
       if (!cycles.empty()) {
         cycles[static_cast<std::size_t>(si)] = ctx.cycles() - c0;
       }

@@ -16,6 +16,11 @@
 //           two fine-grained mappings (the paper notes its techniques
 //           "generalize and can be applied to Case 3").
 //
+// Removals classify the same way: Case 2 runs with negative increments,
+// and a distance-growing removal runs Case 3 behind a decremental Phase 0
+// that finds and relevels the vertices whose every shortest path used the
+// removed edge.
+//
 // Every kernel charges its BlockContext for the memory traffic and atomics
 // a CUDA implementation would issue; modeled time comes from those counters
 // (gpusim/cost_model.hpp). Results are exact and are cross-checked against
@@ -48,6 +53,8 @@ struct GpuWorkspace {
   std::vector<VertexId> q2;
   std::vector<VertexId> qq;
   std::vector<VertexId> moved_list;
+  std::vector<VertexId> orphans;    // removal Phase 0: relevelled orphans
+  std::vector<VertexId> premarked;  // removal Phase 0: orphans' other children
   std::vector<VertexId> scratch;
   std::vector<std::uint32_t> flags;
 
@@ -79,8 +86,8 @@ class DynamicGpuBc {
   /// Decremental counterpart: `g` must no longer contain {u, v}; the store
   /// holds pre-removal state. Same-level removals are free; adjacent-level
   /// removals with a surviving parent run the negative-increment Case 2
-  /// kernels; distance-growing removals recompute that source's row on the
-  /// device (reported as UpdateCase::kFar with touched = n).
+  /// kernels; distance-growing removals run the decremental Case 3 repair
+  /// (reported as UpdateCase::kFar with the repaired region as touched).
   GpuUpdateResult remove_edge_update(const CSRGraph& g, BcStore& store,
                                      VertexId u, VertexId v);
 
@@ -129,20 +136,19 @@ SourceUpdateOutcome gpu_insert_source_update(sim::BlockContext& ctx,
 
 /// One removal applied to one source row inside an existing block:
 /// classify (same-level removals are free), run the negative-increment
-/// Case 2 kernels when u_low keeps another parent, otherwise recompute the
-/// row on the device. `order`/`level_offsets` are node-parallel frontier
-/// scratch for the recompute fallback. Shared by the per-edge launch loop
-/// and the sharded multi-device path.
+/// Case 2 kernels when u_low keeps another parent, otherwise the
+/// decremental Case 3 repair (Phase 0 relevels the vertices whose every
+/// shortest path used the edge, then the generalized repair runs). Shared
+/// by the per-edge launch loop and the sharded multi-device path.
 SourceUpdateOutcome gpu_remove_source_update(
     sim::BlockContext& ctx, GpuWorkspace& ws, Parallelism mode,
     const CSRGraph& g, VertexId s, std::span<Dist> d, std::span<Sigma> sigma,
-    std::span<double> delta, std::span<double> bc, VertexId u, VertexId v,
-    std::vector<VertexId>& order, std::vector<std::size_t>& level_offsets);
+    std::span<double> delta, std::span<double> bc, VertexId u, VertexId v);
 
 /// Recomputes source s's row from scratch on the device and folds the
-/// dependency differences into `bc`. Shared by the distance-growing removal
-/// fallback and the batch path's touched-fraction fallback. `order` and
-/// `level_offsets` are node-parallel frontier scratch.
+/// dependency differences into `bc`: the batch path's touched-fraction
+/// fallback. `order` and `level_offsets` are node-parallel frontier
+/// scratch.
 void gpu_recompute_source(sim::BlockContext& ctx, GpuWorkspace& ws,
                           Parallelism mode, const CSRGraph& g, VertexId s,
                           std::span<Dist> d, std::span<Sigma> sigma,

@@ -54,11 +54,11 @@ std::vector<int> round_robin_assign(int k, int num_devices) {
 /// from the store's dist row before launching (the same host-side
 /// information a real multi-GPU driver has): same-level edges are
 /// classification-only, adjacent ones pay for their touched subtree, and
-/// distance-changing ones recompute the source - the heavy tail LPT must
+/// distance-changing ones run the Case 3 repair - the heavy tail LPT must
 /// spread. Same scale as batch_job_weight. An existing edge's endpoints
 /// differ by at most one level, so removals classify to kNoWork or
-/// kAdjacent only; an adjacent removal can escalate to a per-source
-/// recompute (no surviving parent), so it gets the heavy weight.
+/// kAdjacent only; an adjacent removal can escalate to the distance-growing
+/// Case 3 repair (no surviving parent), so it gets the heavy weight.
 std::int64_t update_job_weight(std::span<const Dist> dist, VertexId u,
                                VertexId v, bool removal) {
   switch (classify_insertion(dist, u, v).update_case) {
@@ -274,8 +274,6 @@ ShardedUpdateResult ShardedGpuBc::remove_edge_update(const CSRGraph& g,
   } else {
     shard = round_robin_assign(k, num_devices());
   }
-  std::vector<VertexId> order;
-  std::vector<std::size_t> level_offsets;
   auto& outcomes = result.outcomes;
   const Parallelism mode = mode_;
   const char* name = adaptive_ != nullptr      ? "remove.adaptive"
@@ -289,8 +287,7 @@ ShardedUpdateResult ShardedGpuBc::remove_edge_update(const CSRGraph& g,
         outcomes[static_cast<std::size_t>(si)] =
             detail::gpu_remove_source_update(
                 ctx, ws_, plan.mode_or(si, mode), g, s, store.dist_row(si),
-                store.sigma_row(si), store.delta_row(si), store.bc(), u, v,
-                order, level_offsets);
+                store.sigma_row(si), store.delta_row(si), store.bc(), u, v);
         if (!cycles.empty()) {
           cycles[static_cast<std::size_t>(si)] = ctx.cycles() - c0;
         }

@@ -45,17 +45,6 @@ const BlockHazardState* BlockContext::hazard_state() const {
   return shadow_ ? &shadow_->state : nullptr;
 }
 
-void BlockContext::begin_item(std::size_t item) {
-  item_cycles_ = 0.0;
-  if (track_conflicts_ &&
-      ++items_in_warp_ > static_cast<std::size_t>(spec_->warp_size)) {
-    window_addresses_.clear();
-    items_in_warp_ = 1;
-  }
-  current_item_ = item;
-  in_item_ = true;
-}
-
 void BlockContext::close_round(double round_max) {
   // A round costs its issue overhead, the slowest thread's latency chain
   // (divergence max), and the aggregate memory-throughput time of all the

@@ -57,14 +57,16 @@ class BlockContext {
   void parallel_for(std::size_t n, Fn&& fn) {
     const auto threads = static_cast<std::size_t>(spec_->threads_per_block);
     double round_max = 0.0;
+    std::size_t lane = 0;  // counts items into the round (no per-item division)
     for (std::size_t i = 0; i < n; ++i) {
       begin_item(i);
       fn(i);
       round_max = std::max(round_max, item_cycles_);
       ++counters_.items;
-      if ((i + 1) % threads == 0) {
+      if (++lane == threads) {
         close_round(round_max);
         round_max = 0.0;
+        lane = 0;
       }
     }
     if (n % threads != 0 || n == 0) {
@@ -178,7 +180,16 @@ class BlockContext {
     return sizeof(*arr.data());
   }
 
-  void begin_item(std::size_t item);
+  void begin_item(std::size_t item) {
+    item_cycles_ = 0.0;
+    if (track_conflicts_ &&
+        ++items_in_warp_ > static_cast<std::size_t>(spec_->warp_size)) {
+      window_addresses_.clear();
+      items_in_warp_ = 1;
+    }
+    current_item_ = item;
+    in_item_ = true;
+  }
   void close_round(double round_max);
   void note_atomic_conflict(std::uint64_t address_key) {
     if (!track_conflicts_) return;

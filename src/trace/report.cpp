@@ -347,8 +347,8 @@ void write_report(const std::vector<TraceEvent>& events,
         << registry.counter_value("bc.adaptive.explore.count")
         << " exploration probes\n";
     out << "  launch kind            edge     node\n";
-    const char* kind_rows[] = {"static", "case2",     "case3",
-                               "removal", "recompute", "batch"};
+    const char* kind_rows[] = {"static", "case2", "case3", "removal",
+                               "batch"};
     for (const char* kind : kind_rows) {
       const std::uint64_t e = registry.counter_value(
           "bc.adaptive." + std::string(kind) + ".edge.count");

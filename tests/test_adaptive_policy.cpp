@@ -21,6 +21,7 @@
 
 #include "bc/adaptive_policy.hpp"
 #include "bc/batch_update.hpp"
+#include "bc/brandes.hpp"
 #include "bc/dynamic_bc.hpp"
 #include "gen/suite.hpp"
 #include "test_helpers.hpp"
@@ -36,8 +37,8 @@ struct RunResult {
 
 /// The canonical workload: static pass, per-edge insertions, one batch,
 /// then removals of the first inserted edges. Exercises every launch kind
-/// the policy plans (static, case 2/3 inserts, batch, removal prepass and
-/// its recompute fallback).
+/// the policy plans (static, case 2/3 inserts, batch, adjacent and
+/// distance-growing removals).
 RunResult run_workload(const CSRGraph& g, const DynamicBc::Options& opts,
                        std::uint64_t stream_seed = 99,
                        std::vector<DecisionRecord> replay_log = {},
@@ -249,6 +250,39 @@ TEST(AdaptivePolicy, AdaptiveEngineOnStarAgreesWithCpu) {
   }
   test::expect_near_spans(adaptive.scores(), cpu.scores(), 1e-7,
                           "adaptive vs cpu on star");
+}
+
+TEST(AdaptivePolicy, Case3RemovalFeedbackLeavesTheStaticArmAlone) {
+  // Cutting a path's middle edge grows distances for every source: each is
+  // planned as the Case 3 repair, and its measured cycles must train the
+  // Case 3 arm, never the static pass's learned rate.
+  const auto g = test::path_graph(10);
+  BcStore store(10, ApproxConfig{.num_sources = 0, .seed = 1});
+  brandes_all(g, store);
+  const CSRGraph cut = g.without_edge(4, 5);
+  ParallelismPolicy policy;
+  const DecisionFeatures stat = ParallelismPolicy::static_features(
+      0, policy.graph_features(cut, store.sources()[0]));
+  const double static_edge = policy.estimate_cycles(stat, Parallelism::kEdge);
+  const double static_node = policy.estimate_cycles(stat, Parallelism::kNode);
+
+  const LaunchPlan plan = policy.plan_remove(cut, store, 4, 5);
+  const auto k = static_cast<std::size_t>(store.num_sources());
+  std::vector<double> cycles(k, 0.0);
+  std::vector<double> case3_before(k, 0.0);
+  for (std::size_t i = 0; i < k; ++i) {
+    ASSERT_TRUE(plan.decided[i]) << "source " << i;
+    EXPECT_EQ(plan.features[i].kind, LaunchKind::kCase3) << "source " << i;
+    case3_before[i] = policy.estimate_cycles(plan.features[i], plan.modes[i]);
+    cycles[i] = 5.0 * case3_before[i];
+  }
+  policy.apply_feedback(plan, cycles, {});
+
+  EXPECT_EQ(policy.estimate_cycles(stat, Parallelism::kEdge), static_edge);
+  EXPECT_EQ(policy.estimate_cycles(stat, Parallelism::kNode), static_node);
+  EXPECT_GT(policy.estimate_cycles(plan.features[0], plan.modes[0]),
+            case3_before[0])
+      << "the Case 3 arm learned nothing from the removal";
 }
 
 TEST(AdaptivePolicy, DecisionRecordLinesAreWellFormed) {

@@ -1,7 +1,8 @@
 // Randomized differential fuzz harness: for every generator in the
 // gen/suite, drive a seeded random insertion stream through all four
 // update paths - sequential CPU, GPU edge-parallel, GPU node-parallel, and
-// the batched path - and after EVERY step compare the full store (d,
+// the batched path - and a mixed insert/remove stream through the
+// single-edge paths, and after EVERY step compare the full store (d,
 // sigma, delta, BC) against a fresh brandes_all on the current graph. Any
 // divergence pinpoints the step, source and vertex that first disagreed.
 //
@@ -13,6 +14,8 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bc/batch_update.hpp"
 #include "bc/brandes.hpp"
@@ -163,6 +166,105 @@ TEST_P(DifferentialFuzz, AllPathsMatchFreshRecomputeAfterEveryStep) {
       << "hazard detector saw no addressed accesses - kernels not converted?";
 }
 
+/// Next step of a mixed stream: insert a random absent edge, remove a
+/// random earlier insertion (undoing a shortcut grows distances, so these
+/// drive the removal Case 3 repair), or remove a random existing edge.
+struct MixedStep {
+  bool insert = true;
+  VertexId u = kNoVertex;
+  VertexId v = kNoVertex;
+};
+
+MixedStep next_mixed_step(const CSRGraph& g,
+                          std::vector<std::pair<VertexId, VertexId>>& inserted,
+                          util::Rng& rng) {
+  const std::uint64_t pick = rng.next_below(3);
+  if (pick == 1 && !inserted.empty()) {
+    const auto i = static_cast<std::size_t>(rng.next_below(inserted.size()));
+    const auto [u, v] = inserted[i];
+    inserted.erase(inserted.begin() + static_cast<std::ptrdiff_t>(i));
+    return {false, u, v};
+  }
+  if (pick == 2 && g.num_edges() > 0) {
+    const COOGraph coo = g.to_coo();
+    const auto [u, v] =
+        coo.edges[static_cast<std::size_t>(rng.next_below(coo.edges.size()))];
+    std::erase(inserted, std::pair{u, v});
+    std::erase(inserted, std::pair{v, u});
+    return {false, u, v};
+  }
+  const auto [u, v] = test::random_absent_edge(g, rng);
+  if (u != kNoVertex) inserted.emplace_back(u, v);
+  return {true, u, v};
+}
+
+TEST_P(DifferentialFuzz, MixedInsertRemoveStreamMatchesFreshRecompute) {
+  // Removals run the decremental kernels: negative-increment Case 2 and the
+  // distance-growing Case 3 repair on the GPU engines, the recompute oracle
+  // on the CPU engine. Strict hazard detection stays on throughout.
+  test::HazardScope hazard_scope(/*strict=*/true);
+  const std::string gen_name = GetParam();
+  const auto entry = gen::build_suite_graph(gen_name, kScale, 977);
+  CSRGraph g = entry.graph;
+  const VertexId n = g.num_vertices();
+  const ApproxConfig cfg{.num_sources = kNumSources, .seed = 31};
+
+  PathState cpu("cpu", n, cfg);
+  PathState edge("gpu-edge", n, cfg);
+  PathState node("gpu-node", n, cfg);
+  for (auto* p : {&cpu, &edge, &node}) brandes_all(g, p->store);
+  DynamicCpuEngine cpu_engine(n);
+  DynamicGpuBc edge_engine(sim::DeviceSpec::tesla_c2075(), Parallelism::kEdge);
+  DynamicGpuBc node_engine(sim::DeviceSpec::tesla_c2075(), Parallelism::kNode);
+
+  std::vector<std::pair<VertexId, VertexId>> inserted;
+  int removals = 0;
+  int case3_removals = 0;
+  BCDYN_SEEDED_RNG(rng, 980 + std::hash<std::string>{}(gen_name) % 1000);
+  for (int step = 0; step < kSteps; ++step) {
+    const MixedStep op = next_mixed_step(g, inserted, rng);
+    if (op.u == kNoVertex) break;
+    g = op.insert ? g.with_edge(op.u, op.v) : g.without_edge(op.u, op.v);
+    for (int si = 0; si < cpu.store.num_sources(); ++si) {
+      const VertexId s = cpu.store.sources()[static_cast<std::size_t>(si)];
+      const auto d = cpu.store.dist_row(si);
+      const auto sg = cpu.store.sigma_row(si);
+      const auto dl = cpu.store.delta_row(si);
+      if (op.insert) {
+        cpu_engine.update_source(g, s, d, sg, dl, cpu.store.bc(), op.u, op.v);
+      } else {
+        cpu_engine.remove_update_source(g, s, d, sg, dl, cpu.store.bc(), op.u,
+                                        op.v);
+      }
+    }
+    for (const auto& [engine, path] :
+         {std::pair{&edge_engine, &edge}, std::pair{&node_engine, &node}}) {
+      if (op.insert) {
+        engine->insert_edge_update(g, path->store, op.u, op.v);
+        continue;
+      }
+      const GpuUpdateResult r =
+          engine->remove_edge_update(g, path->store, op.u, op.v);
+      for (const SourceUpdateOutcome& o : r.outcomes) {
+        if (o.update_case == UpdateCase::kFar) ++case3_removals;
+      }
+    }
+    if (!op.insert) ++removals;
+
+    BcStore fresh(n, cfg);
+    brandes_all(g, fresh);
+    expect_store_matches(cpu.store, fresh, cpu.name, step);
+    expect_store_matches(edge.store, fresh, edge.name, step);
+    expect_store_matches(node.store, fresh, node.name, step);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(removals, 0);
+  EXPECT_GT(case3_removals, 0)
+      << "no distance-growing removal: the Case 3 repair never ran";
+  EXPECT_EQ(sim::hazards().violations(), 0u)
+      << "GPU engines flagged data hazards during the mixed stream";
+}
+
 INSTANTIATE_TEST_SUITE_P(Suite, DifferentialFuzz,
                          ::testing::ValuesIn(gen::suite_names()),
                          [](const auto& info) { return info.param; });
@@ -170,8 +272,8 @@ INSTANTIATE_TEST_SUITE_P(Suite, DifferentialFuzz,
 // --- fault-injecting mode -------------------------------------------------
 // The same differential idea with the deterministic fault injector live
 // (gpusim/fault_injector.hpp): a GPU-engine DynamicBc rides a seeded
-// insertion stream while kernel aborts, stalls, and device-loss polls fire
-// per its plan, recovering through bounded retries. The CPU-engine
+// mixed insert/remove stream while kernel aborts, stalls, and device-loss
+// polls fire per its plan, recovering through bounded retries. The CPU-engine
 // DynamicBc never touches the simulated runtime and is the fault-free
 // reference; after every step the recovered GPU scores must stay in
 // numeric parity with it. Strict hazard detection stays on throughout, so
@@ -218,11 +320,27 @@ TEST_P(FaultedDifferentialFuzz, RecoveredGpuMatchesCpuReferenceEveryStep) {
 
   gpu.compute();
   BCDYN_SEEDED_RNG(rng, 979 + std::hash<std::string>{}(gen_name) % 1000);
-  for (int step = 0; step < 16; ++step) {
-    const auto [u, v] = test::random_absent_edge(cpu.graph(), rng);
-    if (u == kNoVertex) break;
-    cpu.insert_edge(u, v);
-    gpu.insert_edge(u, v);
+  // Sixteen insertions, then sixteen mixed steps: removals go through the
+  // same retried launches, including the distance-growing Case 3 repair.
+  std::vector<std::pair<VertexId, VertexId>> inserted;
+  int case3_removals = 0;
+  for (int step = 0; step < 32; ++step) {
+    MixedStep op;
+    if (step < 16) {
+      const auto [u, v] = test::random_absent_edge(cpu.graph(), rng);
+      op = {true, u, v};
+      if (u != kNoVertex) inserted.emplace_back(u, v);
+    } else {
+      op = next_mixed_step(cpu.graph(), inserted, rng);
+    }
+    if (op.u == kNoVertex) break;
+    if (op.insert) {
+      cpu.insert_edge(op.u, op.v);
+      gpu.insert_edge(op.u, op.v);
+    } else {
+      cpu.remove_edge(op.u, op.v);
+      case3_removals += gpu.remove_edge(op.u, op.v).case3;
+    }
     const auto want = cpu.scores();
     const auto got = gpu.scores();
     ASSERT_EQ(got.size(), want.size());
@@ -234,6 +352,8 @@ TEST_P(FaultedDifferentialFuzz, RecoveredGpuMatchesCpuReferenceEveryStep) {
   }
   EXPECT_GT(sim::faults().injected(), 0u)
       << "fault plan fired nothing - the mode tested a plain run";
+  EXPECT_GT(case3_removals, 0)
+      << "no distance-growing removal: the Case 3 repair never ran";
   EXPECT_EQ(sim::hazards().violations(), 0u)
       << "recovery replayed a launch into inconsistent shadow state";
 }

@@ -313,6 +313,26 @@ TEST(HazardDetector, DetectionDoesNotChangeModeledCycles) {
 
 constexpr double kScale = 0.005;  // suite minimums kick in: ~256 vertices
 
+/// An edge (p, c) that is c's only shortest-path parent in the row `d`
+/// (removing it grows c's distance), or kNoVertex when there is none.
+std::pair<VertexId, VertexId> sole_parent_edge(const CSRGraph& g,
+                                               std::span<const Dist> d) {
+  for (VertexId c = 0; c < g.num_vertices(); ++c) {
+    const Dist dc = d[static_cast<std::size_t>(c)];
+    if (dc == 0 || dc == kInfDist) continue;
+    VertexId parent = kNoVertex;
+    int parents = 0;
+    for (const VertexId x : g.neighbors(c)) {
+      if (d[static_cast<std::size_t>(x)] + 1 == dc) {
+        parent = x;
+        ++parents;
+      }
+    }
+    if (parents == 1) return {parent, c};
+  }
+  return {kNoVertex, kNoVertex};
+}
+
 class HazardCleanSweep : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(HazardCleanSweep, StaticKernelsRunClean) {
@@ -352,15 +372,34 @@ TEST_P(HazardCleanSweep, DynamicInsertAndRemoveRunClean) {
     inserted.emplace_back(u, v);
   }
   ASSERT_FALSE(inserted.empty());
-  // Remove the last few insertions again (exercises the decremental Case 2
-  // kernels and the distance-growing recompute fallback).
-  for (int step = 0; step < 3 && !inserted.empty(); ++step) {
-    const auto [u, v] = inserted.back();
-    inserted.pop_back();
+  // Remove every insertion again, oldest first (undoing a shortcut grows
+  // distances), then three edges that are some source's only path into a
+  // vertex: this drives the decremental Case 2 kernels and, for sure, the
+  // distance-growing Case 3 repair on both mappings.
+  int case3_edge = 0;
+  int case3_node = 0;
+  const auto count_case3 = [](const GpuUpdateResult& r) {
+    int far = 0;
+    for (const SourceUpdateOutcome& o : r.outcomes) {
+      if (o.update_case == UpdateCase::kFar) ++far;
+    }
+    return far;
+  };
+  const auto remove = [&](VertexId u, VertexId v) {
     g = g.without_edge(u, v);
-    edge_engine.remove_edge_update(g, edge_store, u, v);
-    node_engine.remove_edge_update(g, node_store, u, v);
+    case3_edge +=
+        count_case3(edge_engine.remove_edge_update(g, edge_store, u, v));
+    case3_node +=
+        count_case3(node_engine.remove_edge_update(g, node_store, u, v));
+  };
+  for (const auto& [u, v] : inserted) remove(u, v);
+  for (int cut = 0; cut < 3; ++cut) {
+    const auto [p, c] = sole_parent_edge(g, edge_store.dist_row(cut));
+    if (p == kNoVertex) break;
+    remove(p, c);
   }
+  EXPECT_GT(case3_edge, 0) << "edge-parallel Case 3 removal never ran";
+  EXPECT_GT(case3_node, 0) << "node-parallel Case 3 removal never ran";
   EXPECT_EQ(sim::hazards().violations(), 0u);
   EXPECT_GT(sim::hazards().tracked_accesses(), 0u);
 }
