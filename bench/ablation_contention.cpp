@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
       const sim::CostModel with_conflicts;
       const sim::DeviceSpec spec = sim::DeviceSpec::tesla_c2075();
       DynamicGpuBc engine(spec, mode, with_conflicts,
-                          /*host_workers=*/0, /*track_atomic_conflicts=*/true);
+                          /*track_atomic_conflicts=*/true);
 
       std::uint64_t atomics = 0;
       std::uint64_t conflicts = 0;

@@ -587,4 +587,47 @@ std::string ParallelismPolicy::record_line(const DecisionRecord& rec) {
   return out.str();
 }
 
+namespace {
+
+const char* launch_prefix(SourceLaunchKind kind) {
+  switch (kind) {
+    case SourceLaunchKind::kStatic:
+      return "static_bc";
+    case SourceLaunchKind::kInsert:
+      return "insert";
+    case SourceLaunchKind::kRemove:
+      return "remove";
+    case SourceLaunchKind::kBatch:
+      return "batch";
+  }
+  return "kernel";
+}
+
+}  // namespace
+
+PlannedLaunch::PlannedLaunch(SourceLaunchKind kind, ParallelismPolicy* policy,
+                             Parallelism fixed, const Planner& planner)
+    : policy_(policy),
+      fixed_(fixed),
+      name_(std::string(launch_prefix(kind)) + "." +
+            (policy != nullptr             ? "adaptive"
+             : fixed == Parallelism::kEdge ? "edge"
+                                           : "node")) {
+  if (policy_ == nullptr) return;
+  plan_ = planner(*policy_);
+  cycles_.assign(plan_.modes.size(), 0.0);
+}
+
+std::vector<std::int64_t> PlannedLaunch::planned_weights() const {
+  std::vector<std::int64_t> weights(plan_.modes.size(), 0);
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    weights[i] = policy_->planned_weight(plan_, static_cast<int>(i));
+  }
+  return weights;
+}
+
+void PlannedLaunch::feedback(std::span<const VertexId> touched) {
+  if (policy_ != nullptr) policy_->apply_feedback(plan_, cycles_, touched);
+}
+
 }  // namespace bcdyn

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -264,6 +265,73 @@ class ParallelismPolicy {
   std::vector<Dist> plan_dist_;
   std::vector<VertexId> plan_frontier_;
   std::vector<VertexId> plan_next_;
+};
+
+/// The per-source launches every GPU engine issues. The kind prefixes the
+/// launch name, which labels traces, metrics, hazard reports and fault
+/// sites ("dev.launch.insert.edge"), so seeded chaos runs replay only while
+/// these names stay put.
+enum class SourceLaunchKind { kStatic, kInsert, kRemove, kBatch };
+
+/// One per-source GPU launch's share of the adaptive protocol, common to
+/// every engine launch (StaticGpuBc, DynamicGpuBc, ShardedGpuBc and the
+/// batch paths): the mode each source runs, the launch name
+/// "<kind>.<edge|node|adaptive>", the per-source modeled cycles and the
+/// post-launch feedback. Without a policy every source runs the engine's
+/// fixed mode and nothing is timed or fed back. With one, the constructor
+/// plans the launch through `planner`, run() times each source's job, and
+/// feedback() hands the cycles (and touched counts) back to the policy.
+class PlannedLaunch {
+ public:
+  using Planner = std::function<LaunchPlan(ParallelismPolicy&)>;
+
+  /// `planner` runs once, here, when `policy` is non-null; every planner
+  /// returns one entry per source of the store it plans.
+  PlannedLaunch(SourceLaunchKind kind, ParallelismPolicy* policy,
+                Parallelism fixed, const Planner& planner);
+
+  const std::string& name() const { return name_; }
+  bool adaptive() const { return policy_ != nullptr; }
+
+  /// Runs source si's job as `job(mode)` on `ctx`, recording the modeled
+  /// cycles it charged when a policy will want them back.
+  template <typename Job>
+  void run(sim::BlockContext& ctx, int si, Job&& job) {
+    const Parallelism m = mode(si);
+    const double c0 = ctx.cycles();
+    job(m);
+    if (!cycles_.empty()) {
+      cycles_[static_cast<std::size_t>(si)] = ctx.cycles() - c0;
+    }
+  }
+
+  /// The policy's per-source scheduling weights (0 for undecided sources):
+  /// the LPT/queue input of a planned launch. Requires adaptive().
+  std::vector<std::int64_t> planned_weights() const;
+
+  /// Feeds the measured cycles back into the policy (no-op without one).
+  /// An empty `touched` means the launch reports no touched counts.
+  void feedback(std::span<const VertexId> touched = {});
+
+  /// Same, reading each source's touched count as touched_of(outcomes[si]).
+  template <typename Outcomes, typename TouchedOf>
+  void feedback(const Outcomes& outcomes, TouchedOf touched_of) {
+    if (policy_ == nullptr) return;
+    std::vector<VertexId> touched(outcomes.size(), 0);
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      touched[i] = std::invoke(touched_of, outcomes[i]);
+    }
+    feedback(touched);
+  }
+
+ private:
+  Parallelism mode(int si) const { return plan_.mode_or(si, fixed_); }
+
+  ParallelismPolicy* policy_;
+  Parallelism fixed_;
+  std::string name_;
+  LaunchPlan plan_;
+  std::vector<double> cycles_;  // per source; sized only under a policy
 };
 
 }  // namespace bcdyn

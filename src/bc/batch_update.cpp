@@ -48,6 +48,30 @@ std::int64_t batch_job_weight(std::span<const Dist> dist,
   return weight;
 }
 
+SourceBatchOutcome gpu_source_batch(sim::BlockContext& ctx, GpuWorkspace& ws,
+                                    Parallelism mode,
+                                    const BatchSnapshots& batch,
+                                    const BatchConfig& config, BcStore& store,
+                                    int si, std::vector<VertexId>& bfs_order,
+                                    std::vector<std::size_t>& level_offsets) {
+  const CSRGraph& final_g = batch.final_graph();
+  const VertexId s = store.sources()[static_cast<std::size_t>(si)];
+  auto d = store.dist_row(si);
+  auto sigma = store.sigma_row(si);
+  auto delta = store.delta_row(si);
+  return run_source_batch(
+      batch.edges.size(), final_g.num_vertices(), config,
+      [&](std::size_t i) {
+        const auto [u, v] = batch.edges[i];
+        return gpu_insert_source_update(ctx, ws, mode, batch.graphs[i], s, d,
+                                        sigma, delta, store.bc(), u, v);
+      },
+      [&] {
+        gpu_recompute_source(ctx, ws, mode, final_g, s, d, sigma, delta,
+                             store.bc(), bfs_order, level_offsets);
+      });
+}
+
 }  // namespace detail
 
 BatchSnapshots build_batch_snapshots(
@@ -178,9 +202,7 @@ GpuBatchResult DynamicGpuBc::insert_edge_batch(const BatchSnapshots& batch,
   GpuBatchResult result;
   result.outcomes.resize(static_cast<std::size_t>(k));
   if (batch.empty() || k == 0) return result;
-  const CSRGraph& final_g = batch.final_graph();
-  const VertexId n = final_g.num_vertices();
-  for (auto& ws : workspaces_) ws.ensure(n);
+  for (auto& ws : workspaces_) ws.ensure(batch.final_graph().num_vertices());
 
   // Queue order: provisional batch weight per source, heaviest first (the
   // host-side sort a driver performs before enqueueing jobs; it changes
@@ -189,12 +211,11 @@ GpuBatchResult DynamicGpuBc::insert_edge_batch(const BatchSnapshots& batch,
   // deltas fold in, so reordering would perturb the float sums the forced
   // modes must reproduce bit-identically - and the classification-based
   // weight schedules at least as well as the cycle estimate.
-  LaunchPlan plan;
-  std::vector<double> cycles;
-  if (policy_ != nullptr) {
-    plan = policy_->plan_batch(final_g, store, batch);
-    cycles.assign(static_cast<std::size_t>(k), 0.0);
-  }
+  PlannedLaunch launch(SourceLaunchKind::kBatch, policy_, mode_,
+                       [&](ParallelismPolicy& p) {
+                         return p.plan_batch(batch.final_graph(), store,
+                                             batch);
+                       });
   auto& order = result.job_sources;
   order.resize(static_cast<std::size_t>(k));
   std::iota(order.begin(), order.end(), 0);
@@ -208,52 +229,22 @@ GpuBatchResult DynamicGpuBc::insert_edge_batch(const BatchSnapshots& batch,
            weight[static_cast<std::size_t>(b)];
   });
 
-  const Parallelism mode = mode_;
-  auto& workspaces = workspaces_;
-  auto& outcomes = result.outcomes;
-  const char* name = policy_ != nullptr        ? "batch.adaptive"
-                     : mode == Parallelism::kEdge ? "batch.edge"
-                                                  : "batch.node";
   result.stats = device_.launch_queue(
       k,
-      [&, mode](sim::BlockContext& ctx, int job) {
+      [&](sim::BlockContext& ctx, int job) {
         const int si = order[static_cast<std::size_t>(job)];
         GpuWorkspace& ws =
-            workspaces[static_cast<std::size_t>(ctx.block_id())];
-        const VertexId s = store.sources()[static_cast<std::size_t>(si)];
-        const Parallelism m = plan.mode_or(si, mode);
-        auto d = store.dist_row(si);
-        auto sigma = store.sigma_row(si);
-        auto delta = store.delta_row(si);
+            workspaces_[static_cast<std::size_t>(ctx.block_id())];
         std::vector<VertexId> bfs_order;
         std::vector<std::size_t> level_offsets;
-        const double c0 = ctx.cycles();
-        outcomes[static_cast<std::size_t>(si)] = detail::run_source_batch(
-            batch.edges.size(), n, config,
-            [&](std::size_t i) {
-              const auto [u, v] = batch.edges[i];
-              return detail::gpu_insert_source_update(
-                  ctx, ws, m, batch.graphs[i], s, d, sigma, delta,
-                  store.bc(), u, v);
-            },
-            [&] {
-              detail::gpu_recompute_source(ctx, ws, m, final_g, s, d,
-                                           sigma, delta, store.bc(),
-                                           bfs_order, level_offsets);
-            });
-        if (!cycles.empty()) {
-          cycles[static_cast<std::size_t>(si)] = ctx.cycles() - c0;
-        }
+        launch.run(ctx, si, [&](Parallelism m) {
+          result.outcomes[static_cast<std::size_t>(si)] =
+              detail::gpu_source_batch(ctx, ws, m, batch, config, store, si,
+                                       bfs_order, level_offsets);
+        });
       },
-      &result.job_stats, name);
-  if (policy_ != nullptr) {
-    std::vector<VertexId> touched(static_cast<std::size_t>(k), 0);
-    for (int si = 0; si < k; ++si) {
-      touched[static_cast<std::size_t>(si)] =
-          outcomes[static_cast<std::size_t>(si)].touched_total;
-    }
-    policy_->apply_feedback(plan, cycles, touched);
-  }
+      &result.job_stats, launch.name());
+  launch.feedback(result.outcomes, &SourceBatchOutcome::touched_total);
   return result;
 }
 

@@ -39,6 +39,12 @@
 
 namespace bcdyn {
 
+namespace sim {
+class BlockContext;  // gpusim/block_context.hpp
+}
+struct GpuWorkspace;     // bc/dynamic_gpu.hpp
+enum class Parallelism;  // bc/static_gpu.hpp
+
 struct BatchConfig {
   /// Cumulative touched fraction (summed per-edge |touched| over n) above
   /// which a source's job falls back to one static recomputation against
@@ -106,6 +112,19 @@ namespace detail {
 /// work-queue launch and the multi-device sharded path.
 std::int64_t batch_job_weight(std::span<const Dist> dist,
                               const BatchSnapshots& batch);
+
+/// One (source, batch) job on the simulated device: applies the batch's
+/// insertions to source si's row in order, each against the snapshot it
+/// was inserted into, with the touched-fraction recompute fallback against
+/// the final graph. Shared by the single-device work-queue launch and the
+/// sharded group launch; `bfs_order`/`level_offsets` are the fallback's
+/// node-parallel frontier scratch.
+SourceBatchOutcome gpu_source_batch(sim::BlockContext& ctx, GpuWorkspace& ws,
+                                    Parallelism mode,
+                                    const BatchSnapshots& batch,
+                                    const BatchConfig& config, BcStore& store,
+                                    int si, std::vector<VertexId>& bfs_order,
+                                    std::vector<std::size_t>& level_offsets);
 
 /// The per-source batch driver shared by every engine: applies edge i via
 /// `update(i)` (which returns that edge's SourceUpdateOutcome) and, when

@@ -89,10 +89,10 @@ DynamicBc::DynamicBc(const CSRGraph& g, const Options& options)
             options_.track_atomic_conflicts, options_.shard_policy);
       } else {
         gpu_engine_ = std::make_unique<DynamicGpuBc>(
-            options_.device_spec, mode, cost_model_, /*host_workers=*/0,
+            options_.device_spec, mode, cost_model_,
             options_.track_atomic_conflicts);
         gpu_static_ = std::make_unique<StaticGpuBc>(
-            options_.device_spec, mode, cost_model_, /*host_workers=*/0,
+            options_.device_spec, mode, cost_model_,
             options_.track_atomic_conflicts);
       }
       if (options_.engine == EngineKind::kGpuAdaptive) {

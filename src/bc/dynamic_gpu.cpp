@@ -1316,11 +1316,7 @@ void gpu_recompute_source(sim::BlockContext& ctx, GpuWorkspace& ws,
     ctx.charge_write(ws.delta_hat, w);
     ws.delta_hat[w] = delta[w];  // save old dependencies
   });
-  if (mode == Parallelism::kEdge) {
-    static_source_edge(ctx, g, s, d, sigma, delta, {});
-  } else {
-    static_source_node(ctx, g, s, d, sigma, delta, {}, order, level_offsets);
-  }
+  static_source(ctx, mode, g, s, d, sigma, delta, {}, order, level_offsets);
   ctx.parallel_for(n, [&](std::size_t w) {
     ctx.charge_instr(2);
     ctx.charge_read(delta, w);
@@ -1347,104 +1343,54 @@ void GpuWorkspace::ensure(VertexId n) {
 }
 
 DynamicGpuBc::DynamicGpuBc(sim::DeviceSpec spec, Parallelism mode,
-                           sim::CostModel cost, int host_workers,
-                           bool track_atomic_conflicts)
-    : device_(std::move(spec), cost, host_workers, track_atomic_conflicts),
-      mode_(mode) {
+                           sim::CostModel cost, bool track_atomic_conflicts)
+    : device_(std::move(spec), cost, track_atomic_conflicts), mode_(mode) {
   workspaces_.resize(static_cast<std::size_t>(device_.spec().num_sms));
 }
 
 GpuUpdateResult DynamicGpuBc::insert_edge_update(const CSRGraph& g,
                                                  BcStore& store, VertexId u,
                                                  VertexId v) {
-  const int num_blocks = device_.spec().num_sms;
-  const int k = store.num_sources();
-  GpuUpdateResult result;
-  result.outcomes.resize(static_cast<std::size_t>(k));
-  for (auto& ws : workspaces_) ws.ensure(g.num_vertices());
-  const Parallelism mode = mode_;
-  auto& workspaces = workspaces_;
-  auto& outcomes = result.outcomes;
-
-  LaunchPlan plan;
-  std::vector<double> cycles;
-  if (policy_ != nullptr) {
-    plan = policy_->plan_insert(g, store, u, v);
-    cycles.assign(static_cast<std::size_t>(k), 0.0);
-  }
-
-  const char* name = policy_ != nullptr        ? "insert.adaptive"
-                     : mode == Parallelism::kEdge ? "insert.edge"
-                                                  : "insert.node";
-  result.stats = device_.launch(num_blocks, [&, mode, num_blocks, u,
-                                             v](BlockContext& ctx) {
-    GpuWorkspace& ws = workspaces[static_cast<std::size_t>(ctx.block_id())];
-    for (int si = ctx.block_id(); si < k; si += num_blocks) {
-      const VertexId s = store.sources()[static_cast<std::size_t>(si)];
-      const double c0 = ctx.cycles();
-      outcomes[static_cast<std::size_t>(si)] = detail::gpu_insert_source_update(
-          ctx, ws, plan.mode_or(si, mode), g, s, store.dist_row(si),
-          store.sigma_row(si), store.delta_row(si), store.bc(), u, v);
-      if (!cycles.empty()) {
-        cycles[static_cast<std::size_t>(si)] = ctx.cycles() - c0;
-      }
-    }
-  }, name);
-  if (policy_ != nullptr) {
-    std::vector<VertexId> touched(static_cast<std::size_t>(k), 0);
-    for (int si = 0; si < k; ++si) {
-      touched[static_cast<std::size_t>(si)] =
-          outcomes[static_cast<std::size_t>(si)].touched;
-    }
-    policy_->apply_feedback(plan, cycles, touched);
-  }
-  return result;
+  return edge_update(SourceLaunchKind::kInsert, g, store, u, v);
 }
 
 GpuUpdateResult DynamicGpuBc::remove_edge_update(const CSRGraph& g,
                                                  BcStore& store, VertexId u,
                                                  VertexId v) {
+  return edge_update(SourceLaunchKind::kRemove, g, store, u, v);
+}
+
+GpuUpdateResult DynamicGpuBc::edge_update(SourceLaunchKind kind,
+                                          const CSRGraph& g, BcStore& store,
+                                          VertexId u, VertexId v) {
+  const bool removal = kind == SourceLaunchKind::kRemove;
+  const auto source_update = removal ? &detail::gpu_remove_source_update
+                                     : &detail::gpu_insert_source_update;
   const int num_blocks = device_.spec().num_sms;
   const int k = store.num_sources();
   GpuUpdateResult result;
   result.outcomes.resize(static_cast<std::size_t>(k));
   for (auto& ws : workspaces_) ws.ensure(g.num_vertices());
-  const Parallelism mode = mode_;
-  auto& workspaces = workspaces_;
-  auto& outcomes = result.outcomes;
-
-  LaunchPlan plan;
-  std::vector<double> cycles;
-  if (policy_ != nullptr) {
-    plan = policy_->plan_remove(g, store, u, v);
-    cycles.assign(static_cast<std::size_t>(k), 0.0);
-  }
-
-  const char* name = policy_ != nullptr        ? "remove.adaptive"
-                     : mode == Parallelism::kEdge ? "remove.edge"
-                                                  : "remove.node";
-  result.stats = device_.launch(num_blocks, [&, mode, num_blocks, u,
-                                             v](BlockContext& ctx) {
-    GpuWorkspace& ws = workspaces[static_cast<std::size_t>(ctx.block_id())];
-    for (int si = ctx.block_id(); si < k; si += num_blocks) {
-      const VertexId s = store.sources()[static_cast<std::size_t>(si)];
-      const double c0 = ctx.cycles();
-      outcomes[static_cast<std::size_t>(si)] = detail::gpu_remove_source_update(
-          ctx, ws, plan.mode_or(si, mode), g, s, store.dist_row(si),
-          store.sigma_row(si), store.delta_row(si), store.bc(), u, v);
-      if (!cycles.empty()) {
-        cycles[static_cast<std::size_t>(si)] = ctx.cycles() - c0;
-      }
-    }
-  }, name);
-  if (policy_ != nullptr) {
-    std::vector<VertexId> touched(static_cast<std::size_t>(k), 0);
-    for (int si = 0; si < k; ++si) {
-      touched[static_cast<std::size_t>(si)] =
-          outcomes[static_cast<std::size_t>(si)].touched;
-    }
-    policy_->apply_feedback(plan, cycles, touched);
-  }
+  PlannedLaunch launch(kind, policy_, mode_, [&](ParallelismPolicy& p) {
+    return removal ? p.plan_remove(g, store, u, v)
+                   : p.plan_insert(g, store, u, v);
+  });
+  result.stats = device_.launch(
+      num_blocks,
+      [&, num_blocks](BlockContext& ctx) {
+        GpuWorkspace& ws =
+            workspaces_[static_cast<std::size_t>(ctx.block_id())];
+        for (int si = ctx.block_id(); si < k; si += num_blocks) {
+          launch.run(ctx, si, [&](Parallelism m) {
+            result.outcomes[static_cast<std::size_t>(si)] = source_update(
+                ctx, ws, m, g, store.sources()[static_cast<std::size_t>(si)],
+                store.dist_row(si), store.sigma_row(si), store.delta_row(si),
+                store.bc(), u, v);
+          });
+        }
+      },
+      launch.name());
+  launch.feedback(result.outcomes, &SourceUpdateOutcome::touched);
   return result;
 }
 

@@ -66,6 +66,8 @@ struct GpuUpdateResult {
   std::vector<SourceUpdateOutcome> outcomes;  // indexed by source index
 };
 
+enum class SourceLaunchKind;  // bc/adaptive_policy.hpp
+
 // Batch-update types (bc/batch_update.hpp).
 struct BatchConfig;
 struct BatchSnapshots;
@@ -73,9 +75,10 @@ struct GpuBatchResult;
 
 class DynamicGpuBc {
  public:
+  /// `track_atomic_conflicts` turns on the device's per-address atomic
+  /// conflict accounting (sim.atomic_conflicts.* metrics).
   DynamicGpuBc(sim::DeviceSpec spec, Parallelism mode,
-               sim::CostModel cost = {}, int host_workers = 0,
-               bool track_atomic_conflicts = false);
+               sim::CostModel cost = {}, bool track_atomic_conflicts = false);
 
   /// Updates every source row of `store` plus the BC scores for the
   /// insertion of {u, v}. `g` must already contain the edge; the store
@@ -110,9 +113,13 @@ class DynamicGpuBc {
   /// edge/node decision through the policy (and feeds measured modeled
   /// cycles back). Null restores the fixed `mode` behavior. Not owned.
   void set_policy(ParallelismPolicy* policy) { policy_ = policy; }
-  ParallelismPolicy* policy() const { return policy_; }
 
  private:
+  /// The one insert/remove body: plans, launches and feeds back one
+  /// single-edge update of `kind` (kInsert or kRemove).
+  GpuUpdateResult edge_update(SourceLaunchKind kind, const CSRGraph& g,
+                              BcStore& store, VertexId u, VertexId v);
+
   sim::Device device_;
   Parallelism mode_;
   ParallelismPolicy* policy_ = nullptr;

@@ -102,35 +102,22 @@ void ShardedGpuBc::remember_weights(const sim::GroupLaunchResult& result) {
   }
 }
 
-std::vector<std::int64_t> ShardedGpuBc::planned_weights(
-    const LaunchPlan& plan, int k) const {
-  std::vector<std::int64_t> weights(static_cast<std::size_t>(k), 0);
-  for (int si = 0; si < k; ++si) {
-    weights[static_cast<std::size_t>(si)] = adaptive_->planned_weight(plan, si);
-  }
-  return weights;
-}
-
 sim::GroupLaunchResult ShardedGpuBc::compute(const CSRGraph& g,
                                              BcStore& store) {
   std::fill(store.bc().begin(), store.bc().end(), 0.0);
   const int k = store.num_sources();
-  ws_.ensure(g.num_vertices());
-
-  LaunchPlan plan;
-  std::vector<double> cycles;
-  std::vector<std::int64_t> weights;
-  if (adaptive_ != nullptr) {
-    plan = adaptive_->plan_static(g, store);
-    cycles.assign(static_cast<std::size_t>(k), 0.0);
-    weights = planned_weights(plan, k);
-  }
+  PlannedLaunch launch(SourceLaunchKind::kStatic, adaptive_, mode_,
+                       [&](ParallelismPolicy& p) {
+                         return p.plan_static(g, store);
+                       });
 
   std::vector<int> shard;
+  std::vector<std::int64_t> weights;
   std::span<const std::int64_t> priority;
-  if (adaptive_ != nullptr && policy_ == ShardPolicy::kLptTouched) {
+  if (launch.adaptive() && policy_ == ShardPolicy::kLptTouched) {
     // The policy's cycle estimates beat the previous launch's cycles: they
     // already reflect this launch's per-source mode decisions.
+    weights = launch.planned_weights();
     shard = lpt_assign(weights, num_devices());
     priority = weights;
   } else {
@@ -142,31 +129,18 @@ sim::GroupLaunchResult ShardedGpuBc::compute(const CSRGraph& g,
   }
   std::vector<VertexId> order;
   std::vector<std::size_t> level_offsets;
-  const Parallelism mode = mode_;
-  const char* name = adaptive_ != nullptr      ? "static_bc.adaptive"
-                     : mode == Parallelism::kEdge ? "static_bc.edge"
-                                                  : "static_bc.node";
   sim::GroupLaunchResult result = group_.launch_sharded(
       k, shard, priority,
-      [&, mode](sim::BlockContext& ctx, int si) {
-        const VertexId s = store.sources()[static_cast<std::size_t>(si)];
-        const Parallelism m = plan.mode_or(si, mode);
-        const double c0 = ctx.cycles();
-        if (m == Parallelism::kEdge) {
-          detail::static_source_edge(ctx, g, s, store.dist_row(si),
-                                     store.sigma_row(si), store.delta_row(si),
-                                     store.bc());
-        } else {
-          detail::static_source_node(ctx, g, s, store.dist_row(si),
-                                     store.sigma_row(si), store.delta_row(si),
-                                     store.bc(), order, level_offsets);
-        }
-        if (!cycles.empty()) {
-          cycles[static_cast<std::size_t>(si)] = ctx.cycles() - c0;
-        }
+      [&](sim::BlockContext& ctx, int si) {
+        launch.run(ctx, si, [&](Parallelism m) {
+          detail::static_source(
+              ctx, m, g, store.sources()[static_cast<std::size_t>(si)],
+              store.dist_row(si), store.sigma_row(si), store.delta_row(si),
+              store.bc(), order, level_offsets);
+        });
       },
-      /*per_job=*/nullptr, name);
-  if (adaptive_ != nullptr) adaptive_->apply_feedback(plan, cycles, {});
+      /*per_job=*/nullptr, launch.name());
+  launch.feedback();
   remember_weights(result);
   return result;
 }
@@ -174,17 +148,30 @@ sim::GroupLaunchResult ShardedGpuBc::compute(const CSRGraph& g,
 ShardedUpdateResult ShardedGpuBc::insert_edge_update(const CSRGraph& g,
                                                      BcStore& store,
                                                      VertexId u, VertexId v) {
+  return edge_update(SourceLaunchKind::kInsert, g, store, u, v);
+}
+
+ShardedUpdateResult ShardedGpuBc::remove_edge_update(const CSRGraph& g,
+                                                     BcStore& store,
+                                                     VertexId u, VertexId v) {
+  return edge_update(SourceLaunchKind::kRemove, g, store, u, v);
+}
+
+ShardedUpdateResult ShardedGpuBc::edge_update(SourceLaunchKind kind,
+                                              const CSRGraph& g,
+                                              BcStore& store, VertexId u,
+                                              VertexId v) {
+  const bool removal = kind == SourceLaunchKind::kRemove;
+  const auto source_update = removal ? &detail::gpu_remove_source_update
+                                     : &detail::gpu_insert_source_update;
   const int k = store.num_sources();
   ShardedUpdateResult result;
   result.outcomes.resize(static_cast<std::size_t>(k));
   ws_.ensure(g.num_vertices());
-
-  LaunchPlan plan;
-  std::vector<double> cycles;
-  if (adaptive_ != nullptr) {
-    plan = adaptive_->plan_insert(g, store, u, v);
-    cycles.assign(static_cast<std::size_t>(k), 0.0);
-  }
+  PlannedLaunch launch(kind, adaptive_, mode_, [&](ParallelismPolicy& p) {
+    return removal ? p.plan_remove(g, store, u, v)
+                   : p.plan_insert(g, store, u, v);
+  });
 
   // Single-edge updates carry an edge-specific cost prediction (the case
   // each source will take, read off its dist row), which beats the
@@ -194,13 +181,13 @@ ShardedUpdateResult ShardedGpuBc::insert_edge_update(const CSRGraph& g,
   std::vector<std::int64_t> weights;
   std::span<const std::int64_t> priority;
   if (policy_ == ShardPolicy::kLptTouched) {
-    if (adaptive_ != nullptr) {
-      weights = planned_weights(plan, k);
+    if (launch.adaptive()) {
+      weights = launch.planned_weights();
     } else {
       weights.resize(static_cast<std::size_t>(k));
       for (int si = 0; si < k; ++si) {
         weights[static_cast<std::size_t>(si)] =
-            update_job_weight(store.dist_row(si), u, v, /*removal=*/false);
+            update_job_weight(store.dist_row(si), u, v, removal);
       }
     }
     shard = lpt_assign(weights, num_devices());
@@ -208,99 +195,18 @@ ShardedUpdateResult ShardedGpuBc::insert_edge_update(const CSRGraph& g,
   } else {
     shard = round_robin_assign(k, num_devices());
   }
-  auto& outcomes = result.outcomes;
-  const Parallelism mode = mode_;
-  const char* name = adaptive_ != nullptr      ? "insert.adaptive"
-                     : mode == Parallelism::kEdge ? "insert.edge"
-                                                  : "insert.node";
   result.launch = group_.launch_sharded(
       k, shard, priority,
-      [&, mode, u, v](sim::BlockContext& ctx, int si) {
-        const VertexId s = store.sources()[static_cast<std::size_t>(si)];
-        const double c0 = ctx.cycles();
-        outcomes[static_cast<std::size_t>(si)] =
-            detail::gpu_insert_source_update(ctx, ws_, plan.mode_or(si, mode),
-                                             g, s, store.dist_row(si),
-                                             store.sigma_row(si),
-                                             store.delta_row(si), store.bc(),
-                                             u, v);
-        if (!cycles.empty()) {
-          cycles[static_cast<std::size_t>(si)] = ctx.cycles() - c0;
-        }
+      [&](sim::BlockContext& ctx, int si) {
+        launch.run(ctx, si, [&](Parallelism m) {
+          result.outcomes[static_cast<std::size_t>(si)] = source_update(
+              ctx, ws_, m, g, store.sources()[static_cast<std::size_t>(si)],
+              store.dist_row(si), store.sigma_row(si), store.delta_row(si),
+              store.bc(), u, v);
+        });
       },
-      /*per_job=*/nullptr, name);
-  if (adaptive_ != nullptr) {
-    std::vector<VertexId> touched(static_cast<std::size_t>(k), 0);
-    for (int si = 0; si < k; ++si) {
-      touched[static_cast<std::size_t>(si)] =
-          outcomes[static_cast<std::size_t>(si)].touched;
-    }
-    adaptive_->apply_feedback(plan, cycles, touched);
-  }
-  remember_weights(result.launch);
-  return result;
-}
-
-ShardedUpdateResult ShardedGpuBc::remove_edge_update(const CSRGraph& g,
-                                                     BcStore& store,
-                                                     VertexId u, VertexId v) {
-  const int k = store.num_sources();
-  ShardedUpdateResult result;
-  result.outcomes.resize(static_cast<std::size_t>(k));
-  ws_.ensure(g.num_vertices());
-
-  LaunchPlan plan;
-  std::vector<double> cycles;
-  if (adaptive_ != nullptr) {
-    plan = adaptive_->plan_remove(g, store, u, v);
-    cycles.assign(static_cast<std::size_t>(k), 0.0);
-  }
-
-  std::vector<int> shard;
-  std::vector<std::int64_t> weights;
-  std::span<const std::int64_t> priority;
-  if (policy_ == ShardPolicy::kLptTouched) {
-    if (adaptive_ != nullptr) {
-      weights = planned_weights(plan, k);
-    } else {
-      weights.resize(static_cast<std::size_t>(k));
-      for (int si = 0; si < k; ++si) {
-        weights[static_cast<std::size_t>(si)] =
-            update_job_weight(store.dist_row(si), u, v, /*removal=*/true);
-      }
-    }
-    shard = lpt_assign(weights, num_devices());
-    priority = weights;
-  } else {
-    shard = round_robin_assign(k, num_devices());
-  }
-  auto& outcomes = result.outcomes;
-  const Parallelism mode = mode_;
-  const char* name = adaptive_ != nullptr      ? "remove.adaptive"
-                     : mode == Parallelism::kEdge ? "remove.edge"
-                                                  : "remove.node";
-  result.launch = group_.launch_sharded(
-      k, shard, priority,
-      [&, mode, u, v](sim::BlockContext& ctx, int si) {
-        const VertexId s = store.sources()[static_cast<std::size_t>(si)];
-        const double c0 = ctx.cycles();
-        outcomes[static_cast<std::size_t>(si)] =
-            detail::gpu_remove_source_update(
-                ctx, ws_, plan.mode_or(si, mode), g, s, store.dist_row(si),
-                store.sigma_row(si), store.delta_row(si), store.bc(), u, v);
-        if (!cycles.empty()) {
-          cycles[static_cast<std::size_t>(si)] = ctx.cycles() - c0;
-        }
-      },
-      /*per_job=*/nullptr, name);
-  if (adaptive_ != nullptr) {
-    std::vector<VertexId> touched(static_cast<std::size_t>(k), 0);
-    for (int si = 0; si < k; ++si) {
-      touched[static_cast<std::size_t>(si)] =
-          outcomes[static_cast<std::size_t>(si)].touched;
-    }
-    adaptive_->apply_feedback(plan, cycles, touched);
-  }
+      /*per_job=*/nullptr, launch.name());
+  launch.feedback(result.outcomes, &SourceUpdateOutcome::touched);
   remember_weights(result.launch);
   return result;
 }
@@ -312,24 +218,20 @@ ShardedBatchResult ShardedGpuBc::insert_edge_batch(const BatchSnapshots& batch,
   ShardedBatchResult result;
   result.outcomes.resize(static_cast<std::size_t>(k));
   if (batch.empty() || k == 0) return result;
-  const CSRGraph& final_g = batch.final_graph();
-  const VertexId n = final_g.num_vertices();
-  ws_.ensure(n);
-
-  LaunchPlan plan;
-  std::vector<double> cycles;
-  if (adaptive_ != nullptr) {
-    plan = adaptive_->plan_batch(final_g, store, batch);
-    cycles.assign(static_cast<std::size_t>(k), 0.0);
-  }
+  ws_.ensure(batch.final_graph().num_vertices());
+  PlannedLaunch launch(SourceLaunchKind::kBatch, adaptive_, mode_,
+                       [&](ParallelismPolicy& p) {
+                         return p.plan_batch(batch.final_graph(), store,
+                                             batch);
+                       });
 
   // Batch jobs carry a usable work prediction of their own (the provisional
   // per-source batch weight - or, with an adaptive policy, its per-job
   // cycle estimate), so both policies shard AND order the queues by it -
   // fresher than the previous launch's cycles.
   std::vector<std::int64_t> weights;
-  if (adaptive_ != nullptr) {
-    weights = planned_weights(plan, k);
+  if (launch.adaptive()) {
+    weights = launch.planned_weights();
   } else {
     weights.assign(static_cast<std::size_t>(k), 0);
     for (int si = 0; si < k; ++si) {
@@ -343,47 +245,17 @@ ShardedBatchResult ShardedGpuBc::insert_edge_batch(const BatchSnapshots& batch,
 
   std::vector<VertexId> bfs_order;
   std::vector<std::size_t> level_offsets;
-  auto& outcomes = result.outcomes;
-  const Parallelism mode = mode_;
-  const char* name = adaptive_ != nullptr      ? "batch.adaptive"
-                     : mode == Parallelism::kEdge ? "batch.edge"
-                                                  : "batch.node";
   result.launch = group_.launch_sharded(
       k, shard, weights,
-      [&, mode](sim::BlockContext& ctx, int si) {
-        const VertexId s = store.sources()[static_cast<std::size_t>(si)];
-        const Parallelism m = plan.mode_or(si, mode);
-        auto d = store.dist_row(si);
-        auto sigma = store.sigma_row(si);
-        auto delta = store.delta_row(si);
-        const double c0 = ctx.cycles();
-        outcomes[static_cast<std::size_t>(si)] = detail::run_source_batch(
-            batch.edges.size(), n, config,
-            [&](std::size_t i) {
-              const auto [u, v] = batch.edges[i];
-              return detail::gpu_insert_source_update(ctx, ws_, m,
-                                                      batch.graphs[i], s, d,
-                                                      sigma, delta,
-                                                      store.bc(), u, v);
-            },
-            [&] {
-              detail::gpu_recompute_source(ctx, ws_, m, final_g, s, d,
-                                           sigma, delta, store.bc(),
-                                           bfs_order, level_offsets);
-            });
-        if (!cycles.empty()) {
-          cycles[static_cast<std::size_t>(si)] = ctx.cycles() - c0;
-        }
+      [&](sim::BlockContext& ctx, int si) {
+        launch.run(ctx, si, [&](Parallelism m) {
+          result.outcomes[static_cast<std::size_t>(si)] =
+              detail::gpu_source_batch(ctx, ws_, m, batch, config, store, si,
+                                       bfs_order, level_offsets);
+        });
       },
-      /*per_job=*/nullptr, name);
-  if (adaptive_ != nullptr) {
-    std::vector<VertexId> touched(static_cast<std::size_t>(k), 0);
-    for (int si = 0; si < k; ++si) {
-      touched[static_cast<std::size_t>(si)] =
-          outcomes[static_cast<std::size_t>(si)].touched_total;
-    }
-    adaptive_->apply_feedback(plan, cycles, touched);
-  }
+      /*per_job=*/nullptr, launch.name());
+  launch.feedback(result.outcomes, &SourceBatchOutcome::touched_total);
   remember_weights(result.launch);
   return result;
 }

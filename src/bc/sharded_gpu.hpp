@@ -27,8 +27,6 @@
 
 namespace bcdyn {
 
-struct LaunchPlan;  // bc/adaptive_policy.hpp
-
 /// How sources are partitioned across the group's home queues. Stealing
 /// rebalances either policy at runtime; the policy decides how much
 /// stealing is needed.
@@ -102,16 +100,15 @@ class ShardedGpuBc {
   /// cycles back), and kLptTouched shards by the policy's per-job cycle
   /// estimates. Null restores the fixed `mode` behavior. Not owned.
   void set_policy(ParallelismPolicy* policy) { adaptive_ = policy; }
-  ParallelismPolicy* adaptive_policy() const { return adaptive_; }
 
  private:
+  /// The one insert/remove body: plans, shards, launches and feeds back
+  /// one single-edge update of `kind` (kInsert or kRemove).
+  ShardedUpdateResult edge_update(SourceLaunchKind kind, const CSRGraph& g,
+                                  BcStore& store, VertexId u, VertexId v);
+
   /// Records per-job modeled cycles as the next launch's LPT weights.
   void remember_weights(const sim::GroupLaunchResult& result);
-
-  /// LPT weights when the adaptive policy planned this launch: the
-  /// policy's per-job cycle estimates (0 for undecided = free jobs).
-  std::vector<std::int64_t> planned_weights(const LaunchPlan& plan,
-                                            int k) const;
 
   sim::DeviceGroup group_;
   Parallelism mode_;

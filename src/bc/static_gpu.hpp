@@ -26,9 +26,10 @@ inline const char* to_string(Parallelism p) {
 
 class StaticGpuBc {
  public:
+  /// `track_atomic_conflicts` turns on the device's per-address atomic
+  /// conflict accounting (sim.atomic_conflicts.* metrics).
   StaticGpuBc(sim::DeviceSpec spec, Parallelism mode,
-              sim::CostModel cost = {}, int host_workers = 0,
-              bool track_atomic_conflicts = false);
+              sim::CostModel cost = {}, bool track_atomic_conflicts = false);
 
   /// Recomputes the store (all rows + BC) from scratch on the simulated
   /// device. `num_blocks` <= 0 launches one block per SM (the paper's
@@ -43,7 +44,6 @@ class StaticGpuBc {
   /// edge/node decision through the policy (and feeds measured modeled
   /// cycles back). Null restores the fixed `mode` behavior. Not owned.
   void set_policy(ParallelismPolicy* policy) { policy_ = policy; }
-  ParallelismPolicy* policy() const { return policy_; }
 
  private:
   sim::Device device_;

@@ -194,4 +194,17 @@ void static_source_node(sim::BlockContext& ctx, const CSRGraph& g, VertexId s,
 }
 
 
+void static_source(sim::BlockContext& ctx, Parallelism mode, const CSRGraph& g,
+                   VertexId s, std::span<Dist> d, std::span<Sigma> sigma,
+                   std::span<double> delta, std::span<double> bc_accum,
+                   std::vector<VertexId>& order,
+                   std::vector<std::size_t>& level_offsets) {
+  if (mode == Parallelism::kEdge) {
+    static_source_edge(ctx, g, s, d, sigma, delta, bc_accum);
+  } else {
+    static_source_node(ctx, g, s, d, sigma, delta, bc_accum, order,
+                       level_offsets);
+  }
+}
+
 }  // namespace bcdyn::detail

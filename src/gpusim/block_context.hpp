@@ -11,8 +11,8 @@
 // parallel_for stripes items over `threads_per_block` SIMT threads: items
 // [r*T, (r+1)*T) form round r, and the round is charged issue cost plus the
 // *maximum* per-item cost in the round (lockstep divergence). Execution is
-// sequential within a block - results are bit-deterministic - while the
-// Device runs independent blocks on a worker pool.
+// sequential within a block, and the Device runs blocks one after another
+// in a fixed order, so results are bit-deterministic.
 //
 // Charges come in two flavors. The addressed overloads
 // (charge_read/write/atomic(array, index)) name the element they model

@@ -33,16 +33,11 @@ void collect_hazards(std::string_view name,
   hazards().collect(name.empty() ? "kernel" : name, states);
 }
 
-Device::Device(DeviceSpec spec, CostModel cost, int host_workers,
-               bool track_atomic_conflicts)
+Device::Device(DeviceSpec spec, CostModel cost, bool track_atomic_conflicts)
     : spec_(std::move(spec)),
       cost_(cost),
       track_conflicts_(track_atomic_conflicts),
       trace_pid_(next_trace_pid()) {
-  if (host_workers > 0) {
-    pool_ = std::make_unique<util::ThreadPool>(
-        static_cast<std::size_t>(host_workers));
-  }
   trace::tracer().set_process_name(
       trace_pid_, "device " + std::to_string(trace_pid_ - trace::kDevicePidBase) +
                       " (" + spec_.name + ")");
@@ -208,15 +203,7 @@ KernelStats Device::launch(int num_blocks, const Kernel& kernel,
   for (int b = 0; b < num_blocks; ++b) {
     contexts.emplace_back(spec_, cost_, b, track_conflicts_);
   }
-
-  if (pool_) {
-    for (int b = 0; b < num_blocks; ++b) {
-      pool_->submit([&kernel, &contexts, b] { kernel(contexts[static_cast<std::size_t>(b)]); });
-    }
-    pool_->wait_idle();
-  } else {
-    for (auto& ctx : contexts) kernel(ctx);
-  }
+  for (auto& ctx : contexts) kernel(ctx);
 
   return finish_launch(name, trace::kCatBlock, num_blocks, contexts,
                        cost_.kernel_launch_cycles,
@@ -234,22 +221,15 @@ KernelStats Device::launch_queue(int num_jobs, const JobKernel& kernel,
     contexts.emplace_back(spec_, cost_, j % lanes, track_conflicts_);
   }
 
-  // Host execution partitions jobs round-robin over `lanes` sequential
-  // streams so that contexts sharing a block_id (and therefore any
-  // per-lane engine workspace) never run concurrently. The partition does
-  // not affect modeled time: each job's cycles depend only on the job.
-  auto run_lane = [&](int lane) {
+  // Host execution drains the lanes one after another, each taking its
+  // round-robin share of the jobs (lane l runs jobs l, l+lanes, ...), so
+  // contexts sharing a block_id (and any per-lane engine workspace) run in
+  // a fixed order. The partition does not affect modeled time: each job's
+  // cycles depend only on the job.
+  for (int lane = 0; lane < lanes; ++lane) {
     for (int j = lane; j < num_jobs; j += lanes) {
       kernel(contexts[static_cast<std::size_t>(j)], j);
     }
-  };
-  if (pool_) {
-    for (int lane = 0; lane < lanes; ++lane) {
-      pool_->submit([&run_lane, lane] { run_lane(lane); });
-    }
-    pool_->wait_idle();
-  } else {
-    for (int lane = 0; lane < lanes; ++lane) run_lane(lane);
   }
 
   // The persistent blocks dispatch once, concurrently, before draining the

@@ -1,10 +1,11 @@
 // The simulated device: schedules thread blocks onto SMs.
 //
 // Blocks are independent (the paper's coarse-grained decomposition: one
-// source vertex per block), so the device runs them on a host worker pool
-// when cores are available, or inline in block order when `host_workers` is
-// zero - results are identical either way up to the floating-point
-// reduction order of cross-block atomics.
+// source vertex per block), but the host runs them inline on the calling
+// thread, one after another in a fixed order (block id for launch(), lane
+// by lane for launch_queue()). That order is the order cross-block atomic
+// adds into shared arrays such as bc[] happen in, so floating-point results
+// are bit-identical from run to run.
 //
 // Modeled time never depends on host execution order: each block's cycle
 // count is deterministic, and the makespan is computed by replaying a
@@ -19,7 +20,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,7 +28,6 @@
 #include "gpusim/cost_model.hpp"
 #include "gpusim/device_spec.hpp"
 #include "gpusim/kernel_stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace bcdyn::sim {
 
@@ -54,7 +53,7 @@ struct LaunchTimeline {
 
 class Device {
  public:
-  explicit Device(DeviceSpec spec, CostModel cost = {}, int host_workers = 0,
+  explicit Device(DeviceSpec spec, CostModel cost = {},
                   bool track_atomic_conflicts = false);
 
   const DeviceSpec& spec() const { return spec_; }
@@ -200,7 +199,6 @@ class Device {
   DeviceSpec spec_;
   CostModel cost_;
   bool track_conflicts_;
-  std::unique_ptr<util::ThreadPool> pool_;  // null => inline execution
   KernelStats accumulated_;
   LaunchTimeline last_timeline_;
   int trace_pid_ = 0;

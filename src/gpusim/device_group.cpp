@@ -27,7 +27,7 @@ DeviceGroup::DeviceGroup(int num_devices, DeviceSpec spec, CostModel cost,
       named.name = spec.name + " #" + std::to_string(d);
     }
     devices_.push_back(std::make_unique<Device>(
-        std::move(named), cost, /*host_workers=*/0, track_atomic_conflicts));
+        std::move(named), cost, track_atomic_conflicts));
     // Group position, not trace pid: fault sites must replay across runs.
     devices_.back()->set_fault_domain("dev" + std::to_string(d));
   }

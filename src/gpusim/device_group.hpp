@@ -66,8 +66,7 @@ struct GroupLaunchResult {
 class DeviceGroup {
  public:
   /// `num_devices` identical devices of `spec`. Kernels execute inline on
-  /// the calling thread in job-id order (see header comment), so there is
-  /// no host-worker knob here.
+  /// the calling thread in job-id order (see header comment).
   DeviceGroup(int num_devices, DeviceSpec spec, CostModel cost = {},
               bool track_atomic_conflicts = false);
 

@@ -1,9 +1,11 @@
 // Atomic accumulation into plain double arrays via std::atomic_ref.
 //
-// The simulated GPU engines update the shared BC array from concurrent
-// thread blocks exactly like the paper's kernels do with atomicAdd. With
-// the default inline (sequential) device the adds are plain stores and
-// fully deterministic; with host workers > 0 they are real atomic RMWs.
+// The simulated GPU engines update the shared BC array from thread blocks
+// exactly like the paper's kernels do with atomicAdd, so the kernel code
+// keeps the shape a CUDA port needs. Every add is a relaxed
+// compare-exchange loop through std::atomic_ref. The simulated devices run
+// blocks one at a time on the calling thread, so the loop never retries and
+// the sums fold in a fixed order: results are bit-deterministic.
 #pragma once
 
 #include <atomic>

@@ -10,6 +10,8 @@
 //     count, including across device loss and resharding;
 //   * retry exhaustion and the static-recompute fallback take the
 //     documented error paths;
+//   * every per-source launch keeps its exact name, which is also the
+//     fault-site string seeded plans hash;
 //   * the suite runs under ASan/UBSan via the `asan-chaos` preset.
 #include <gtest/gtest.h>
 
@@ -30,6 +32,7 @@
 #include "gpusim/stream.hpp"
 #include "test_helpers.hpp"
 #include "trace/metrics.hpp"
+#include "trace/trace.hpp"
 
 namespace bcdyn {
 namespace {
@@ -464,6 +467,120 @@ INSTANTIATE_TEST_SUITE_P(
                       ChaosCase{EngineKind::kGpuAdaptive, 1},
                       ChaosCase{EngineKind::kGpuAdaptive, 2},
                       ChaosCase{EngineKind::kGpuAdaptive, 4}),
+    chaos_name);
+
+// --- launch names and fault sites: pinned ---------------------------------
+//
+// A launch's name labels its trace launch track, its hazard reports and its
+// sim.atomic_conflicts.<name> metric, and it is the fault-site string every
+// seeded plan hashes ("dev.launch.insert.edge", "group.launch.batch.node").
+// Renaming a launch would silently reshuffle every seeded chaos decision,
+// so the names of the four per-source launches are pinned exactly here.
+
+class LaunchNames : public ::testing::TestWithParam<ChaosCase> {};
+
+/// One fixed stream, one per-source launch per op: op 0 is the static
+/// pass, then an insertion, its removal, and a three-edge batch.
+struct LaunchStream {
+  std::pair<VertexId, VertexId> edge;
+  std::vector<std::pair<VertexId, VertexId>> batch;
+
+  explicit LaunchStream(const CSRGraph& g) {
+    BCDYN_SEEDED_RNG(rng, 41);
+    edge = test::random_absent_edge(g, rng);
+    while (batch.size() < 3) {
+      const auto e = test::random_absent_edge(g, rng);
+      if (e != edge) batch.push_back(e);
+    }
+  }
+
+  void run(DynamicBc& analytic, int op) const {
+    switch (op) {
+      case 0:
+        analytic.compute();
+        break;
+      case 1:
+        analytic.insert_edge(edge.first, edge.second);
+        break;
+      case 2:
+        analytic.remove_edge(edge.first, edge.second);
+        break;
+      default:
+        analytic.insert_edge_batch(batch);
+        break;
+    }
+  }
+};
+
+TEST_P(LaunchNames, LaunchNamesAndFaultSitesArePinned) {
+  const auto& param = GetParam();
+  const std::string mode = param.engine == EngineKind::kGpuEdge   ? "edge"
+                           : param.engine == EngineKind::kGpuNode ? "node"
+                                                                  : "adaptive";
+  const std::vector<std::string> names = {
+      "static_bc." + mode, "insert." + mode, "remove." + mode,
+      "batch." + mode};
+  const CSRGraph g = test::gnp_graph(40, 0.12, 7);
+  const LaunchStream stream(g);
+  DynamicBc::Options opt = gpu_options(
+      param.devices, {.max_retries = 0, .fallback_recompute = false});
+  opt.engine = param.engine;
+  opt.approx = {.num_sources = 32, .seed = 5};
+
+  // The launch track: one event per launch per device that ran jobs. With
+  // 32 round-robin sources on 14-SM devices, each device of a two-device
+  // group keeps jobs its peer cannot steal before its own SMs pop them.
+  {
+    const bool was_tracing = trace::tracer().enabled();
+    trace::tracer().clear();
+    trace::tracer().set_enabled(true);
+    DynamicBc analytic(g, opt);
+    for (int op = 0; op < 4; ++op) stream.run(analytic, op);
+    trace::tracer().set_enabled(was_tracing);
+    std::vector<std::string> launched;
+    for (const auto& ev : trace::tracer().events()) {
+      if (ev.phase == trace::TraceEvent::Phase::kComplete &&
+          ev.tid == trace::kLaunchTrackTid) {
+        launched.push_back(ev.name);
+      }
+    }
+    std::vector<std::string> expected;
+    for (const auto& name : names) {
+      expected.insert(expected.end(), static_cast<std::size_t>(param.devices),
+                      name);
+    }
+    EXPECT_EQ(launched, expected);
+  }
+
+  // The fault site each launch polls: a plan that aborts every launch site
+  // fires exactly once per op, at "<domain>.launch.<name>".
+  const std::string domain = param.devices == 1 ? "dev" : "group";
+  for (int fail_at = 0; fail_at < 4; ++fail_at) {
+    SCOPED_TRACE(names[static_cast<std::size_t>(fail_at)]);
+    DynamicBc analytic(g, opt);
+    for (int op = 0; op < fail_at; ++op) stream.run(analytic, op);
+    sim::FaultPlan plan;
+    plan.seed = 3;
+    plan.kernel_abort_rate = 1.0;
+    plan.site_filter = ".launch.";
+    FaultScope scope(plan);
+    EXPECT_THROW(stream.run(analytic, fail_at), sim::FaultError);
+    const auto records = sim::faults().records();
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].kind, sim::FaultKind::kKernelAbort);
+    EXPECT_EQ(records[0].site, domain + ".launch." +
+                                   names[static_cast<std::size_t>(fail_at)]);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EnginesByDevices, LaunchNames,
+    ::testing::Values(ChaosCase{EngineKind::kGpuEdge, 1},
+                      ChaosCase{EngineKind::kGpuEdge, 2},
+                      ChaosCase{EngineKind::kGpuNode, 1},
+                      ChaosCase{EngineKind::kGpuNode, 2},
+                      ChaosCase{EngineKind::kGpuAdaptive, 1},
+                      ChaosCase{EngineKind::kGpuAdaptive, 2}),
     chaos_name);
 
 TEST(ChaosPipeline, TransferFaultsRecoverBitIdentically) {

@@ -147,22 +147,6 @@ TEST(Device, BlockIdsCoverRange) {
   for (int c : seen) EXPECT_EQ(c, 1);
 }
 
-TEST(Device, ParallelWorkersProduceSameStatsAsInline) {
-  const auto kernel = [](BlockContext& ctx) {
-    ctx.parallel_for(100, [&](std::size_t i) {
-      ctx.charge_read(1 + i % 3);
-      if (i % 7 == 0) ctx.charge_atomic(i);
-    });
-  };
-  Device inline_dev(tiny_spec(4, 8));
-  Device pooled(tiny_spec(4, 8), CostModel{}, /*host_workers=*/3);
-  const auto a = inline_dev.launch(6, kernel);
-  const auto b = pooled.launch(6, kernel);
-  EXPECT_EQ(a.total.global_reads, b.total.global_reads);
-  EXPECT_EQ(a.total.atomics, b.total.atomics);
-  EXPECT_DOUBLE_EQ(a.makespan_cycles, b.makespan_cycles);
-}
-
 TEST(Device, AccumulatedStatsSumLaunches) {
   Device dev(tiny_spec());
   const auto kernel = [](BlockContext& ctx) {
@@ -283,23 +267,6 @@ TEST(Device, LaunchQueueBeatsPerJobLaunchesOnImbalancedJobs) {
   // And the work itself is identical either way.
   EXPECT_EQ(queued.total.global_reads,
             launch_dev.accumulated().total.global_reads);
-}
-
-TEST(Device, LaunchQueueMatchesInlineAcrossWorkerCounts) {
-  const auto kernel = [](BlockContext& ctx, int job) {
-    ctx.parallel_for(20 + static_cast<std::size_t>(job) * 7,
-                     [&](std::size_t i) {
-                       ctx.charge_read(1);
-                       if (i % 5 == 0) ctx.charge_atomic(i);
-                     });
-  };
-  Device inline_dev(tiny_spec(4, 8));
-  Device pooled(tiny_spec(4, 8), CostModel{}, /*host_workers=*/3);
-  const auto a = inline_dev.launch_queue(9, kernel);
-  const auto b = pooled.launch_queue(9, kernel);
-  EXPECT_EQ(a.total.global_reads, b.total.global_reads);
-  EXPECT_EQ(a.total.atomics, b.total.atomics);
-  EXPECT_DOUBLE_EQ(a.makespan_cycles, b.makespan_cycles);
 }
 
 TEST(CostModel, CpuSecondsLinearInOps) {

@@ -1,6 +1,6 @@
 // End-to-end integration: long mixed streams through the public API,
-// engine determinism under different device configurations, host-worker
-// parallel execution, and the self-verification hook.
+// engine determinism under different device configurations, and the
+// self-verification hook.
 #include <gtest/gtest.h>
 
 #include "analysis/experiment.hpp"
@@ -92,33 +92,6 @@ TEST(Integration, ResultsIndependentOfSmCount) {
       test::expect_near_spans(finals[i], finals[0], 1e-10, "sm-count");
     }
   }
-}
-
-TEST(Integration, HostWorkerPoolMatchesInlineExecution) {
-  // Blocks on a real thread pool (host_workers > 0) must produce the same
-  // analytic results as inline execution, up to FP reduction order in the
-  // cross-block BC atomics.
-  const auto g0 = gen::preferential_attachment(300, 3, 13);
-  ApproxConfig cfg{.num_sources = 24, .seed = 5};
-
-  auto run = [&](int workers) {
-    CSRGraph g = g0;
-    BcStore store(g.num_vertices(), cfg);
-    brandes_all(g, store);
-    DynamicGpuBc engine(sim::DeviceSpec::tesla_c2075(), Parallelism::kNode,
-                        sim::CostModel{}, workers);
-    BCDYN_SEEDED_RNG(rng, 2);
-    for (int step = 0; step < 8; ++step) {
-      const auto [u, v] = test::random_absent_edge(g, rng);
-      g = g.with_edge(u, v);
-      engine.insert_edge_update(g, store, u, v);
-    }
-    return std::vector<double>(store.bc().begin(), store.bc().end());
-  };
-
-  const auto inline_bc = run(0);
-  const auto pooled_bc = run(4);
-  test::expect_near_spans(pooled_bc, inline_bc, 1e-8, "pooled");
 }
 
 TEST(Integration, SuiteGraphsSurviveShortStreams) {

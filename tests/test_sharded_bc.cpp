@@ -5,9 +5,11 @@
 // function of its inputs.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "bc/adaptive_policy.hpp"
 #include "bc/batch_update.hpp"
 #include "bc/brandes.hpp"
 #include "bc/dynamic_bc.hpp"
@@ -20,6 +22,8 @@ namespace {
 /// A fixed mixed stream - static compute, four insertions, one removal,
 /// one batch - driven through a ShardedGpuBc. Returns the final store and
 /// graph so callers can compare across device counts / against recompute.
+/// A non-null `adaptive` plans every launch (the gpu-adaptive engine);
+/// pass a fresh policy per run, since it learns from each launch.
 struct StreamEnd {
   BcStore store;
   CSRGraph graph;
@@ -28,11 +32,13 @@ struct StreamEnd {
 
 StreamEnd run_stream(int devices, Parallelism mode, ShardPolicy policy,
                      const CSRGraph& g0, const ApproxConfig& cfg,
-                     std::uint64_t seed) {
+                     std::uint64_t seed,
+                     ParallelismPolicy* adaptive = nullptr) {
   CSRGraph g = g0;
   BcStore store(g.num_vertices(), cfg);
   ShardedGpuBc bc(devices, sim::DeviceSpec::tesla_c2075(), mode, {},
                   /*track_atomic_conflicts=*/false, policy);
+  bc.set_policy(adaptive);
   sim::GroupLaunchResult last = bc.compute(g, store);
 
   BCDYN_SEEDED_RNG(rng, seed);
@@ -85,18 +91,40 @@ void expect_stores_identical(const BcStore& a, const BcStore& b,
   }
 }
 
+std::vector<std::string> decision_lines(const ParallelismPolicy& policy) {
+  std::vector<std::string> lines;
+  for (const DecisionRecord& rec : policy.log()) {
+    lines.push_back(ParallelismPolicy::record_line(rec));
+  }
+  return lines;
+}
+
 TEST(ShardedBc, ScoresBitIdenticalAcrossDeviceCountsAllEnginesAndPolicies) {
+  // Fixed edge/node modes, plus the adaptive policy (nominal mode edge or
+  // node). Under kLptTouched the adaptive engine shards every launch by
+  // the policy's planned per-job weights; per-job cycles do not depend on
+  // placement, so the decision logs must match across device counts too.
   const auto g = test::gnp_graph(48, 0.06, 19);
   const ApproxConfig cfg{.num_sources = 12, .seed = 3};
   for (const Parallelism mode : {Parallelism::kEdge, Parallelism::kNode}) {
     for (const ShardPolicy policy :
          {ShardPolicy::kRoundRobin, ShardPolicy::kLptTouched}) {
-      const StreamEnd one = run_stream(1, mode, policy, g, cfg, 77);
-      for (int devices : {2, 4}) {
-        const StreamEnd many = run_stream(devices, mode, policy, g, cfg, 77);
-        SCOPED_TRACE(std::string(to_string(mode)) + "/" + to_string(policy) +
-                     " devices=" + std::to_string(devices));
-        expect_stores_identical(one.store, many.store, "vs one device");
+      for (const bool adaptive : {false, true}) {
+        ParallelismPolicy one_policy;
+        const StreamEnd one = run_stream(1, mode, policy, g, cfg, 77,
+                                         adaptive ? &one_policy : nullptr);
+        for (int devices : {2, 4}) {
+          ParallelismPolicy many_policy;
+          const StreamEnd many =
+              run_stream(devices, mode, policy, g, cfg, 77,
+                         adaptive ? &many_policy : nullptr);
+          SCOPED_TRACE(std::string(to_string(mode)) + "/" +
+                       to_string(policy) + (adaptive ? "/adaptive" : "") +
+                       " devices=" + std::to_string(devices));
+          expect_stores_identical(one.store, many.store, "vs one device");
+          EXPECT_EQ(decision_lines(one_policy), decision_lines(many_policy));
+          if (adaptive) EXPECT_FALSE(many_policy.log().empty());
+        }
       }
     }
   }
