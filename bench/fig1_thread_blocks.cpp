@@ -16,7 +16,7 @@
 #include <map>
 
 #include "bench_common.hpp"
-#include "bc/static_gpu.hpp"
+#include "bc/dynamic_gpu.hpp"
 
 using namespace bcdyn;
 
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
 
   for (const auto& spec : devices) {
     for (const auto& entry : graphs) {
-      StaticGpuBc engine(spec, Parallelism::kNode);
+      DynamicGpuBc engine(spec, Parallelism::kNode);
       double base = 0.0;
       std::vector<std::string> row = {spec.name, entry.name};
       for (auto b : blocks) {

@@ -123,7 +123,7 @@ double run_gpu_static_recompute(const CSRGraph& g, const ApproxConfig& config,
                                 Parallelism mode, const sim::DeviceSpec& spec,
                                 std::vector<double>* bc_out) {
   BcStore store(g.num_vertices(), config);
-  StaticGpuBc engine(spec, mode);
+  DynamicGpuBc engine(spec, mode);
   const sim::KernelStats stats = engine.compute(g, store);
   if (bc_out != nullptr) {
     bc_out->assign(store.bc().begin(), store.bc().end());

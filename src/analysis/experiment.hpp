@@ -12,7 +12,7 @@
 #include "analysis/scenario_stats.hpp"
 #include "analysis/touched_recorder.hpp"
 #include "bc/bc_store.hpp"
-#include "bc/static_gpu.hpp"
+#include "bc/static_kernels.hpp"
 #include "gpusim/device_spec.hpp"
 #include "graph/csr_graph.hpp"
 

@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "bc/bc_store.hpp"
-#include "bc/static_gpu.hpp"
+#include "bc/static_kernels.hpp"
 #include "gpusim/cost_model.hpp"
 #include "gpusim/device_spec.hpp"
 #include "graph/csr_graph.hpp"
@@ -274,8 +274,8 @@ class ParallelismPolicy {
 enum class SourceLaunchKind { kStatic, kInsert, kRemove, kBatch };
 
 /// One per-source GPU launch's share of the adaptive protocol, common to
-/// every engine launch (StaticGpuBc, DynamicGpuBc, ShardedGpuBc and the
-/// batch paths): the mode each source runs, the launch name
+/// every engine launch (the static pass and the updates of DynamicGpuBc
+/// and ShardedGpuBc, batch paths included): the mode each source runs, the launch name
 /// "<kind>.<edge|node|adaptive>", the per-source modeled cycles and the
 /// post-launch feedback. Without a policy every source runs the engine's
 /// fixed mode and nothing is timed or fed back. With one, the constructor

@@ -7,7 +7,6 @@
 #include "bc/adaptive_policy.hpp"
 #include "bc/brandes.hpp"
 #include "bc/dynamic_bc.hpp"
-#include "bc/dynamic_cpu_parallel.hpp"
 #include "bc/dynamic_gpu.hpp"
 #include "gpusim/cost_model.hpp"
 #include "trace/telemetry.hpp"
@@ -136,63 +135,6 @@ CpuBatchResult batch_insert_update(DynamicCpuEngine& engine,
   result.ops.reads += after.reads - before.reads;
   result.ops.writes += after.writes - before.writes;
   return result;
-}
-
-std::vector<SourceBatchOutcome> DynamicCpuParallelEngine::insert_edge_batch(
-    const BatchSnapshots& batch, BcStore& store, const BatchConfig& config) {
-  const int k = store.num_sources();
-  std::vector<SourceBatchOutcome> outcomes(static_cast<std::size_t>(k));
-  if (batch.empty() || k == 0) return outcomes;
-  const CSRGraph& final_g = batch.final_graph();
-  const VertexId n = final_g.num_vertices();
-
-  // Same lane decomposition as run(): contiguous source chunks, private BC
-  // buffers folded in lane order afterwards for determinism.
-  const auto lanes = engines_.size();
-  const int chunk =
-      static_cast<int>((static_cast<std::size_t>(k) + lanes - 1) / lanes);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    const int begin = static_cast<int>(lane) * chunk;
-    const int end = std::min(k, begin + chunk);
-    if (begin >= end) break;
-    std::fill(bc_deltas_[lane].begin(), bc_deltas_[lane].end(), 0.0);
-    pool_.submit([&, lane, begin, end] {
-      DynamicCpuEngine& engine = *engines_[lane];
-      std::span<double> bc_delta(bc_deltas_[lane]);
-      std::vector<double> old_delta;
-      for (int si = begin; si < end; ++si) {
-        const VertexId s = store.sources()[static_cast<std::size_t>(si)];
-        auto d = store.dist_row(si);
-        auto sigma = store.sigma_row(si);
-        auto delta = store.delta_row(si);
-        outcomes[static_cast<std::size_t>(si)] = detail::run_source_batch(
-            batch.edges.size(), n, config,
-            [&](std::size_t i) {
-              const auto [u, v] = batch.edges[i];
-              return engine.update_source(batch.graphs[i], s, d, sigma, delta,
-                                          bc_delta, u, v);
-            },
-            [&] {
-              old_delta.assign(delta.begin(), delta.end());
-              brandes_source(final_g, s, d, sigma, delta, {});
-              for (std::size_t v = 0; v < bc_delta.size(); ++v) {
-                if (v == static_cast<std::size_t>(s)) continue;
-                bc_delta[v] += delta[v] - old_delta[v];
-              }
-            });
-      }
-    });
-  }
-  pool_.wait_idle();
-
-  auto bc = store.bc();
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    const auto& delta = bc_deltas_[lane];
-    for (std::size_t v = 0; v < bc.size(); ++v) {
-      bc[v] += delta[v];
-    }
-  }
-  return outcomes;
 }
 
 GpuBatchResult DynamicGpuBc::insert_edge_batch(const BatchSnapshots& batch,

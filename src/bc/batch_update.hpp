@@ -43,7 +43,7 @@ namespace sim {
 class BlockContext;  // gpusim/block_context.hpp
 }
 struct GpuWorkspace;     // bc/dynamic_gpu.hpp
-enum class Parallelism;  // bc/static_gpu.hpp
+enum class Parallelism;  // bc/static_kernels.hpp
 
 struct BatchConfig {
   /// Cumulative touched fraction (summed per-edge |touched| over n) above

@@ -91,9 +91,6 @@ DynamicBc::DynamicBc(const CSRGraph& g, const Options& options)
         gpu_engine_ = std::make_unique<DynamicGpuBc>(
             options_.device_spec, mode, cost_model_,
             options_.track_atomic_conflicts);
-        gpu_static_ = std::make_unique<StaticGpuBc>(
-            options_.device_spec, mode, cost_model_,
-            options_.track_atomic_conflicts);
       }
       if (options_.engine == EngineKind::kGpuAdaptive) {
         policy_ = std::make_unique<ParallelismPolicy>(
@@ -102,7 +99,6 @@ DynamicBc::DynamicBc(const CSRGraph& g, const Options& options)
           sharded_->set_policy(policy_.get());
         } else {
           gpu_engine_->set_policy(policy_.get());
-          gpu_static_->set_policy(policy_.get());
         }
       }
       break;
@@ -160,22 +156,27 @@ double DynamicBc::recompute() {
         if (sharded_) {
           modeled = sharded_->compute(csr_, store_).group.seconds;
         } else {
-          modeled = gpu_static_->compute(csr_, store_).seconds;
+          modeled = gpu_engine_->compute(csr_, store_).seconds;
         }
       },
       [&](double cycles) { charge_backoff(cycles); });
   return modeled;
 }
 
-void DynamicBc::charge_backoff(double cycles) {
+std::vector<sim::Device*> DynamicBc::devices() {
+  std::vector<sim::Device*> devs;
   if (sharded_) {
     for (int d = 0; d < sharded_->num_devices(); ++d) {
-      sharded_->group().device(d).charge_fault_backoff(cycles);
+      devs.push_back(&sharded_->group().device(d));
     }
-    return;
+  } else if (gpu_engine_) {
+    devs.push_back(&gpu_engine_->device());
   }
-  if (gpu_engine_) gpu_engine_->device().charge_fault_backoff(cycles);
-  if (gpu_static_) gpu_static_->device().charge_fault_backoff(cycles);
+  return devs;
+}
+
+void DynamicBc::charge_backoff(double cycles) {
+  for (sim::Device* d : devices()) d->charge_fault_backoff(cycles);
 }
 
 void DynamicBc::run_recovered(const char* what,

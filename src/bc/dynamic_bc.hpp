@@ -36,7 +36,6 @@
 #include "bc/dynamic_cpu.hpp"
 #include "bc/dynamic_gpu.hpp"
 #include "bc/sharded_gpu.hpp"
-#include "bc/static_gpu.hpp"
 #include "bc/update_outcome.hpp"
 #include "graph/csr_graph.hpp"
 
@@ -172,6 +171,10 @@ class DynamicBc {
   /// validates and patches csr_, then runs the engine on every source.
   UpdateOutcome run_update(trace::UpdateKind kind, VertexId u, VertexId v);
   double recompute();
+  /// The simulated devices the GPU engines run on: the sharded group's
+  /// devices in order, or the single-device engine's one (empty for the
+  /// CPU engine).
+  std::vector<sim::Device*> devices();
   /// Charges deterministic modeled backoff cycles to every device the GPU
   /// engines run on (no-op for the CPU engine).
   void charge_backoff(double cycles);
@@ -214,7 +217,6 @@ class DynamicBc {
 
   std::unique_ptr<DynamicCpuEngine> cpu_engine_;
   std::unique_ptr<DynamicGpuBc> gpu_engine_;     // num_devices == 1
-  std::unique_ptr<StaticGpuBc> gpu_static_;      // num_devices == 1
   std::unique_ptr<ShardedGpuBc> sharded_;        // num_devices > 1
   std::unique_ptr<ParallelismPolicy> policy_;    // kGpuAdaptive only
   sim::CostModel cost_model_;

@@ -20,11 +20,6 @@
 
 namespace bcdyn {
 
-// Batch-update types (bc/batch_update.hpp).
-struct BatchConfig;
-struct BatchSnapshots;
-struct SourceBatchOutcome;
-
 class DynamicCpuParallelEngine {
  public:
   /// `num_workers = 0` degenerates to inline (sequential) execution.
@@ -41,14 +36,6 @@ class DynamicCpuParallelEngine {
   std::vector<SourceUpdateOutcome> remove_edge_update(const CSRGraph& g,
                                                       BcStore& store,
                                                       VertexId u, VertexId v);
-
-  /// Batched counterpart of insert_edge_update: every lane replays the
-  /// whole batch for its chunk of sources (same per-source semantics as
-  /// the sequential batch path, including the recompute fallback).
-  /// Defined in bc/batch_update.cpp.
-  std::vector<SourceBatchOutcome> insert_edge_batch(const BatchSnapshots& batch,
-                                                    BcStore& store,
-                                                    const BatchConfig& config);
 
   /// Summed operation counters across workers since construction.
   CpuOpCounters counters() const;

@@ -118,9 +118,9 @@ void removal_prepass(BlockContext& ctx, GpuWorkspace& ws, const Rows& rows,
 // the init kernel, plus the decremental pre-pass for u_high.
 // ---------------------------------------------------------------------------
 
-void edge_case2(BlockContext& ctx, const CSRGraph& g, VertexId s,
-                const Rows& rows, GpuWorkspace& ws, VertexId u_high,
-                VertexId u_low, bool removal = false) {
+void edge_case2(BlockContext& ctx, const CSRGraph& g, const Rows& rows,
+                GpuWorkspace& ws, VertexId u_high, VertexId u_low,
+                bool removal = false) {
   const auto src = g.arc_src();
   const auto dst = g.arc_dst();
   const auto num_arcs = static_cast<std::size_t>(g.num_arcs());
@@ -161,7 +161,6 @@ void edge_case2(BlockContext& ctx, const CSRGraph& g, VertexId s,
     if (!done) last_touch_depth = depth + 1;
     ++depth;
   }
-  (void)s;
   if (removal) removal_prepass(ctx, ws, rows, u_high, u_low, false);
 
   // Algorithm 6 (with the Brandes roles made explicit: arc (c, p) with c at
@@ -210,9 +209,9 @@ void edge_case2(BlockContext& ctx, const CSRGraph& g, VertexId s,
 // Case 2, node-parallel (Algorithms 5 and 7).
 // ---------------------------------------------------------------------------
 
-void node_case2(BlockContext& ctx, const CSRGraph& g, VertexId s,
-                const Rows& rows, GpuWorkspace& ws, VertexId u_high,
-                VertexId u_low, bool removal = false) {
+void node_case2(BlockContext& ctx, const CSRGraph& g, const Rows& rows,
+                GpuWorkspace& ws, VertexId u_high, VertexId u_low,
+                bool removal = false) {
   const auto d = rows.d;
   ws.q.clear();
   ws.q2.clear();
@@ -331,7 +330,6 @@ void node_case2(BlockContext& ctx, const CSRGraph& g, VertexId s,
       }
     });
   }
-  (void)s;
 }
 
 // ---------------------------------------------------------------------------
@@ -680,9 +678,9 @@ Dist edge_removal_sweeps(BlockContext& ctx, const CSRGraph& g,
 // vertices level by level.
 // ---------------------------------------------------------------------------
 
-void node_case3(BlockContext& ctx, const CSRGraph& g, VertexId s,
-                const Rows& rows, GpuWorkspace& ws, VertexId u_high,
-                VertexId u_low, bool removal = false) {
+void node_case3(BlockContext& ctx, const CSRGraph& g, const Rows& rows,
+                GpuWorkspace& ws, VertexId u_high, VertexId u_low,
+                bool removal = false) {
   const auto d = rows.d;
   const auto lo = static_cast<std::size_t>(u_low);
   ws.q.clear();
@@ -951,16 +949,15 @@ void node_case3(BlockContext& ctx, const CSRGraph& g, VertexId s,
       }
     });
   }
-  (void)s;
 }
 
 // ---------------------------------------------------------------------------
 // Case 3, edge-parallel.
 // ---------------------------------------------------------------------------
 
-void edge_case3(BlockContext& ctx, const CSRGraph& g, VertexId s,
-                const Rows& rows, GpuWorkspace& ws, VertexId u_high,
-                VertexId u_low, bool removal = false) {
+void edge_case3(BlockContext& ctx, const CSRGraph& g, const Rows& rows,
+                GpuWorkspace& ws, VertexId u_high, VertexId u_low,
+                bool removal = false) {
   const auto src = g.arc_src();
   const auto dst = g.arc_dst();
   const auto num_arcs = static_cast<std::size_t>(g.num_arcs());
@@ -1166,7 +1163,6 @@ void edge_case3(BlockContext& ctx, const CSRGraph& g, VertexId s,
       ws.delta_hat[p] += dsv;
     });
   }
-  (void)s;
 }
 
 /// Decremental pre-pass shared by both mappings: u_high lost u_low as a
@@ -1226,15 +1222,15 @@ SourceUpdateOutcome gpu_insert_source_update(sim::BlockContext& ctx,
   init_kernel(ctx, ws, rows, info.u_high, info.u_low, case3);
   if (!case3) {
     if (mode == Parallelism::kEdge) {
-      edge_case2(ctx, g, s, rows, ws, info.u_high, info.u_low);
+      edge_case2(ctx, g, rows, ws, info.u_high, info.u_low);
     } else {
-      node_case2(ctx, g, s, rows, ws, info.u_high, info.u_low);
+      node_case2(ctx, g, rows, ws, info.u_high, info.u_low);
     }
   } else {
     if (mode == Parallelism::kEdge) {
-      edge_case3(ctx, g, s, rows, ws, info.u_high, info.u_low);
+      edge_case3(ctx, g, rows, ws, info.u_high, info.u_low);
     } else {
-      node_case3(ctx, g, s, rows, ws, info.u_high, info.u_low);
+      node_case3(ctx, g, rows, ws, info.u_high, info.u_low);
     }
   }
   outcome.touched = finalize_kernel(ctx, ws, rows, bc, s, case3);
@@ -1281,9 +1277,9 @@ SourceUpdateOutcome gpu_remove_source_update(
     outcome.update_case = UpdateCase::kAdjacent;
     init_kernel(ctx, ws, rows, u_high, u_low, /*case3=*/false, /*sign=*/-1.0);
     if (mode == Parallelism::kEdge) {
-      edge_case2(ctx, g, s, rows, ws, u_high, u_low, /*removal=*/true);
+      edge_case2(ctx, g, rows, ws, u_high, u_low, /*removal=*/true);
     } else {
-      node_case2(ctx, g, s, rows, ws, u_high, u_low, /*removal=*/true);
+      node_case2(ctx, g, rows, ws, u_high, u_low, /*removal=*/true);
     }
     outcome.touched = finalize_kernel(ctx, ws, rows, bc, s, /*case3=*/false);
     record_source_update_metrics(outcome, g.num_vertices());
@@ -1295,9 +1291,9 @@ SourceUpdateOutcome gpu_remove_source_update(
   outcome.update_case = UpdateCase::kFar;
   init_kernel(ctx, ws, rows, u_high, u_low, /*case3=*/true);
   if (mode == Parallelism::kEdge) {
-    edge_case3(ctx, g, s, rows, ws, u_high, u_low, /*removal=*/true);
+    edge_case3(ctx, g, rows, ws, u_high, u_low, /*removal=*/true);
   } else {
-    node_case3(ctx, g, s, rows, ws, u_high, u_low, /*removal=*/true);
+    node_case3(ctx, g, rows, ws, u_high, u_low, /*removal=*/true);
   }
   outcome.touched = finalize_kernel(ctx, ws, rows, bc, s, /*case3=*/true);
   record_source_update_metrics(outcome, g.num_vertices());
@@ -1346,6 +1342,34 @@ DynamicGpuBc::DynamicGpuBc(sim::DeviceSpec spec, Parallelism mode,
                            sim::CostModel cost, bool track_atomic_conflicts)
     : device_(std::move(spec), cost, track_atomic_conflicts), mode_(mode) {
   workspaces_.resize(static_cast<std::size_t>(device_.spec().num_sms));
+}
+
+sim::KernelStats DynamicGpuBc::compute(const CSRGraph& g, BcStore& store,
+                                       int num_blocks) {
+  if (num_blocks <= 0) num_blocks = device_.spec().num_sms;
+  std::fill(store.bc().begin(), store.bc().end(), 0.0);
+  const int k = store.num_sources();
+  PlannedLaunch launch(SourceLaunchKind::kStatic, policy_, mode_,
+                       [&](ParallelismPolicy& p) {
+                         return p.plan_static(g, store);
+                       });
+  const sim::KernelStats stats = device_.launch(
+      num_blocks,
+      [&, num_blocks](BlockContext& ctx) {
+        std::vector<VertexId> order;
+        std::vector<std::size_t> level_offsets;
+        for (int si = ctx.block_id(); si < k; si += num_blocks) {
+          launch.run(ctx, si, [&](Parallelism m) {
+            detail::static_source(
+                ctx, m, g, store.sources()[static_cast<std::size_t>(si)],
+                store.dist_row(si), store.sigma_row(si), store.delta_row(si),
+                store.bc(), order, level_offsets);
+          });
+        }
+      },
+      launch.name());
+  launch.feedback();
+  return stats;
 }
 
 GpuUpdateResult DynamicGpuBc::insert_edge_update(const CSRGraph& g,

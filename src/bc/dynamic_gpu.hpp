@@ -1,5 +1,11 @@
 // Dynamic betweenness centrality on the simulated GPU (paper §III).
 //
+// The engine also owns the static pass every update starts from (Jia et
+// al. [13], bc/static_kernels.hpp): the paper runs the recomputation
+// baseline and the dynamic updates on the same device with the same
+// coarse-grained decomposition, and so does this engine, on one simulated
+// device with one timeline.
+//
 // One launch per edge insertion; the launch runs `num_sms` thread blocks
 // and block b handles source indices b, b+nblocks, ... (the paper's
 // coarse-grained decomposition, Fig. 3). Per source the block classifies
@@ -33,7 +39,7 @@
 #include "bc/bc_store.hpp"
 #include "bc/case_classify.hpp"
 #include "bc/dynamic_cpu.hpp"
-#include "bc/static_gpu.hpp"
+#include "bc/static_kernels.hpp"
 #include "gpusim/device.hpp"
 #include "graph/csr_graph.hpp"
 
@@ -66,6 +72,7 @@ struct GpuUpdateResult {
   std::vector<SourceUpdateOutcome> outcomes;  // indexed by source index
 };
 
+class ParallelismPolicy;      // bc/adaptive_policy.hpp
 enum class SourceLaunchKind;  // bc/adaptive_policy.hpp
 
 // Batch-update types (bc/batch_update.hpp).
@@ -79,6 +86,13 @@ class DynamicGpuBc {
   /// conflict accounting (sim.atomic_conflicts.* metrics).
   DynamicGpuBc(sim::DeviceSpec spec, Parallelism mode,
                sim::CostModel cost = {}, bool track_atomic_conflicts = false);
+
+  /// Recomputes the store (all rows + BC) from scratch on the simulated
+  /// device: one launch in which block b handles sources b, b+nblocks, ...
+  /// `num_blocks` <= 0 launches one block per SM (the paper's choice);
+  /// Fig. 1 passes explicit block counts.
+  sim::KernelStats compute(const CSRGraph& g, BcStore& store,
+                           int num_blocks = 0);
 
   /// Updates every source row of `store` plus the BC scores for the
   /// insertion of {u, v}. `g` must already contain the edge; the store

@@ -5,7 +5,6 @@
 
 #include "bc/dynamic_bc.hpp"
 #include "bc/recovery.hpp"
-#include "bc/sharded_gpu.hpp"
 #include "gpusim/stream.hpp"
 #include "trace/metrics.hpp"
 #include "trace/telemetry.hpp"
@@ -92,14 +91,7 @@ PipelineResult DynamicBc::insert_edge_batches(
     return res;
   }
 
-  std::vector<sim::Device*> devs;
-  if (sharded_) {
-    for (int d = 0; d < sharded_->group().num_devices(); ++d) {
-      devs.push_back(&sharded_->group().device(d));
-    }
-  } else {
-    devs.push_back(&gpu_engine_->device());
-  }
+  const std::vector<sim::Device*> devs = devices();
   const double cycles_per_second = devs.front()->spec().clock_ghz * 1e9;
 
   // Start barrier: every engine timeline (SMs, copy engines, staging host)

@@ -143,7 +143,7 @@ void Service::admit(const Request& req) {
   if (req.kind == RequestKind::kRead) {
     totals_.reads += 1;
     m.add("bc.service.reads.count");
-    admit_read(req, index);
+    admit_read(index);
   } else {
     totals_.writes += 1;
     m.add("bc.service.writes.count");
@@ -151,7 +151,7 @@ void Service::admit(const Request& req) {
   }
 }
 
-void Service::admit_read(const Request& req, std::size_t response_index) {
+void Service::admit_read(std::size_t response_index) {
   const double arrival = responses_[response_index].arrival_time;
   if (read_queue_.size() >= config_.queue_depth) {
     if (config_.shed == ShedPolicy::kOldestRead) {
@@ -167,7 +167,6 @@ void Service::admit_read(const Request& req, std::size_t response_index) {
     read_queue_.push_back(response_index);
   }
   totals_.queue_peak = std::max(totals_.queue_peak, read_queue_.size());
-  (void)req;
 }
 
 void Service::shed_read(std::size_t response_index, double at) {

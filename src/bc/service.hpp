@@ -193,7 +193,7 @@ class Service {
 
  private:
   void admit(const Request& req);
-  void admit_read(const Request& req, std::size_t response_index);
+  void admit_read(std::size_t response_index);
   void buffer_write(const Request& req, std::size_t response_index);
   /// Serves queued reads whose virtual start precedes `until`.
   void serve_reads_before(double until);

@@ -39,10 +39,17 @@ Session::Session(const CSRGraph& g, const Options& options)
   if (rt.fault_injection) sim::faults().configure(rt.fault_plan);
   sim::faults().set_enabled(rt.fault_injection);
 
-  bc_ = std::make_unique<DynamicBc>(g, options.analytic_options());
+  try {
+    bc_ = std::make_unique<DynamicBc>(g, options.analytic_options());
+  } catch (...) {
+    restore_runtime();
+    throw;
+  }
 }
 
-Session::~Session() {
+Session::~Session() { restore_runtime(); }
+
+void Session::restore_runtime() {
   trace::tracer().set_enabled(saved_.tracing);
   sim::hazards().set_enabled(saved_.hazards);
   sim::hazards().set_strict(saved_.strict);

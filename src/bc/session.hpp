@@ -153,6 +153,10 @@ class Session {
     bool faults = false;
   };
 
+  /// Puts back every toggle saved_ recorded: the destructor's job, and the
+  /// constructor's when building the analytic throws.
+  void restore_runtime();
+
   Options options_;
   RuntimeSnapshot saved_;           // pre-session state, restored in dtor
   std::unique_ptr<DynamicBc> bc_;  // constructed after the runtime applies

@@ -21,7 +21,7 @@
 #include "bc/bc_store.hpp"
 #include "bc/batch_update.hpp"
 #include "bc/dynamic_gpu.hpp"
-#include "bc/static_gpu.hpp"
+#include "bc/static_kernels.hpp"
 #include "gpusim/device_group.hpp"
 #include "graph/csr_graph.hpp"
 

@@ -1,16 +1,30 @@
-// Per-source static BC kernels on the simulated device, shared between the
-// static passes (Jia et al. recomputation baseline, single-device and
-// sharded) and the batch path's touched-fraction recompute fallback.
+// Per-source static BC kernels on the simulated device (Jia et al. [13]),
+// shared between the static passes (the paper's recomputation baseline,
+// Table III, and Fig. 1's thread-block sweep; single-device and sharded)
+// and the batch path's touched-fraction recompute fallback. Within a block
+// the BFS + dependency stages use either edge-parallel (one thread per
+// directed arc, whole arc list scanned per level) or node-parallel
+// (explicit frontier queues) fine-grained mapping.
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <vector>
 
-#include "bc/static_gpu.hpp"
 #include "gpusim/block_context.hpp"
 #include "graph/csr_graph.hpp"
 #include "util/types.hpp"
+
+namespace bcdyn {
+
+/// The paper's two fine-grained mappings of one source's work onto a block.
+enum class Parallelism { kEdge, kNode };
+
+inline const char* to_string(Parallelism p) {
+  return p == Parallelism::kEdge ? "Edge" : "Node";
+}
+
+}  // namespace bcdyn
 
 namespace bcdyn::detail {
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <queue>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -20,6 +22,26 @@ int next_trace_pid() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
+/// Rejects specs the scheduler and cost model cannot run: no SMs (empty
+/// block->SM schedule), no threads (parallel_for strides by the thread
+/// count), or a clock that makes cycles->seconds non-finite.
+DeviceSpec validated(DeviceSpec spec) {
+  if (spec.num_sms < 1) {
+    throw std::invalid_argument("DeviceSpec: num_sms < 1 (got " +
+                                std::to_string(spec.num_sms) + ")");
+  }
+  if (spec.threads_per_block < 1) {
+    throw std::invalid_argument("DeviceSpec: threads_per_block < 1 (got " +
+                                std::to_string(spec.threads_per_block) + ")");
+  }
+  if (!std::isfinite(spec.clock_ghz) || spec.clock_ghz <= 0.0) {
+    throw std::invalid_argument(
+        "DeviceSpec: clock_ghz must be finite and > 0 (got " +
+        std::to_string(spec.clock_ghz) + ")");
+  }
+  return spec;
+}
+
 }  // namespace
 
 // Folds the blocks' shadow journals into the process hazard detector. Runs
@@ -34,7 +56,7 @@ void collect_hazards(std::string_view name,
 }
 
 Device::Device(DeviceSpec spec, CostModel cost, bool track_atomic_conflicts)
-    : spec_(std::move(spec)),
+    : spec_(validated(std::move(spec))),
       cost_(cost),
       track_conflicts_(track_atomic_conflicts),
       trace_pid_(next_trace_pid()) {

@@ -53,6 +53,9 @@ struct LaunchTimeline {
 
 class Device {
  public:
+  /// Throws std::invalid_argument naming the field when `spec` has
+  /// num_sms < 1, threads_per_block < 1, or a clock_ghz that is not finite
+  /// and > 0. Every engine and DeviceGroup builds its devices here.
   explicit Device(DeviceSpec spec, CostModel cost = {},
                   bool track_atomic_conflicts = false);
 

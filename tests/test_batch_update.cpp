@@ -11,7 +11,6 @@
 #include "bc/batch_update.hpp"
 #include "bc/brandes.hpp"
 #include "bc/dynamic_bc.hpp"
-#include "bc/dynamic_cpu_parallel.hpp"
 #include "bc/dynamic_gpu.hpp"
 #include "test_helpers.hpp"
 
@@ -156,36 +155,6 @@ TEST(BatchUpdate, BatchIsOrderIndependent) {
     }
   }
   test::expect_near_spans(shuffled.scores(), forward.scores(), 1e-7, "bc");
-}
-
-TEST(BatchUpdate, CpuParallelEngineMatchesSequentialBatch) {
-  const auto g = test::gnp_graph(56, 0.05, 71);
-  const auto edges = random_batch(g, 9, 72);
-  ASSERT_FALSE(edges.empty());
-  ApproxConfig cfg{.num_sources = 14, .seed = 4};
-  const VertexId n = g.num_vertices();
-  const auto batch = build_batch_snapshots(g, edges);
-
-  BcStore seq_store(n, cfg);
-  brandes_all(g, seq_store);
-  DynamicCpuEngine seq_engine(n);
-  const auto seq =
-      batch_insert_update(seq_engine, batch, seq_store, BatchConfig{});
-
-  for (int workers : {0, 3}) {
-    BcStore par_store(n, cfg);
-    brandes_all(g, par_store);
-    DynamicCpuParallelEngine par_engine(n, workers);
-    const auto par =
-        par_engine.insert_edge_batch(batch, par_store, BatchConfig{});
-    ASSERT_EQ(par.size(), seq.outcomes.size()) << "workers=" << workers;
-    for (std::size_t si = 0; si < par.size(); ++si) {
-      EXPECT_EQ(par[si].case2, seq.outcomes[si].case2) << "si=" << si;
-      EXPECT_EQ(par[si].case3, seq.outcomes[si].case3) << "si=" << si;
-      EXPECT_EQ(par[si].recomputed, seq.outcomes[si].recomputed) << "si=" << si;
-    }
-    test::expect_near_spans(par_store.bc(), seq_store.bc(), 1e-7, "bc");
-  }
 }
 
 TEST(BatchUpdate, GpuEngineReportsPerJobStats) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <set>
 #include <type_traits>
 
@@ -13,6 +14,7 @@
 #include "bc/session.hpp"
 #include "gen/generators.hpp"
 #include "test_helpers.hpp"
+#include "trace/trace.hpp"
 
 namespace bcdyn {
 namespace {
@@ -334,6 +336,54 @@ TEST(DynamicBcApi, FrontDoorGraphMatchesFromCooAfterEveryCall) {
     EXPECT_EQ(out.skipped, skipped) << engine;
     expect_layout(session.graph(), ref, engine + " batch");
     EXPECT_LT(session.verify_against_recompute(), 1e-9) << engine;
+  }
+}
+
+TEST(DynamicBcApi, SessionRejectsMalformedDeviceSpec) {
+  // A spec the simulator cannot run fails at construction with an error
+  // naming the field, on one device and on a sharded group alike, and the
+  // Session leaves the process runtime toggles as it found them.
+  const auto g = test::gnp_graph(20, 0.2, 9);
+  const struct {
+    const char* field;
+    void (*corrupt)(sim::DeviceSpec&);
+  } cases[] = {
+      {"num_sms", [](sim::DeviceSpec& s) { s.num_sms = 0; }},
+      {"num_sms", [](sim::DeviceSpec& s) { s.num_sms = -1; }},
+      {"threads_per_block",
+       [](sim::DeviceSpec& s) { s.threads_per_block = 0; }},
+      {"clock_ghz", [](sim::DeviceSpec& s) { s.clock_ghz = 0.0; }},
+      {"clock_ghz", [](sim::DeviceSpec& s) { s.clock_ghz = -1.0; }},
+      {"clock_ghz",
+       [](sim::DeviceSpec& s) {
+         s.clock_ghz = std::numeric_limits<double>::infinity();
+       }},
+      {"clock_ghz",
+       [](sim::DeviceSpec& s) {
+         s.clock_ghz = std::numeric_limits<double>::quiet_NaN();
+       }},
+  };
+  const bool tracing_before = trace::tracer().enabled();
+  for (int devices : {1, 2}) {
+    for (const auto& c : cases) {
+      bc::Options o{.engine = EngineKind::kGpuNode,
+                    .approx = {.num_sources = 4, .seed = 1},
+                    .num_devices = devices,
+                    .runtime = {.tracing = !tracing_before}};
+      c.corrupt(o.device_spec);
+      const std::string where =
+          std::string(c.field) + " devices=" + std::to_string(devices);
+      try {
+        bc::Session session(g, o);
+        session.compute();
+        session.insert_edge(0, 1);
+        ADD_FAILURE() << where << ": no exception";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+            << where << ": " << e.what();
+      }
+      EXPECT_EQ(trace::tracer().enabled(), tracing_before) << where;
+    }
   }
 }
 

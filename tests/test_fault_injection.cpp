@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -530,6 +531,8 @@ TEST_P(LaunchNames, LaunchNamesAndFaultSitesArePinned) {
   // The launch track: one event per launch per device that ran jobs. With
   // 32 round-robin sources on 14-SM devices, each device of a two-device
   // group keeps jobs its peer cannot steal before its own SMs pop them.
+  // The static pass and the updates share the session's devices, so the
+  // four launches land on exactly `devices` timelines (pids).
   {
     const bool was_tracing = trace::tracer().enabled();
     trace::tracer().clear();
@@ -538,10 +541,12 @@ TEST_P(LaunchNames, LaunchNamesAndFaultSitesArePinned) {
     for (int op = 0; op < 4; ++op) stream.run(analytic, op);
     trace::tracer().set_enabled(was_tracing);
     std::vector<std::string> launched;
+    std::set<int> pids;
     for (const auto& ev : trace::tracer().events()) {
       if (ev.phase == trace::TraceEvent::Phase::kComplete &&
           ev.tid == trace::kLaunchTrackTid) {
         launched.push_back(ev.name);
+        pids.insert(ev.pid);
       }
     }
     std::vector<std::string> expected;
@@ -550,6 +555,7 @@ TEST_P(LaunchNames, LaunchNamesAndFaultSitesArePinned) {
                       name);
     }
     EXPECT_EQ(launched, expected);
+    EXPECT_EQ(pids.size(), static_cast<std::size_t>(param.devices));
   }
 
   // The fault site each launch polls: a plan that aborts every launch site

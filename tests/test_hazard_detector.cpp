@@ -19,7 +19,6 @@
 #include "bc/brandes.hpp"
 #include "bc/dynamic_bc.hpp"
 #include "bc/dynamic_gpu.hpp"
-#include "bc/static_gpu.hpp"
 #include "gen/suite.hpp"
 #include "gpusim/block_context.hpp"
 #include "gpusim/device.hpp"
@@ -341,7 +340,7 @@ TEST_P(HazardCleanSweep, StaticKernelsRunClean) {
   const ApproxConfig cfg{.num_sources = 6, .seed = 3};
   for (Parallelism mode : {Parallelism::kEdge, Parallelism::kNode}) {
     BcStore store(entry.graph.num_vertices(), cfg);
-    StaticGpuBc engine(sim::DeviceSpec::tesla_c2075(), mode);
+    DynamicGpuBc engine(sim::DeviceSpec::tesla_c2075(), mode);
     engine.compute(entry.graph, store);
   }
   EXPECT_EQ(sim::hazards().violations(), 0u);

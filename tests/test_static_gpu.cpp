@@ -1,10 +1,12 @@
-// Static simulated-GPU BC: both fine-grained mappings must reproduce the
-// sequential Brandes results bit-for-bit (distances/sigma) and to rounding
-// (delta/BC), and the work counters must show the edge/node asymmetry.
+// Static simulated-GPU BC (DynamicGpuBc::compute, the static pass every
+// single-device session starts from): both fine-grained mappings must
+// reproduce the sequential Brandes results bit-for-bit (distances/sigma)
+// and to rounding (delta/BC), and the work counters must show the
+// edge/node asymmetry.
 #include <gtest/gtest.h>
 
 #include "bc/brandes.hpp"
-#include "bc/static_gpu.hpp"
+#include "bc/dynamic_gpu.hpp"
 #include "gen/generators.hpp"
 #include "test_helpers.hpp"
 
@@ -21,7 +23,7 @@ TEST_P(StaticGpuModes, MatchesSequentialBrandesExact) {
   brandes_all(g, expected);
 
   BcStore store(g.num_vertices(), cfg);
-  StaticGpuBc engine(sim::DeviceSpec::tesla_c2075(), GetParam());
+  DynamicGpuBc engine(sim::DeviceSpec::tesla_c2075(), GetParam());
   const auto stats = engine.compute(g, store);
   EXPECT_EQ(stats.num_blocks, 14);
   EXPECT_GT(stats.seconds, 0.0);
@@ -46,7 +48,7 @@ TEST_P(StaticGpuModes, ApproximateSourcesMatch) {
   brandes_all(g, expected);
 
   BcStore store(g.num_vertices(), cfg);
-  StaticGpuBc engine(sim::DeviceSpec::gtx_560(), GetParam());
+  DynamicGpuBc engine(sim::DeviceSpec::gtx_560(), GetParam());
   engine.compute(g, store);
   test::expect_near_spans(store.bc(), expected.bc(), 1e-9, "bc");
 }
@@ -62,7 +64,7 @@ TEST_P(StaticGpuModes, DisconnectedGraph) {
   BcStore expected(30, cfg);
   brandes_all(g, expected);
   BcStore store(30, cfg);
-  StaticGpuBc engine(sim::DeviceSpec::tesla_c2075(), GetParam());
+  DynamicGpuBc engine(sim::DeviceSpec::tesla_c2075(), GetParam());
   engine.compute(g, store);
   test::expect_near_spans(store.bc(), expected.bc(), 1e-9, "bc");
 }
@@ -79,8 +81,8 @@ TEST(StaticGpu, EdgeModeReadsFarMoreMemoryThanNode) {
 
   BcStore store_e(g.num_vertices(), cfg);
   BcStore store_n(g.num_vertices(), cfg);
-  StaticGpuBc edge(sim::DeviceSpec::tesla_c2075(), Parallelism::kEdge);
-  StaticGpuBc node(sim::DeviceSpec::tesla_c2075(), Parallelism::kNode);
+  DynamicGpuBc edge(sim::DeviceSpec::tesla_c2075(), Parallelism::kEdge);
+  DynamicGpuBc node(sim::DeviceSpec::tesla_c2075(), Parallelism::kNode);
   const auto se = edge.compute(g, store_e);
   const auto sn = node.compute(g, store_n);
   EXPECT_GT(se.total.global_reads, 2 * sn.total.global_reads);
@@ -90,7 +92,7 @@ TEST(StaticGpu, EdgeModeReadsFarMoreMemoryThanNode) {
 TEST(StaticGpu, MoreBlocksReduceModeledTimeUpToSmCount) {
   const auto g = gen::small_world(500, 4, 0.1, 6);
   ApproxConfig cfg{.num_sources = 28, .seed = 2};
-  StaticGpuBc engine(sim::DeviceSpec::tesla_c2075(), Parallelism::kNode);
+  DynamicGpuBc engine(sim::DeviceSpec::tesla_c2075(), Parallelism::kNode);
 
   double prev = 0.0;
   for (int blocks : {1, 2, 7, 14}) {
@@ -117,7 +119,7 @@ TEST(StaticGpu, SingleVertexAndTinyGraphs) {
   const auto g1 = CSRGraph::from_coo(std::move(one));
   ApproxConfig cfg{.num_sources = 0, .seed = 1};
   BcStore s1(1, cfg);
-  StaticGpuBc engine(sim::DeviceSpec::gtx_560(), Parallelism::kNode);
+  DynamicGpuBc engine(sim::DeviceSpec::gtx_560(), Parallelism::kNode);
   engine.compute(g1, s1);
   EXPECT_DOUBLE_EQ(s1.bc()[0], 0.0);
 
