@@ -8,22 +8,22 @@
 //
 // The supported public surface is:
 //
-//   bc::Session   - the single-caller front door: one analytic plus the
+//   bc::Session   - the single-caller front door: a DynamicBc plus the
 //                   process-wide observability wiring (bc/session.hpp).
 //   bc::Service   - the multi-client serving layer: update coalescing,
 //                   epoch-versioned snapshot reads, admission control
 //                   (bc/service.hpp + bc/snapshot_store.hpp).
-//   bc::Options / bc::Runtime - everything configurable, declaratively.
+//   bc::Options / bc::Runtime - everything configurable, declaratively
+//                   (bc/dynamic_bc.hpp; the one options aggregate).
 //   UpdateOutcome - the one outcome type for every analytic update.
 //   EngineKind / parse_engine_flag / engine_from_string / to_string -
 //                   the engine vocabulary and its CLI spelling.
 //   PipelineResult / BatchConfig - the batched/pipelined ingest results.
 //
-// DynamicBc (bc/dynamic_bc.hpp, re-exported through Session's header) is
-// the bare analytic underneath: constructing it directly is an
-// implementation detail for engine-internal code and tests. New callers
-// go through Session or Service, which own the runtime wiring DynamicBc
-// deliberately does not.
+// DynamicBc (bc/dynamic_bc.hpp) is Session's analytic base and takes the
+// same bc::Options: constructing it bare is for engine-internal code and
+// tests. New callers go through Session or Service, which own the
+// runtime wiring DynamicBc deliberately does not.
 #pragma once
 
 #include "bc/batch_update.hpp"

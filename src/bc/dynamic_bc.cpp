@@ -63,7 +63,7 @@ EngineKind parse_engine_flag(std::string_view flag) {
                               "' (want cpu|gpu-edge|gpu-node|gpu-adaptive)");
 }
 
-DynamicBc::DynamicBc(const CSRGraph& g, const Options& options)
+DynamicBc::DynamicBc(const CSRGraph& g, const bc::Options& options)
     : csr_(g),
       store_(g.num_vertices(), options.approx),
       options_(options) {

@@ -1,5 +1,6 @@
-// Public entry point: a dynamic betweenness-centrality analytic over a
-// streaming graph.
+// The analytic: a dynamic betweenness-centrality engine over a streaming
+// graph, and bc::Options, the one aggregate that configures it. The front
+// door, bc::Session (bc/session.hpp), is a DynamicBc plus runtime wiring.
 //
 //   bcdyn::DynamicBc analytic(graph, {.engine = bcdyn::EngineKind::kGpuEdge,
 //                                     .approx = {.num_sources = 256},
@@ -38,12 +39,9 @@
 #include "bc/sharded_gpu.hpp"
 #include "bc/update_outcome.hpp"
 #include "graph/csr_graph.hpp"
+#include "trace/telemetry.hpp"
 
 namespace bcdyn {
-
-namespace trace {
-enum class UpdateKind;  // trace/telemetry.hpp
-}
 
 // Batch-update config/snapshots (bc/batch_update.hpp).
 struct BatchConfig;
@@ -65,39 +63,77 @@ std::optional<EngineKind> engine_from_string(std::string_view name);
 /// the accepted values when `flag` is not an engine name.
 EngineKind parse_engine_flag(std::string_view flag);
 
+namespace bc {
+
+/// Process-wide observability state a Session applies on construction and
+/// restores on destruction. Defaults are all-off: a default Session runs
+/// exactly like a bare DynamicBc (metrics are always on - they are the
+/// system's counters, not a toggle).
+struct Runtime {
+  /// trace::tracer(): host spans + modeled device timelines.
+  bool tracing = false;
+  /// sim::hazards(): shadow-memory hazard detection on every launch.
+  bool hazard_detection = false;
+  /// Hazard strict mode: throw sim::HazardError on the first violation
+  /// (implies nothing unless hazard_detection is on).
+  bool strict_hazards = false;
+  /// trace::telemetry(): windowed stream-latency aggregation. When turned
+  /// on, `telemetry_config` replaces the registry's configuration.
+  bool telemetry = false;
+  trace::TelemetryConfig telemetry_config;
+  /// sim::faults(): deterministic fault injection on the simulated runtime
+  /// (gpusim/fault_injector.hpp). When turned on, `fault_plan` replaces
+  /// the injector's plan. The analytic reacts through Options::recovery.
+  bool fault_injection = false;
+  sim::FaultPlan fault_plan;
+};
+
+/// Everything configurable about the analytic and its front door, in one
+/// aggregate. DynamicBc reads every field but `runtime`, which only
+/// Session applies.
+struct Options {
+  EngineKind engine = EngineKind::kCpu;
+  ApproxConfig approx;  // source sampling (paper §II.B)
+  sim::DeviceSpec device_spec = sim::DeviceSpec::tesla_c2075();
+  /// GPU engines only: shard per-source jobs across this many simulated
+  /// devices with cross-device work stealing. 1 = the single-device
+  /// engines; scores are bit-identical either way.
+  int num_devices = 1;
+  ShardPolicy shard_policy = ShardPolicy::kRoundRobin;
+  /// Turns on the simulator's per-address atomic conflict accounting
+  /// (observability only - it feeds the sim.atomic_conflicts.* metrics
+  /// and the bcdyn_trace report, never the modeled results).
+  bool track_atomic_conflicts = false;
+  /// Default BatchConfig::recompute_threshold for insert_edge_batch and
+  /// insert_edge_batches calls that do not pass an explicit config.
+  double batch_recompute_threshold = 0.25;
+  /// kGpuAdaptive only: the parallelism policy's configuration (probe
+  /// seed, forced-mode override, exploration rate). Ignored by the
+  /// fixed engines.
+  AdaptiveConfig adaptive;
+  /// Reaction to injected runtime faults (bc/recovery.hpp): bounded
+  /// retries with deterministic modeled backoff, then an optional
+  /// static-recompute fallback. Irrelevant unless sim::faults() is
+  /// enabled (runtime.fault_injection; the CPU engine never faults - it
+  /// has no simulated runtime).
+  RecoveryPolicy recovery;
+
+  /// Default insert_edge_batches staging depth (1 = synchronous chain;
+  /// 2 = double buffering).
+  int pipeline_depth = 2;
+  /// Default for modeling the per-batch D2H score download in
+  /// insert_edge_batches.
+  bool download_scores = true;
+
+  Runtime runtime;
+};
+
+}  // namespace bc
+
 class DynamicBc {
  public:
-  /// Everything configurable about the analytic, in one aggregate.
-  struct Options {
-    EngineKind engine = EngineKind::kCpu;
-    ApproxConfig approx;  // source sampling (paper §II.B)
-    sim::DeviceSpec device_spec = sim::DeviceSpec::tesla_c2075();
-    /// GPU engines only: shard per-source jobs across this many simulated
-    /// devices with cross-device work stealing. 1 = the single-device
-    /// engines; scores are bit-identical either way.
-    int num_devices = 1;
-    ShardPolicy shard_policy = ShardPolicy::kRoundRobin;
-    /// Turns on the simulator's per-address atomic conflict accounting
-    /// (observability only - it feeds the sim.atomic_conflicts.* metrics
-    /// and the bcdyn_trace report, never the modeled results).
-    bool track_atomic_conflicts = false;
-    /// Default BatchConfig::recompute_threshold for insert_edge_batch
-    /// calls that do not pass an explicit config.
-    double batch_recompute_threshold = 0.25;
-    /// kGpuAdaptive only: the parallelism policy's configuration (probe
-    /// seed, forced-mode override, exploration rate). Ignored by the
-    /// fixed engines.
-    AdaptiveConfig adaptive;
-    /// Reaction to injected runtime faults (bc/recovery.hpp): bounded
-    /// retries with deterministic modeled backoff, then an optional
-    /// static-recompute fallback. Irrelevant unless sim::faults() is
-    /// enabled (the CPU engine never faults - it has no simulated
-    /// runtime).
-    RecoveryPolicy recovery;
-  };
-
   /// Copies `g`; the analytic patches its own copy as edges change.
-  DynamicBc(const CSRGraph& g, const Options& options);
+  DynamicBc(const CSRGraph& g, const bc::Options& options);
 
   /// Initial static computation (fills the per-source store and scores).
   /// Must be called (once) before insert_edge. Returns the modeled seconds
@@ -136,6 +172,10 @@ class DynamicBc {
   PipelineResult insert_edge_batches(
       std::span<const std::vector<std::pair<VertexId, VertexId>>> batches,
       const PipelineConfig& config);
+  /// Same, with Options::pipeline_depth, download_scores and
+  /// batch_recompute_threshold as the config.
+  PipelineResult insert_edge_batches(
+      std::span<const std::vector<std::pair<VertexId, VertexId>>> batches);
 
   /// Remove an edge and incrementally update the analytic (same-level
   /// removals are free, adjacent-level ones run Case 2, distance-growing
@@ -149,7 +189,7 @@ class DynamicBc {
   const CSRGraph& graph() const { return csr_; }
   bool computed() const { return computed_; }
   EngineKind engine() const { return options_.engine; }
-  const Options& options() const { return options_; }
+  const bc::Options& options() const { return options_; }
   /// Simulated devices the GPU engines run on (1 for the CPU engine).
   int num_devices() const;
   /// The adaptive parallelism policy (kGpuAdaptive only; null otherwise).
@@ -212,7 +252,7 @@ class DynamicBc {
 
   CSRGraph csr_;
   BcStore store_;
-  Options options_;
+  bc::Options options_;
   bool computed_ = false;
 
   std::unique_ptr<DynamicCpuEngine> cpu_engine_;

@@ -200,4 +200,14 @@ PipelineResult DynamicBc::insert_edge_batches(
   return res;
 }
 
+PipelineResult DynamicBc::insert_edge_batches(
+    std::span<const std::vector<std::pair<VertexId, VertexId>>> batches) {
+  return insert_edge_batches(
+      batches,
+      PipelineConfig{.depth = options().pipeline_depth,
+                     .batch = {.recompute_threshold =
+                                   options().batch_recompute_threshold},
+                     .download_scores = options().download_scores});
+}
+
 }  // namespace bcdyn

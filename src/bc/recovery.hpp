@@ -14,6 +14,7 @@
 // index +1 - the whole recovery trajectory replays byte-identically.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "gpusim/fault_injector.hpp"
@@ -21,9 +22,8 @@
 
 namespace bcdyn {
 
-/// Knobs for the bc layer's reaction to sim::FaultError (bc::Options and
-/// DynamicBc::Options carry one). All recovery is deterministic; see the
-/// file comment.
+/// Knobs for the bc layer's reaction to sim::FaultError (bc::Options
+/// carries one). All recovery is deterministic; see the file comment.
 struct RecoveryPolicy {
   /// Re-issues of a faulted engine pass before giving up on it. Each retry
   /// charges `backoff_cycles * 2^attempt` modeled cycles to the devices.
@@ -69,8 +69,8 @@ void retry_faults(const char* what, const RecoveryPolicy& policy,
       }
       note_fault(what, error, "retry", devices);
       trace::metrics().add("bc.fault.retries.count");
-      const double wait =
-          policy.backoff_cycles * static_cast<double>(1 << tries);
+      // ldexp, not an int shift: 1 << tries overflows at 31 retries.
+      const double wait = std::ldexp(policy.backoff_cycles, tries);
       trace::metrics().observe("bc.fault.backoff_cycles", wait);
       backoff(wait);
     }

@@ -1,6 +1,7 @@
 #include "bc/service.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -16,6 +17,17 @@ namespace {
 std::string client_key(int client_id, const char* what) {
   return "bc.service.client." + std::to_string(client_id) + "." + what +
          ".count";
+}
+
+/// Rejects a ServiceConfig time that is negative, NaN or infinite: a
+/// negative cost completes work before it starts, and an infinite window
+/// commits at t = inf and pins every later read to the first epoch.
+void check_seconds(double value, const char* field) {
+  if (!std::isfinite(value) || value < 0.0) {
+    throw std::invalid_argument(std::string("ServiceConfig::") + field +
+                                " must be finite and >= 0 (got " +
+                                std::to_string(value) + ")");
+  }
 }
 
 }  // namespace
@@ -64,6 +76,9 @@ Service::Service(const CSRGraph& g, const Options& options,
     : session_(g, options),
       config_(config),
       snapshots_(config.snapshot_retain) {
+  check_seconds(config_.coalesce_window_seconds, "coalesce_window_seconds");
+  check_seconds(config_.read_cost_seconds, "read_cost_seconds");
+  check_seconds(config_.commit_cost_seconds, "commit_cost_seconds");
   if (config_.coalesce_depth < 1) config_.coalesce_depth = 1;
   if (config_.queue_depth < 1) config_.queue_depth = 1;
 }
@@ -79,6 +94,15 @@ void Service::start() {
 }
 
 std::vector<Response> Service::run(std::vector<Request> requests) {
+  // A NaN arrival would break the sort's strict weak ordering.
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (!std::isfinite(requests[i].arrival_time)) {
+      throw std::invalid_argument(
+          "Request::arrival_time must be finite (request " +
+          std::to_string(i) + " has " +
+          std::to_string(requests[i].arrival_time) + ")");
+    }
+  }
   start();
   std::stable_sort(requests.begin(), requests.end(),
                    [](const Request& a, const Request& b) {

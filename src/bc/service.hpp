@@ -68,7 +68,8 @@ struct Request {
   int client_id = 0;
   /// Virtual arrival time in modeled seconds. run() stable-sorts by
   /// arrival, and arrivals earlier than anything already processed clamp
-  /// forward (the virtual clock never runs backwards).
+  /// forward (the virtual clock never runs backwards). Must be finite:
+  /// run() rejects NaN and infinities with std::invalid_argument.
   double arrival_time = 0.0;
   RequestKind kind = RequestKind::kRead;
   /// Read: the queried vertex (kNoVertex = no score lookup, epoch-only).
@@ -160,7 +161,8 @@ class Service {
  public:
   /// Owns a Session over `g` (applying options.runtime exactly as a bare
   /// Session would). The static pass runs on first use and publishes
-  /// epoch 0 at virtual time 0.
+  /// epoch 0 at virtual time 0. Throws std::invalid_argument naming the
+  /// field when a ServiceConfig time is negative or not finite.
   Service(const CSRGraph& g, const Options& options,
           const ServiceConfig& config = {});
 

@@ -8,29 +8,12 @@
 
 namespace bcdyn::bc {
 
-DynamicBc::Options Options::analytic_options() const {
-  return DynamicBc::Options{
-      .engine = engine,
-      .approx = approx,
-      .device_spec = device_spec,
-      .num_devices = num_devices,
-      .shard_policy = shard_policy,
-      .track_atomic_conflicts = track_atomic_conflicts,
-      .batch_recompute_threshold = batch_recompute_threshold,
-      .adaptive = adaptive,
-      .recovery = recovery,
-  };
-}
-
-Session::Session(const CSRGraph& g, const Options& options)
-    : options_(options) {
-  saved_.tracing = trace::tracer().enabled();
-  saved_.hazards = sim::hazards().enabled();
-  saved_.strict = sim::hazards().strict();
-  saved_.telemetry = trace::telemetry().enabled();
-  saved_.faults = sim::faults().enabled();
-
-  const Runtime& rt = options.runtime;
+RuntimeScope::RuntimeScope(const Runtime& rt)
+    : tracing_(trace::tracer().enabled()),
+      hazards_(sim::hazards().enabled()),
+      strict_(sim::hazards().strict()),
+      telemetry_(trace::telemetry().enabled()),
+      faults_(sim::faults().enabled()) {
   trace::tracer().set_enabled(rt.tracing);
   sim::hazards().set_enabled(rt.hazard_detection);
   sim::hazards().set_strict(rt.strict_hazards);
@@ -38,38 +21,20 @@ Session::Session(const CSRGraph& g, const Options& options)
   trace::telemetry().set_enabled(rt.telemetry);
   if (rt.fault_injection) sim::faults().configure(rt.fault_plan);
   sim::faults().set_enabled(rt.fault_injection);
-
-  try {
-    bc_ = std::make_unique<DynamicBc>(g, options.analytic_options());
-  } catch (...) {
-    restore_runtime();
-    throw;
-  }
 }
 
-Session::~Session() { restore_runtime(); }
-
-void Session::restore_runtime() {
-  trace::tracer().set_enabled(saved_.tracing);
-  sim::hazards().set_enabled(saved_.hazards);
-  sim::hazards().set_strict(saved_.strict);
+RuntimeScope::~RuntimeScope() {
+  trace::tracer().set_enabled(tracing_);
+  sim::hazards().set_enabled(hazards_);
+  sim::hazards().set_strict(strict_);
   // The telemetry *configuration* is deliberately not restored:
   // StreamTelemetry::configure clears the accumulated windows, and callers
   // read snapshots/exposition after the session ends. Any later session
   // that enables telemetry installs its own configuration first.
-  trace::telemetry().set_enabled(saved_.telemetry);
+  trace::telemetry().set_enabled(telemetry_);
   // Same deal for the fault plan: only the enable toggle is restored, so
   // the injector's record of what fired stays readable after the session.
-  sim::faults().set_enabled(saved_.faults);
-}
-
-PipelineResult Session::insert_edge_batches(
-    std::span<const std::vector<std::pair<VertexId, VertexId>>> batches) {
-  return bc_->insert_edge_batches(
-      batches, PipelineConfig{.depth = options_.pipeline_depth,
-                              .batch = {.recompute_threshold =
-                                            options_.batch_recompute_threshold},
-                              .download_scores = options_.download_scores});
+  sim::faults().set_enabled(faults_);
 }
 
 std::string Session::report() const {

@@ -39,7 +39,7 @@ struct RunResult {
 /// then removals of the first inserted edges. Exercises every launch kind
 /// the policy plans (static, case 2/3 inserts, batch, adjacent and
 /// distance-growing removals).
-RunResult run_workload(const CSRGraph& g, const DynamicBc::Options& opts,
+RunResult run_workload(const CSRGraph& g, const bc::Options& opts,
                        std::uint64_t stream_seed = 99,
                        std::vector<DecisionRecord> replay_log = {},
                        bool replay = false) {
@@ -85,7 +85,7 @@ void expect_bit_identical(const RunResult& a, const RunResult& b,
   }
 }
 
-DynamicBc::Options adaptive_options(AdaptiveConfig cfg = {}) {
+bc::Options adaptive_options(AdaptiveConfig cfg = {}) {
   return {.engine = EngineKind::kGpuAdaptive,
           .approx = {.num_sources = 12, .seed = 5},
           .adaptive = cfg};

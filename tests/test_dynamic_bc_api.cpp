@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <iterator>
 #include <limits>
 #include <set>
@@ -13,7 +14,10 @@
 #include "bc/dynamic_bc.hpp"
 #include "bc/session.hpp"
 #include "gen/generators.hpp"
+#include "gpusim/fault_injector.hpp"
+#include "gpusim/hazard_detector.hpp"
 #include "test_helpers.hpp"
+#include "trace/telemetry.hpp"
 #include "trace/trace.hpp"
 
 namespace bcdyn {
@@ -59,8 +63,8 @@ TEST(DynamicBcApi, AllThreeEnginesAgree) {
   for (EngineKind kind :
        {EngineKind::kCpu, EngineKind::kGpuEdge, EngineKind::kGpuNode}) {
     analytics.push_back(std::make_unique<DynamicBc>(
-        g, DynamicBc::Options{.engine = kind,
-                              .approx = {.num_sources = 10, .seed = 3}}));
+        g, bc::Options{.engine = kind,
+                       .approx = {.num_sources = 10, .seed = 3}}));
     analytics.back()->compute();
   }
   BCDYN_SEEDED_RNG(rng, 77);
@@ -205,8 +209,8 @@ TEST(DynamicBcApi, UpdateOutcomeDefaultsAreEmpty) {
 }
 
 TEST(DynamicBcApi, SessionMatchesBareAnalytic) {
-  // The bc::Session facade wraps a DynamicBc without changing its results:
-  // same engine, same config -> bit-identical scores.
+  // bc::Session is a DynamicBc plus the runtime wiring, which does not
+  // change its results: same engine, same config -> bit-identical scores.
   const auto g = test::gnp_graph(30, 0.1, 17);
   bc::Session session(g, {.engine = EngineKind::kGpuEdge,
                           .approx = {.num_sources = 8, .seed = 2}});
@@ -223,8 +227,6 @@ TEST(DynamicBcApi, SessionMatchesBareAnalytic) {
   for (std::size_t i = 0; i < session.scores().size(); ++i) {
     EXPECT_EQ(session.scores()[i], bare.scores()[i]);
   }
-  // Session exposes the wrapped analytic for surface it does not forward.
-  EXPECT_EQ(&session.analytic().graph(), &session.graph());
 }
 
 TEST(DynamicBcApi, FrontDoorGraphMatchesFromCooAfterEveryCall) {
@@ -363,13 +365,27 @@ TEST(DynamicBcApi, SessionRejectsMalformedDeviceSpec) {
          s.clock_ghz = std::numeric_limits<double>::quiet_NaN();
        }},
   };
-  const bool tracing_before = trace::tracer().enabled();
+  // Every Runtime toggle is flipped, so each one's restore is checked.
+  const char* const toggle_names[] = {"tracing", "hazard_detection",
+                                      "strict_hazards", "telemetry",
+                                      "fault_injection"};
+  const auto toggles = [] {
+    return std::array<bool, 5>{
+        trace::tracer().enabled(), sim::hazards().enabled(),
+        sim::hazards().strict(), trace::telemetry().enabled(),
+        sim::faults().enabled()};
+  };
+  const std::array<bool, 5> before = toggles();
   for (int devices : {1, 2}) {
     for (const auto& c : cases) {
       bc::Options o{.engine = EngineKind::kGpuNode,
                     .approx = {.num_sources = 4, .seed = 1},
                     .num_devices = devices,
-                    .runtime = {.tracing = !tracing_before}};
+                    .runtime = {.tracing = !before[0],
+                                .hazard_detection = !before[1],
+                                .strict_hazards = !before[2],
+                                .telemetry = !before[3],
+                                .fault_injection = !before[4]}};
       c.corrupt(o.device_spec);
       const std::string where =
           std::string(c.field) + " devices=" + std::to_string(devices);
@@ -382,7 +398,10 @@ TEST(DynamicBcApi, SessionRejectsMalformedDeviceSpec) {
         EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
             << where << ": " << e.what();
       }
-      EXPECT_EQ(trace::tracer().enabled(), tracing_before) << where;
+      const std::array<bool, 5> after = toggles();
+      for (std::size_t t = 0; t < after.size(); ++t) {
+        EXPECT_EQ(after[t], before[t]) << where << ": " << toggle_names[t];
+      }
     }
   }
 }

@@ -15,6 +15,7 @@
 //   * the suite runs under ASan/UBSan via the `asan-chaos` preset.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <sstream>
@@ -26,6 +27,7 @@
 #include "bc/dynamic_bc.hpp"
 #include "bc/pipeline.hpp"
 #include "bc/recovery.hpp"
+#include "bc/session.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/device_group.hpp"
 #include "gpusim/device_spec.hpp"
@@ -294,8 +296,8 @@ TEST(FaultSites, AllDevicesLostThrows) {
 
 // --- recovery error paths -------------------------------------------------
 
-DynamicBc::Options gpu_options(int devices, const RecoveryPolicy& recovery) {
-  DynamicBc::Options opt;
+bc::Options gpu_options(int devices, const RecoveryPolicy& recovery) {
+  bc::Options opt;
   opt.engine = EngineKind::kGpuEdge;
   opt.approx = {.num_sources = 12, .seed = 5};
   opt.num_devices = devices;
@@ -366,6 +368,24 @@ TEST(Recovery, FaultedFallbackPropagates) {
       trace::metrics().counter_value("bc.fault.fallback_recompute.count"), 1u);
 }
 
+TEST(Recovery, LongRetryBudgetKeepsBackoffFiniteAndPositive) {
+  // The backoff doubles per attempt past 31 retries, where an int shift
+  // would overflow (a negative wait at 31, undefined behaviour beyond).
+  const CSRGraph g = test::gnp_graph(40, 0.12, 7);
+  bc::Options opt = gpu_options(1, {.max_retries = 40});
+  opt.runtime = {.fault_injection = true,
+                 .fault_plan = {.seed = 17, .kernel_abort_rate = 1.0}};
+  trace::metrics().reset();
+  bc::Session session(g, opt);
+  EXPECT_THROW(session.compute(), sim::FaultError);
+  const trace::HistogramSnapshot waits =
+      trace::metrics().histogram("bc.fault.backoff_cycles");
+  EXPECT_EQ(waits.count, 40u);
+  EXPECT_GT(waits.min, 0.0);
+  EXPECT_TRUE(std::isfinite(waits.sum));
+  EXPECT_EQ(waits.max, std::ldexp(opt.recovery.backoff_cycles, 39));
+}
+
 // --- recovered scores: bit-identical to the fault-free reference ----------
 
 struct ChaosCase {
@@ -416,7 +436,7 @@ TEST_P(ChaosSoak, RecoveredScoresBitIdenticalToFaultFree) {
   const CSRGraph g = test::gnp_graph(64, 0.1, 13);
   const RecoveryPolicy recovery{.max_retries = 10,
                                 .fallback_recompute = false};
-  DynamicBc::Options opt;
+  bc::Options opt;
   opt.engine = param.engine;
   opt.approx = {.num_sources = 16, .seed = 5};
   opt.num_devices = param.devices;
@@ -523,7 +543,7 @@ TEST_P(LaunchNames, LaunchNamesAndFaultSitesArePinned) {
       "batch." + mode};
   const CSRGraph g = test::gnp_graph(40, 0.12, 7);
   const LaunchStream stream(g);
-  DynamicBc::Options opt = gpu_options(
+  bc::Options opt = gpu_options(
       param.devices, {.max_retries = 0, .fallback_recompute = false});
   opt.engine = param.engine;
   opt.approx = {.num_sources = 32, .seed = 5};
@@ -591,7 +611,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ChaosPipeline, TransferFaultsRecoverBitIdentically) {
   const CSRGraph g = test::gnp_graph(64, 0.1, 13);
-  DynamicBc::Options opt = gpu_options(2, {.max_retries = 8});
+  bc::Options opt = gpu_options(2, {.max_retries = 8});
   const auto make_batches = [&] {
     util::Rng rng(31);
     std::vector<std::vector<std::pair<VertexId, VertexId>>> batches(4);

@@ -16,8 +16,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -610,6 +612,69 @@ TEST(UpdateOutcomeAbsorb, SumsCountsAndTakesMaxEpoch) {
   EXPECT_DOUBLE_EQ(a.modeled_seconds, 0.75);
   EXPECT_EQ(a.epoch, 6u);
   EXPECT_EQ(a.coalesced_updates, 3);
+}
+
+// --- input validation -----------------------------------------------------
+
+const double kBadSeconds[] = {-1.0, std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()};
+
+/// Runs `call`, expecting std::invalid_argument whose message names `field`.
+template <typename Call>
+void expect_rejected(Call&& call, const std::string& field, double value) {
+  try {
+    call();
+    ADD_FAILURE() << field << "=" << value << ": no exception";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << field << "=" << value << ": " << e.what();
+  }
+}
+
+/// Builds a Service whose config has `field` set to each bad value.
+void expect_config_rejected(double ServiceConfig::*field,
+                            const std::string& name) {
+  const CSRGraph g = test::gnp_graph(12, 0.3, 3);
+  for (double bad : kBadSeconds) {
+    ServiceConfig config;
+    config.*field = bad;
+    expect_rejected(
+        [&] { Service service(g, gpu_options(), config); }, name, bad);
+  }
+}
+
+TEST(ServiceValidation, RejectsBadCoalesceWindow) {
+  expect_config_rejected(&ServiceConfig::coalesce_window_seconds,
+                         "coalesce_window_seconds");
+}
+
+TEST(ServiceValidation, RejectsBadReadCost) {
+  expect_config_rejected(&ServiceConfig::read_cost_seconds,
+                         "read_cost_seconds");
+}
+
+TEST(ServiceValidation, RejectsBadCommitCost) {
+  expect_config_rejected(&ServiceConfig::commit_cost_seconds,
+                         "commit_cost_seconds");
+}
+
+TEST(ServiceValidation, RejectsNonFiniteArrivalTime) {
+  const CSRGraph g = test::gnp_graph(12, 0.3, 3);
+  Service service(g, gpu_options());
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    std::vector<Request> stream = {
+        {.arrival_time = 1e-6, .kind = RequestKind::kRead, .u = 0},
+        {.arrival_time = bad, .kind = RequestKind::kRead, .u = 1}};
+    expect_rejected([&] { service.run(std::move(stream)); }, "arrival_time",
+                    bad);
+  }
+  // A rejected stream admits nothing; the service stays usable.
+  const auto responses = service.run(
+      {{.arrival_time = 1e-6, .kind = RequestKind::kRead, .u = 0}});
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(service.stats().requests, 1u);
 }
 
 // --- CLI flags ------------------------------------------------------------

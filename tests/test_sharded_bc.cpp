@@ -246,9 +246,9 @@ TEST(ShardedBc, DynamicBcScoresBitIdenticalAcrossShardedDeviceCounts) {
   std::vector<std::unique_ptr<DynamicBc>> analytics;
   for (const int devices : {2, 4}) {
     analytics.push_back(std::make_unique<DynamicBc>(
-        g, DynamicBc::Options{.engine = EngineKind::kGpuEdge,
-                              .approx = {.num_sources = 10, .seed = 8},
-                              .num_devices = devices}));
+        g, bc::Options{.engine = EngineKind::kGpuEdge,
+                       .approx = {.num_sources = 10, .seed = 8},
+                       .num_devices = devices}));
     analytics.back()->compute();
   }
   BCDYN_SEEDED_RNG(rng, 83);

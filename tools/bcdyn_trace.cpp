@@ -141,10 +141,7 @@ int run_scenario(const Options& opt, const bc::Runtime& runtime,
       }
       applied += session.insert_edge_batches(batches).total.inserted;
     } else {
-      applied += session.analytic()
-                     .insert_edge_batch(edges, BatchConfig{.recompute_threshold =
-                                                               opt.threshold})
-                     .inserted;
+      applied += session.insert_edge_batch(edges).inserted;
     }
   }
   if (decisions != nullptr && session.policy() != nullptr) {
