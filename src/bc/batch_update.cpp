@@ -144,7 +144,7 @@ GpuBatchResult DynamicGpuBc::insert_edge_batch(const BatchSnapshots& batch,
   GpuBatchResult result;
   result.outcomes.resize(static_cast<std::size_t>(k));
   if (batch.empty() || k == 0) return result;
-  for (auto& ws : workspaces_) ws.ensure(batch.final_graph().num_vertices());
+  ws_.ensure(batch.final_graph().num_vertices());
 
   // Queue order: provisional batch weight per source, heaviest first (the
   // host-side sort a driver performs before enqueueing jobs; it changes
@@ -175,13 +175,11 @@ GpuBatchResult DynamicGpuBc::insert_edge_batch(const BatchSnapshots& batch,
       k,
       [&](sim::BlockContext& ctx, int job) {
         const int si = order[static_cast<std::size_t>(job)];
-        GpuWorkspace& ws =
-            workspaces_[static_cast<std::size_t>(ctx.block_id())];
         std::vector<VertexId> bfs_order;
         std::vector<std::size_t> level_offsets;
         launch.run(ctx, si, [&](Parallelism m) {
           result.outcomes[static_cast<std::size_t>(si)] =
-              detail::gpu_source_batch(ctx, ws, m, batch, config, store, si,
+              detail::gpu_source_batch(ctx, ws_, m, batch, config, store, si,
                                        bfs_order, level_offsets);
         });
       },

@@ -1,6 +1,7 @@
 #include "bc/dynamic_gpu.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "bc/adaptive_policy.hpp"
 #include "bc/static_kernels.hpp"
@@ -35,6 +36,61 @@ struct Rows {
   std::span<Sigma> sigma;
   std::span<double> delta;
 };
+
+// ---------------------------------------------------------------------------
+// Live sets of the edge-parallel sweeps. The model charges every arc (or
+// vertex) of a sweep; the host runs only the items that can get past the
+// body's first test (BlockContext::parallel_for_live): the vertices of one
+// level, the rows of those vertices when the test reads an arc's source,
+// or the arcs into them when it reads the head. Each sweep's set is taken
+// before the sweep starts. d_new differs from d only at moved vertices, so
+// a d_new level is the level's bucket in ws.levels, less the vertices that
+// moved away, plus the arrivals on ws.moved_list.
+// ---------------------------------------------------------------------------
+
+constexpr auto any_vertex = [](VertexId) { return true; };
+
+/// Appends the vertices with d_new == `level` that pass `keep` to ws.live,
+/// in ascending order.
+template <typename Keep>
+void append_d_new_level(GpuWorkspace& ws, std::span<const Dist> d, Dist level,
+                        Keep keep) {
+  const auto stays = [&](VertexId v) {
+    return ws.d_new[static_cast<std::size_t>(v)] == level && keep(v);
+  };
+  const auto begin = static_cast<std::ptrdiff_t>(ws.live.size());
+  for (const VertexId v : ws.levels.level(level)) {
+    if (stays(v)) ws.live.push_back(v);
+  }
+  const auto mid = static_cast<std::ptrdiff_t>(ws.live.size());
+  for (const VertexId v : ws.moved_list) {
+    if (stays(v) && d[static_cast<std::size_t>(v)] != level) {
+      ws.live.push_back(v);
+    }
+  }
+  std::sort(ws.live.begin() + mid, ws.live.end());
+  std::inplace_merge(ws.live.begin() + begin, ws.live.begin() + mid,
+                     ws.live.end());
+}
+
+/// Fills ws.live_arcs with every arc into a vertex of `heads`, ascending:
+/// each is found by a binary search in its source's sorted row, and
+/// ws.arc_bits puts them in order.
+void arcs_into(const CSRGraph& g, std::span<const VertexId> heads,
+               GpuWorkspace& ws) {
+  const auto rows = g.row_offsets();
+  ws.arc_bits.resize(static_cast<std::size_t>(g.num_arcs()));
+  for (const VertexId w : heads) {
+    for (const VertexId x : g.neighbors(w)) {
+      const auto row = g.neighbors(x);
+      const auto slot = std::lower_bound(row.begin(), row.end(), w);
+      ws.arc_bits.insert(static_cast<std::size_t>(
+          rows[static_cast<std::size_t>(x)] + (slot - row.begin())));
+    }
+  }
+  ws.live_arcs.clear();
+  ws.arc_bits.drain(ws.live_arcs);
+}
 
 /// Algorithm 3: parallel initialization of the block-local update state.
 /// `case3` additionally snapshots distances and clears the moved/reset maps.
@@ -125,6 +181,7 @@ void edge_case2(BlockContext& ctx, const CSRGraph& g, const Rows& rows,
   const auto dst = g.arc_dst();
   const auto num_arcs = static_cast<std::size_t>(g.num_arcs());
   const auto d = rows.d;
+  ws.levels.build(d);  // Case 2 keeps every distance
 
   // Algorithm 4: level-synchronous sigma-hat propagation; every level scans
   // the entire arc list. Note this touches whole BFS levels below u_low
@@ -135,7 +192,8 @@ void edge_case2(BlockContext& ctx, const CSRGraph& g, const Rows& rows,
   bool done = false;
   while (!done) {
     done = true;
-    ctx.parallel_for(num_arcs, [&](std::size_t a) {
+    const auto live = detail::row_ranges(g, ws.levels.level(depth));
+    ctx.parallel_for_live(num_arcs, live, [&](std::size_t a) {
       ctx.charge_instr(2);
       const auto v = static_cast<std::size_t>(src[a]);
       const auto w = static_cast<std::size_t>(dst[a]);
@@ -166,7 +224,8 @@ void edge_case2(BlockContext& ctx, const CSRGraph& g, const Rows& rows,
   // Algorithm 6 (with the Brandes roles made explicit: arc (c, p) with c at
   // `dep` contributing to its predecessor p at dep-1).
   for (Dist dep = last_touch_depth; dep >= 1; --dep) {
-    ctx.parallel_for(num_arcs, [&](std::size_t a) {
+    const auto live = detail::row_ranges(g, ws.levels.level(dep));
+    ctx.parallel_for_live(num_arcs, live, [&](std::size_t a) {
       ctx.charge_instr(2);
       const auto c = static_cast<std::size_t>(src[a]);
       const auto p = static_cast<std::size_t>(dst[a]);
@@ -348,7 +407,7 @@ void node_case2(BlockContext& ctx, const CSRGraph& g, const Rows& rows,
 // ---------------------------------------------------------------------------
 
 /// Marks w an orphan: new distance unknown (infinity until relevelled),
-/// paths and dependency rebuilt from scratch.
+/// paths and dependency rebuilt from scratch. Appends it to ws.moved_list.
 void mark_orphan(BlockContext& ctx, GpuWorkspace& ws, std::size_t w) {
   ctx.charge_write(ws.moved, w);
   ctx.charge_write(ws.t, w);
@@ -360,6 +419,7 @@ void mark_orphan(BlockContext& ctx, GpuWorkspace& ws, std::size_t w) {
   ws.d_new[w] = kInfDist;
   ws.sigma_hat[w] = 0.0;
   ws.reset[w] = 1;
+  ws.moved_list.push_back(static_cast<VertexId>(w));
 }
 
 /// Node-parallel Phase 0. Leaves ws.moved_list holding every orphan,
@@ -374,7 +434,6 @@ void node_removal_phase0(BlockContext& ctx, const CSRGraph& g,
   ws.premarked.clear();
   ws.q.clear();
   mark_orphan(ctx, ws, lo);
-  ws.moved_list.push_back(u_low);
   ws.q.push_back(u_low);
 
   // Detection, one old level per step: q holds the previous level's
@@ -426,7 +485,6 @@ void node_removal_phase0(BlockContext& ctx, const CSRGraph& g,
         return;
       }
       mark_orphan(ctx, ws, w);
-      ws.moved_list.push_back(ws.q2[i]);
       ws.qq.push_back(ws.q2[i]);
     });
     ws.q.swap(ws.qq);
@@ -555,6 +613,9 @@ void node_removal_phase0(BlockContext& ctx, const CSRGraph& g,
 ///              sums its new parents from zero, any other vertex adds each
 ///              changed parent's increment, drops a parent that moved away
 ///              and is marked kDown when its sigma moves.
+/// The arc sweep's first test reads the head's d_new, so its live arcs are
+/// those into the heads at new level l - 1, at l while detecting, and at
+/// infinity (orphans not placed yet, and vertices never reached).
 /// Returns the deepest level that holds a touched vertex.
 Dist edge_removal_sweeps(BlockContext& ctx, const CSRGraph& g,
                          const Rows& rows, GpuWorkspace& ws, VertexId u_low) {
@@ -571,7 +632,13 @@ Dist edge_removal_sweeps(BlockContext& ctx, const CSRGraph& g,
     bool placed = false;   // relevel placed an orphan at level l
     bool kept = false;     // detection marked a child that kept a parent
     bool changed = false;  // sigma moved at level l-1
-    ctx.parallel_for(num_arcs, [&](std::size_t a) {
+    ws.live.clear();
+    append_d_new_level(ws, d, level - 1, any_vertex);
+    if (detecting) append_d_new_level(ws, d, level, any_vertex);
+    append_d_new_level(ws, d, kInfDist, any_vertex);
+    arcs_into(g, ws.live, ws);
+    const auto live = detail::item_ranges<EdgeId>(ws.live_arcs);
+    ctx.parallel_for_live(num_arcs, live, [&](std::size_t a) {
       ctx.charge_instr(2);
       const auto x = static_cast<std::size_t>(src[a]);
       const auto w = static_cast<std::size_t>(dst[a]);
@@ -639,7 +706,8 @@ Dist edge_removal_sweeps(BlockContext& ctx, const CSRGraph& g,
     });
     if (detecting) {
       bool found = false;
-      ctx.parallel_for(n, [&](std::size_t v) {
+      const auto live = detail::item_ranges(ws.levels.level(level));
+      ctx.parallel_for_live(n, live, [&](std::size_t v) {
         ctx.charge_instr(1);
         ctx.charge_read(d, v);
         if (d[v] != level) return;
@@ -965,6 +1033,10 @@ void edge_case3(BlockContext& ctx, const CSRGraph& g, const Rows& rows,
   const auto d = rows.d;
   const auto lo = static_cast<std::size_t>(u_low);
   ws.moved_list.clear();
+  ws.levels.build(d);
+  const auto touched = [&](VertexId v) {
+    return ws.t[static_cast<std::size_t>(v)] != kUntouched;
+  };
 
   Dist max_depth = 0;
   if (removal) {
@@ -984,8 +1056,14 @@ void edge_case3(BlockContext& ctx, const CSRGraph& g, const Rows& rows,
   }
   while (progress) {
     progress = false;
+    // The touched vertices at this level: the live items of E1 and E3a,
+    // the heads of E2's live arcs and the rows of E3b's.
+    ws.live.clear();
+    append_d_new_level(ws, d, level, touched);
+    const std::span<const VertexId> frontier = ws.live;
+    const auto frontier_items = detail::item_ranges(frontier);
     // E1: zero sigma-hat of touched vertices at this level.
-    ctx.parallel_for(n, [&](std::size_t v) {
+    ctx.parallel_for_live(n, frontier_items, [&](std::size_t v) {
       ctx.charge_instr(1);
       ctx.charge_read(ws.t, v);
       ctx.charge_read(ws.d_new, v);
@@ -995,7 +1073,9 @@ void edge_case3(BlockContext& ctx, const CSRGraph& g, const Rows& rows,
       }
     });
     // E2: accumulate sigma from parents over the whole arc list.
-    ctx.parallel_for(num_arcs, [&](std::size_t a) {
+    arcs_into(g, frontier, ws);
+    const auto into_frontier = detail::item_ranges<EdgeId>(ws.live_arcs);
+    ctx.parallel_for_live(num_arcs, into_frontier, [&](std::size_t a) {
       ctx.charge_instr(2);
       const auto x = static_cast<std::size_t>(src[a]);
       const auto w = static_cast<std::size_t>(dst[a]);
@@ -1010,7 +1090,7 @@ void edge_case3(BlockContext& ctx, const CSRGraph& g, const Rows& rows,
       ws.sigma_hat[w] += ws.sigma_hat[x];
     });
     // E3a: classify RESET at this level.
-    ctx.parallel_for(n, [&](std::size_t v) {
+    ctx.parallel_for_live(n, frontier_items, [&](std::size_t v) {
       ctx.charge_instr(1);
       ctx.charge_read(ws.t, v);
       ctx.charge_read(ws.d_new, v);
@@ -1027,7 +1107,8 @@ void edge_case3(BlockContext& ctx, const CSRGraph& g, const Rows& rows,
     // endpoints while sibling arcs pull shared far neighbors - the benign
     // same-value races of the repair pre-pass (paper SIII.A generalized);
     // the moved-list append may also reallocate its storage mid-round.
-    ctx.parallel_for(num_arcs, [&](std::size_t a) {
+    const auto frontier_rows = detail::row_ranges(g, frontier);
+    ctx.parallel_for_live(num_arcs, frontier_rows, [&](std::size_t a) {
       ctx.charge_instr(2);
       const auto w = static_cast<std::size_t>(src[a]);
       const auto x = static_cast<std::size_t>(dst[a]);
@@ -1059,8 +1140,20 @@ void edge_case3(BlockContext& ctx, const CSRGraph& g, const Rows& rows,
   }
 
   // CARRY bases for phase-A touched vertices. A removal classifies RESET
-  // here, once, instead of per level.
-  ctx.parallel_for(n, [&](std::size_t v) {
+  // here, once, instead of per level. Its live items are the vertices
+  // phase A marked kDown: the moved ones, and the others at their levels
+  // in [level0, max_depth].
+  ws.live.clear();
+  for (Dist l = level0; l <= max_depth; ++l) {
+    for (const VertexId v : ws.levels.level(l)) {
+      const auto i = static_cast<std::size_t>(v);
+      if (ws.moved[i] == 0 && ws.t[i] == kDown) ws.live.push_back(v);
+    }
+  }
+  ws.live.insert(ws.live.end(), ws.moved_list.begin(), ws.moved_list.end());
+  std::sort(ws.live.begin(), ws.live.end());
+  const auto marked = detail::item_ranges<VertexId>(ws.live);
+  ctx.parallel_for_live(n, marked, [&](std::size_t v) {
     ctx.charge_instr(1);
     ctx.charge_read(ws.t, v);
     if (removal && ws.t[v] == kDown) {
@@ -1083,7 +1176,10 @@ void edge_case3(BlockContext& ctx, const CSRGraph& g, const Rows& rows,
     removal_prepass(ctx, ws, rows, u_high, u_low, false);
   } else {
     // Pre-pass over arcs: (w moved, x old-parent no longer parent).
-    ctx.parallel_for(num_arcs, [&](std::size_t a) {
+    ws.live.assign(ws.moved_list.begin(), ws.moved_list.end());
+    std::sort(ws.live.begin(), ws.live.end());
+    const auto moved_rows = detail::row_ranges(g, ws.live);
+    ctx.parallel_for_live(num_arcs, moved_rows, [&](std::size_t a) {
       ctx.charge_instr(3);
       const auto w = static_cast<std::size_t>(src[a]);
       const auto x = static_cast<std::size_t>(dst[a]);
@@ -1124,7 +1220,10 @@ void edge_case3(BlockContext& ctx, const CSRGraph& g, const Rows& rows,
 
   // Descending dependency repair over the whole arc list per level.
   for (Dist dep = max_depth; dep >= 1; --dep) {
-    ctx.parallel_for(num_arcs, [&](std::size_t a) {
+    ws.live.clear();
+    append_d_new_level(ws, d, dep, any_vertex);
+    const auto live = detail::row_ranges(g, ws.live);
+    ctx.parallel_for_live(num_arcs, live, [&](std::size_t a) {
       ctx.charge_instr(2);
       const auto c = static_cast<std::size_t>(src[a]);
       const auto p = static_cast<std::size_t>(dst[a]);
@@ -1327,6 +1426,66 @@ void gpu_recompute_source(sim::BlockContext& ctx, GpuWorkspace& ws,
 
 }  // namespace detail
 
+void LevelIndex::build(std::span<const Dist> d) {
+  Dist deepest = -1;
+  for (const Dist x : d) {
+    if (x != kInfDist) deepest = std::max(deepest, x);
+  }
+  // Buckets 0..deepest hold the levels, bucket deepest + 1 the unreachable.
+  const auto bucket = [&](Dist x) {
+    return static_cast<std::size_t>(x == kInfDist ? deepest + 1 : x);
+  };
+  starts.assign(static_cast<std::size_t>(deepest) + 3, 0);
+  for (const Dist x : d) ++starts[bucket(x) + 1];
+  for (std::size_t b = 1; b < starts.size(); ++b) starts[b] += starts[b - 1];
+  vertices.resize(d.size());
+  for (std::size_t v = 0; v < d.size(); ++v) {
+    vertices[static_cast<std::size_t>(starts[bucket(d[v])]++)] =
+        static_cast<VertexId>(v);
+  }
+  // Each bucket's cursor now sits at the next one's start: shift back.
+  for (std::size_t b = starts.size() - 1; b > 0; --b) starts[b] = starts[b - 1];
+  starts[0] = 0;
+}
+
+std::span<const VertexId> LevelIndex::level(Dist l) const {
+  if (starts.size() < 2) return {};
+  const std::size_t unreachable = starts.size() - 2;
+  std::size_t b = unreachable;
+  if (l != kInfDist) {
+    if (l < 0 || static_cast<std::size_t>(l) >= unreachable) return {};
+    b = static_cast<std::size_t>(l);
+  }
+  return std::span<const VertexId>(vertices).subspan(
+      static_cast<std::size_t>(starts[b]),
+      static_cast<std::size_t>(starts[b + 1] - starts[b]));
+}
+
+void ArcBitmap::resize(std::size_t arcs) {
+  words.resize((arcs + 63) / 64);
+  summary.resize((words.size() + 63) / 64);
+}
+
+void ArcBitmap::insert(std::size_t arc) {
+  words[arc / 64] |= std::uint64_t{1} << (arc % 64);
+  summary[arc / 4096] |= std::uint64_t{1} << (arc / 64 % 64);
+}
+
+void ArcBitmap::drain(std::vector<EdgeId>& out) {
+  for (std::size_t s = 0; s < summary.size(); ++s) {
+    for (std::uint64_t used = summary[s]; used != 0; used &= used - 1) {
+      const std::size_t w = s * 64 + static_cast<std::size_t>(
+                                         std::countr_zero(used));
+      for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+        out.push_back(static_cast<EdgeId>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+      }
+      words[w] = 0;
+    }
+    summary[s] = 0;
+  }
+}
+
 void GpuWorkspace::ensure(VertexId n) {
   const auto size = static_cast<std::size_t>(n);
   if (t.size() >= size) return;
@@ -1340,9 +1499,7 @@ void GpuWorkspace::ensure(VertexId n) {
 
 DynamicGpuBc::DynamicGpuBc(sim::DeviceSpec spec, Parallelism mode,
                            sim::CostModel cost, bool track_atomic_conflicts)
-    : device_(std::move(spec), cost, track_atomic_conflicts), mode_(mode) {
-  workspaces_.resize(static_cast<std::size_t>(device_.spec().num_sms));
-}
+    : device_(std::move(spec), cost, track_atomic_conflicts), mode_(mode) {}
 
 sim::KernelStats DynamicGpuBc::compute(const CSRGraph& g, BcStore& store,
                                        int num_blocks) {
@@ -1394,7 +1551,7 @@ GpuUpdateResult DynamicGpuBc::edge_update(SourceLaunchKind kind,
   const int k = store.num_sources();
   GpuUpdateResult result;
   result.outcomes.resize(static_cast<std::size_t>(k));
-  for (auto& ws : workspaces_) ws.ensure(g.num_vertices());
+  ws_.ensure(g.num_vertices());
   PlannedLaunch launch(kind, policy_, mode_, [&](ParallelismPolicy& p) {
     return removal ? p.plan_remove(g, store, u, v)
                    : p.plan_insert(g, store, u, v);
@@ -1402,12 +1559,10 @@ GpuUpdateResult DynamicGpuBc::edge_update(SourceLaunchKind kind,
   result.stats = device_.launch(
       num_blocks,
       [&, num_blocks](BlockContext& ctx) {
-        GpuWorkspace& ws =
-            workspaces_[static_cast<std::size_t>(ctx.block_id())];
         for (int si = ctx.block_id(); si < k; si += num_blocks) {
           launch.run(ctx, si, [&](Parallelism m) {
             result.outcomes[static_cast<std::size_t>(si)] = source_update(
-                ctx, ws, m, g, store.sources()[static_cast<std::size_t>(si)],
+                ctx, ws_, m, g, store.sources()[static_cast<std::size_t>(si)],
                 store.dist_row(si), store.sigma_row(si), store.delta_row(si),
                 store.bc(), u, v);
           });

@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bc/bc_store.hpp"
@@ -45,9 +46,37 @@
 
 namespace bcdyn {
 
+/// Vertices bucketed by distance: a stable counting sort of one distance
+/// row, so each level lists its vertices in ascending order. Host-side
+/// only - the edge-parallel sweeps read it to find their live items.
+struct LevelIndex {
+  std::vector<VertexId> vertices;
+  std::vector<VertexId> starts;  // bucket b is [starts[b], starts[b + 1])
+
+  void build(std::span<const Dist> d);
+  /// Level l's vertices, ascending; kInfDist gives the unreachable ones.
+  std::span<const VertexId> level(Dist l) const;
+};
+
+/// Bucket sort for arc indices: one bit per arc plus one summary bit per
+/// 64-arc word, so reading k arcs back in order costs O(k + arcs / 4096).
+/// Host-side only; empty between uses.
+struct ArcBitmap {
+  std::vector<std::uint64_t> words;
+  std::vector<std::uint64_t> summary;
+
+  /// Sizes the set for `arcs` arcs; it must be empty.
+  void resize(std::size_t arcs);
+  void insert(std::size_t arc);
+  /// Appends the arcs to `out` in ascending order and empties the set.
+  void drain(std::vector<EdgeId>& out);
+};
+
 /// Per-block scratch state (the sigma-hat/delta-hat/t arrays of Algorithm 3
-/// plus the queues of Algorithm 5). One instance per thread block, reused
-/// across sources and insertions.
+/// plus the queues of Algorithm 5), reused across sources and insertions.
+/// A device holds one per thread block; the host runs blocks one after
+/// another and every source update resets what it reads, so the engines
+/// keep a single instance.
 struct GpuWorkspace {
   std::vector<std::uint8_t> t;
   std::vector<std::uint8_t> moved;
@@ -63,6 +92,13 @@ struct GpuWorkspace {
   std::vector<VertexId> premarked;  // removal Phase 0: orphans' other children
   std::vector<VertexId> scratch;
   std::vector<std::uint32_t> flags;
+  // Host-side live sets of the edge-parallel sweeps (not device state):
+  // the source row's levels, one sweep's live vertices and, for sweeps
+  // keyed by the arc's head, its live arcs - all ascending.
+  LevelIndex levels;
+  std::vector<VertexId> live;
+  std::vector<EdgeId> live_arcs;
+  ArcBitmap arc_bits;
 
   void ensure(VertexId n);
 };
@@ -137,7 +173,7 @@ class DynamicGpuBc {
   sim::Device device_;
   Parallelism mode_;
   ParallelismPolicy* policy_ = nullptr;
-  std::vector<GpuWorkspace> workspaces_;  // one per block
+  GpuWorkspace ws_;  // host execution is sequential: one workspace suffices
 };
 
 namespace detail {

@@ -42,23 +42,36 @@ void accumulate_bc(BlockContext& ctx, std::span<const Dist> d,
   });
 }
 
-/// Edge-parallel source iteration: every BFS/dependency level scans the
-/// whole directed-arc list.
 }  // namespace
 
+/// Edge-parallel source iteration: every BFS/dependency level scans the
+/// whole directed-arc list. The model charges every arc; the host runs the
+/// rows of the level's vertices, which `order` collects level by level.
 void static_source_edge(sim::BlockContext& ctx, const CSRGraph& g, VertexId s,
                         std::span<Dist> d, std::span<Sigma> sigma,
-                        std::span<double> delta, std::span<double> bc) {
+                        std::span<double> delta, std::span<double> bc,
+                        std::vector<VertexId>& order,
+                        std::vector<std::size_t>& level_offsets) {
   init_source(ctx, d, sigma, delta, s);
   const auto src = g.arc_src();
   const auto dst = g.arc_dst();
   const auto num_arcs = static_cast<std::size_t>(g.num_arcs());
+  order.clear();
+  // Every vertex enters once, so the appends below never reallocate the
+  // level a sweep is reading.
+  order.reserve(d.size());
+  order.push_back(s);
+  level_offsets.assign(1, 0);
 
   Dist depth = 0;
   bool done = false;
   while (!done) {
     done = true;
-    ctx.parallel_for(num_arcs, [&](std::size_t a) {
+    const std::size_t begin = level_offsets.back();
+    const std::size_t end = order.size();
+    level_offsets.push_back(end);
+    const std::span<const VertexId> level(order.data() + begin, end - begin);
+    ctx.parallel_for_live(num_arcs, row_ranges(g, level), [&](std::size_t a) {
       ctx.charge_instr(2);
       ctx.charge_read(src, a);
       ctx.charge_read(dst, a);
@@ -76,6 +89,7 @@ void static_source_edge(sim::BlockContext& ctx, const CSRGraph& g, VertexId s,
         d[w] = depth + 1;
         ctx.charge_write(1);
         done = false;
+        order.push_back(dst[a]);
       }
       if (d[w] == depth + 1) {
         ctx.charge_read(sigma, w);
@@ -84,12 +98,17 @@ void static_source_edge(sim::BlockContext& ctx, const CSRGraph& g, VertexId s,
         sigma[w] += sigma[x];
       }
     });
+    std::sort(order.begin() + static_cast<std::ptrdiff_t>(end), order.end());
     ++depth;
   }
   const Dist max_depth = depth - 1;
 
   for (Dist dep = max_depth; dep >= 1; --dep) {
-    ctx.parallel_for(num_arcs, [&](std::size_t a) {
+    const auto lev = static_cast<std::size_t>(dep);
+    const std::span<const VertexId> level(
+        order.data() + level_offsets[lev],
+        level_offsets[lev + 1] - level_offsets[lev]);
+    ctx.parallel_for_live(num_arcs, row_ranges(g, level), [&](std::size_t a) {
       ctx.charge_instr(2);
       ctx.charge_read(src, a);
       ctx.charge_read(dst, a);
@@ -200,7 +219,8 @@ void static_source(sim::BlockContext& ctx, Parallelism mode, const CSRGraph& g,
                    std::vector<VertexId>& order,
                    std::vector<std::size_t>& level_offsets) {
   if (mode == Parallelism::kEdge) {
-    static_source_edge(ctx, g, s, d, sigma, delta, bc_accum);
+    static_source_edge(ctx, g, s, d, sigma, delta, bc_accum, order,
+                       level_offsets);
   } else {
     static_source_node(ctx, g, s, d, sigma, delta, bc_accum, order,
                        level_offsets);

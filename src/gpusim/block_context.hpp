@@ -23,9 +23,12 @@
 // between the two - the address only adds bookkeeping.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
@@ -63,6 +66,7 @@ class BlockContext {
       fn(i);
       round_max = std::max(round_max, item_cycles_);
       ++counters_.items;
+      ++counters_.host_items;
       if (++lane == threads) {
         close_round(round_max);
         round_max = 0.0;
@@ -76,6 +80,86 @@ class BlockContext {
       // by gpusim tests; not a bug.
       close_round(round_max);
     }
+    barrier();
+  }
+
+  /// parallel_for(n, fn) as the model sees it - the same rounds, round
+  /// maxima, counters and atomic-conflict windows, bit for bit - with the
+  /// host running `fn` only on the live items. `live(visit)` must call
+  /// visit(first, last) for ascending, disjoint item ranges that cover
+  /// every item not taking the body's uniform early exit: the one exit all
+  /// other items take, after the same charges, with no side effect, atomic
+  /// or barrier. A live range may also hold items that take that exit.
+  /// The exit's cost is measured once per call by running `fn` on the
+  /// first non-live item with every counter saved and restored; rounds
+  /// still close one at a time with the same additions, so host work is
+  /// O(n / threads + live). With the hazard shadow on, every item runs:
+  /// the journal needs each item's addresses.
+  template <typename Live, typename Fn>
+  void parallel_for_live(std::size_t n, Live&& live, Fn&& fn) {
+    if (shadow_) {
+      parallel_for(n, fn);
+      return;
+    }
+    const auto threads = static_cast<std::size_t>(spec_->threads_per_block);
+    const auto warp = static_cast<std::size_t>(spec_->warp_size);
+    const std::size_t warps_per_round = (threads + warp - 1) / warp;
+    double round_max = 0.0;
+    std::size_t lane = 0;
+    std::size_t next = 0;  // first item neither run nor charged yet
+    std::size_t window = 0;  // conflict window (round, warp) last entered
+    UniformItem uniform;
+    bool probed = false;
+    const auto close_if_full = [&] {
+      if (lane == threads) {
+        close_round(round_max);
+        round_max = 0.0;
+        lane = 0;
+      }
+    };
+    // Charges the uniform items [next, end), a round's share at a time.
+    const auto skip_to = [&](std::size_t end) {
+      if (end <= next) return;
+      if (!probed) {
+        uniform = probe_uniform(fn, next);
+        probed = true;
+      }
+      while (next < end) {
+        const std::size_t m = std::min(end - next, threads - lane);
+        charge_uniform(uniform, m);
+        round_max = std::max(round_max, uniform.cycles);
+        next += m;
+        lane += m;
+        close_if_full();
+      }
+    };
+    live([&](std::size_t first, std::size_t last) {
+      assert(first >= next && last <= n);
+      skip_to(first);
+      for (; next < last; ++next) {
+        if (track_conflicts_) {
+          // The explicit loop clears the window on entering a warp; uniform
+          // items issue no atomics, so only the live items' warps matter.
+          const std::size_t w =
+              next / threads * warps_per_round + lane / warp;
+          if (w != window) {
+            window_addresses_.clear();
+            window = w;
+          }
+        }
+        item_cycles_ = 0.0;
+        current_item_ = next;
+        in_item_ = true;
+        fn(next);
+        round_max = std::max(round_max, item_cycles_);
+        ++counters_.items;
+        ++counters_.host_items;
+        ++lane;
+        close_if_full();
+      }
+    });
+    skip_to(n);
+    if (n % threads != 0 || n == 0) close_round(round_max);
     barrier();
   }
 
@@ -178,6 +262,58 @@ class BlockContext {
   template <typename Arr>
   static constexpr std::size_t element_size(const Arr& arr) {
     return sizeof(*arr.data());
+  }
+
+  /// The charges of parallel_for_live's uniform early exit, per item.
+  struct UniformItem {
+    double cycles = 0.0;
+    std::uint64_t instrs = 0;
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+  };
+
+  /// Runs fn(item) as a probe and returns its charges, leaving every
+  /// counter and per-item state as it found them except host_items.
+  template <typename Fn>
+  UniformItem probe_uniform(Fn& fn, std::size_t item) {
+    const BlockCounters saved = counters_;
+    const std::size_t reads = round_reads_;
+    const std::size_t writes = round_writes_;
+    const std::size_t atomics = round_atomics_;
+    const std::uint64_t saved_item = current_item_;
+    const bool saved_in_item = in_item_;
+    item_cycles_ = 0.0;
+    current_item_ = item;
+    in_item_ = true;
+    fn(item);
+    const UniformItem uniform{item_cycles_, counters_.instrs - saved.instrs,
+                              counters_.global_reads - saved.global_reads,
+                              counters_.global_writes - saved.global_writes};
+    const bool clean = counters_.atomics == saved.atomics &&
+                       counters_.rounds == saved.rounds &&
+                       counters_.barriers == saved.barriers;
+    counters_ = saved;
+    round_reads_ = reads;
+    round_writes_ = writes;
+    round_atomics_ = atomics;
+    current_item_ = saved_item;
+    in_item_ = saved_in_item;
+    ++counters_.host_items;
+    if (!clean) {
+      throw std::logic_error(
+          "parallel_for_live: the uniform early exit must not issue atomics "
+          "or barriers");
+    }
+    return uniform;
+  }
+  void charge_uniform(const UniformItem& u, std::size_t m) {
+    const auto k = static_cast<std::uint64_t>(m);
+    counters_.instrs += k * u.instrs;
+    counters_.global_reads += k * u.reads;
+    counters_.global_writes += k * u.writes;
+    counters_.items += k;
+    round_reads_ += k * u.reads;
+    round_writes_ += k * u.writes;
   }
 
   void begin_item(std::size_t item) {

@@ -147,6 +147,8 @@ KernelStats Device::record_scheduled_launch(
   auto& reg = trace::metrics();
   reg.add("sim.launches");
   reg.add("sim.blocks", counters.size());
+  reg.add("sim.items", stats.total.items);
+  reg.add("sim.host_items", stats.total.host_items);
   if (stats.total.atomic_conflicts > 0) {
     reg.add("sim.atomic_conflicts", stats.total.atomic_conflicts);
     reg.add("sim.atomic_conflicts." + label, stats.total.atomic_conflicts);

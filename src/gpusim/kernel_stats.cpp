@@ -8,6 +8,7 @@ namespace bcdyn::sim {
 BlockCounters& BlockCounters::operator+=(const BlockCounters& o) {
   rounds += o.rounds;
   items += o.items;
+  host_items += o.host_items;
   instrs += o.instrs;
   global_reads += o.global_reads;
   global_writes += o.global_writes;
@@ -29,14 +30,16 @@ KernelStats& KernelStats::operator+=(const KernelStats& o) {
 }
 
 std::string KernelStats::to_string() const {
-  char buf[320];
+  char buf[384];
   std::snprintf(buf, sizeof(buf),
-                "launches=%d blocks=%d rounds=%llu items=%llu reads=%llu "
+                "launches=%d blocks=%d rounds=%llu items=%llu host_items=%llu "
+                "reads=%llu "
                 "writes=%llu atomics=%llu barriers=%llu max_block=%.0fcyc "
                 "makespan=%.0fcyc time=%.6fs",
                 launches, num_blocks,
                 static_cast<unsigned long long>(total.rounds),
                 static_cast<unsigned long long>(total.items),
+                static_cast<unsigned long long>(total.host_items),
                 static_cast<unsigned long long>(total.global_reads),
                 static_cast<unsigned long long>(total.global_writes),
                 static_cast<unsigned long long>(total.atomics),

@@ -11,7 +11,8 @@ namespace bcdyn::sim {
 /// Counters for one thread block's execution of a kernel.
 struct BlockCounters {
   std::uint64_t rounds = 0;
-  std::uint64_t items = 0;          // work items actually executed
+  std::uint64_t items = 0;       // modeled work items (every SIMT item charged)
+  std::uint64_t host_items = 0;  // item bodies the host actually ran
   std::uint64_t instrs = 0;
   std::uint64_t global_reads = 0;
   std::uint64_t global_writes = 0;

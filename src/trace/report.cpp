@@ -80,6 +80,17 @@ void write_report(const std::vector<TraceEvent>& events,
       out << line;
     }
   }
+  // Modeled items versus the item bodies the host ran: the sparse
+  // edge-parallel sweeps charge every arc but run only the live ones.
+  const std::uint64_t items = registry.counter_value("sim.items");
+  if (items > 0) {
+    const std::uint64_t host_items = registry.counter_value("sim.host_items");
+    out << "  host work: " << host_items << " of " << items
+        << " modeled items run on the host ("
+        << fmt("%.1f", 100.0 * static_cast<double>(host_items) /
+                           static_cast<double>(items))
+        << "%)\n";
+  }
 
   // --- per-SM occupancy / imbalance per device -----------------------
   std::map<int, std::map<int, SmAgg>> devices;  // pid -> sm -> agg

@@ -13,15 +13,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bc/adaptive_policy.hpp"
 #include "bc/batch_update.hpp"
 #include "bc/brandes.hpp"
 #include "bc/dynamic_bc.hpp"
 #include "bc/dynamic_cpu.hpp"
 #include "bc/dynamic_gpu.hpp"
+#include "bc/sharded_gpu.hpp"
 #include "gpusim/fault_injector.hpp"
 #include "gen/suite.hpp"
 #include "test_helpers.hpp"
@@ -263,6 +267,166 @@ TEST_P(DifferentialFuzz, MixedInsertRemoveStreamMatchesFreshRecompute) {
       << "no distance-growing removal: the Case 3 repair never ran";
   EXPECT_EQ(sim::hazards().violations(), 0u)
       << "GPU engines flagged data hazards during the mixed stream";
+}
+
+// --- sparse versus explicit sweeps ------------------------------------------
+// The edge-parallel sweeps charge every arc but the host runs only the live
+// ones (BlockContext::parallel_for_live); with the hazard detector on, the
+// same sweeps run every item. Both paths must leave the same stores and the
+// same modeled KernelStats, bit for bit.
+
+const sim::KernelStats& stats_of(const sim::KernelStats& s) { return s; }
+const sim::KernelStats& stats_of(const sim::GroupLaunchResult& r) {
+  return r.group;
+}
+const sim::KernelStats& stats_of(const GpuUpdateResult& r) { return r.stats; }
+const sim::KernelStats& stats_of(const ShardedUpdateResult& r) {
+  return r.launch.group;
+}
+
+/// One engine's record of a stream: the stats of every launch (the static
+/// pass first) and the final store.
+struct SweepRun {
+  std::vector<sim::KernelStats> stats;
+  BcStore store;
+  int case2_removals = 0;
+  int case3_removals = 0;
+};
+
+template <typename Engine>
+SweepRun run_sweep_stream(Engine& engine, const CSRGraph& g0,
+                          const std::vector<MixedStep>& ops,
+                          const ApproxConfig& cfg) {
+  SweepRun run{{}, BcStore(g0.num_vertices(), cfg)};
+  CSRGraph g = g0;
+  run.stats.push_back(stats_of(engine.compute(g, run.store)));
+  for (const MixedStep& op : ops) {
+    g = op.insert ? g.with_edge(op.u, op.v) : g.without_edge(op.u, op.v);
+    const auto r = op.insert
+                       ? engine.insert_edge_update(g, run.store, op.u, op.v)
+                       : engine.remove_edge_update(g, run.store, op.u, op.v);
+    run.stats.push_back(stats_of(r));
+    if (op.insert) continue;
+    for (const SourceUpdateOutcome& o : r.outcomes) {
+      run.case2_removals += o.update_case == UpdateCase::kAdjacent ? 1 : 0;
+      run.case3_removals += o.update_case == UpdateCase::kFar ? 1 : 0;
+    }
+  }
+  return run;
+}
+
+void expect_same_stats(const sim::KernelStats& got,
+                       const sim::KernelStats& want) {
+  EXPECT_EQ(got.total.rounds, want.total.rounds);
+  EXPECT_EQ(got.total.items, want.total.items);
+  EXPECT_EQ(got.total.instrs, want.total.instrs);
+  EXPECT_EQ(got.total.global_reads, want.total.global_reads);
+  EXPECT_EQ(got.total.global_writes, want.total.global_writes);
+  EXPECT_EQ(got.total.atomics, want.total.atomics);
+  EXPECT_EQ(got.total.atomic_conflicts, want.total.atomic_conflicts);
+  EXPECT_EQ(got.total.barriers, want.total.barriers);
+  EXPECT_EQ(got.total.cycles, want.total.cycles);
+  EXPECT_EQ(got.max_block_cycles, want.max_block_cycles);
+  EXPECT_EQ(got.makespan_cycles, want.makespan_cycles);
+  EXPECT_EQ(got.seconds, want.seconds);
+  EXPECT_EQ(got.num_blocks, want.num_blocks);
+  EXPECT_EQ(got.launches, want.launches);
+}
+
+template <typename Row>
+bool same_bits(Row a, Row b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+TEST_P(DifferentialFuzz, SparseSweepsMatchExplicitSweepsBitForBit) {
+  const std::string gen_name = GetParam();
+  const auto entry = gen::build_suite_graph(gen_name, kScale, 977);
+  // Half the sources: the explicit runs pay for the hazard shadow.
+  const ApproxConfig cfg{.num_sources = kNumSources / 2, .seed = 31};
+  const auto spec = sim::DeviceSpec::tesla_c2075();
+
+  // The stream, drawn once: insertions and removals of both kinds.
+  std::vector<MixedStep> ops;
+  {
+    CSRGraph g = entry.graph;
+    std::vector<std::pair<VertexId, VertexId>> inserted;
+    BCDYN_SEEDED_RNG(rng, 980 + std::hash<std::string>{}(gen_name) % 1000);
+    for (int step = 0; step < kSteps; ++step) {
+      const MixedStep op = next_mixed_step(g, inserted, rng);
+      if (op.u == kNoVertex) break;
+      g = op.insert ? g.with_edge(op.u, op.v) : g.without_edge(op.u, op.v);
+      ops.push_back(op);
+    }
+  }
+
+  // Conflict tracking stays on: the sparse path then has to reproduce the
+  // per-warp conflict windows too (gpusim tests cover it off).
+  constexpr bool kTracking = true;
+  int case2_removals = 0;
+  int case3_removals = 0;
+  for (const bool adaptive : {false, true}) {
+    for (const int devices : {1, 2}) {
+      {
+        SCOPED_TRACE(std::string(adaptive ? "gpu-adaptive" : "gpu-edge") +
+                     " devices=" + std::to_string(devices));
+        const Parallelism mode =
+            adaptive ? Parallelism::kNode : Parallelism::kEdge;
+        const auto run = [&](bool explicit_sweeps) {
+          std::optional<test::HazardScope> shadow;
+          if (explicit_sweeps) shadow.emplace(/*strict=*/false);
+          ParallelismPolicy policy;
+          if (devices == 1) {
+            DynamicGpuBc engine(spec, mode, {}, kTracking);
+            if (adaptive) engine.set_policy(&policy);
+            return run_sweep_stream(engine, entry.graph, ops, cfg);
+          }
+          ShardedGpuBc engine(devices, spec, mode, {}, kTracking);
+          if (adaptive) engine.set_policy(&policy);
+          return run_sweep_stream(engine, entry.graph, ops, cfg);
+        };
+        const SweepRun sparse = run(false);
+        const SweepRun full = run(true);
+
+        for (int si = 0; si < sparse.store.num_sources(); ++si) {
+          ASSERT_TRUE(same_bits(sparse.store.dist_row(si),
+                                full.store.dist_row(si)))
+              << "d si=" << si;
+          ASSERT_TRUE(same_bits(sparse.store.sigma_row(si),
+                                full.store.sigma_row(si)))
+              << "sigma si=" << si;
+          ASSERT_TRUE(same_bits(sparse.store.delta_row(si),
+                                full.store.delta_row(si)))
+              << "delta si=" << si;
+        }
+        ASSERT_TRUE(same_bits(sparse.store.bc(), full.store.bc()));
+
+        ASSERT_EQ(sparse.stats.size(), full.stats.size());
+        std::uint64_t items = 0;
+        std::uint64_t sparse_host = 0;
+        std::uint64_t full_host = 0;
+        for (std::size_t i = 0; i < sparse.stats.size(); ++i) {
+          SCOPED_TRACE("launch " + std::to_string(i));
+          expect_same_stats(sparse.stats[i], full.stats[i]);
+          items += full.stats[i].total.items;
+          sparse_host += sparse.stats[i].total.host_items;
+          full_host += full.stats[i].total.host_items;
+        }
+        // The adaptive policy may plan every source node-parallel, whose
+        // kernels always run every item.
+        if (adaptive) {
+          EXPECT_LE(sparse_host, items);
+        } else {
+          EXPECT_LT(sparse_host, items);
+        }
+        EXPECT_EQ(full_host, items);
+        case2_removals += sparse.case2_removals;
+        case3_removals += sparse.case3_removals;
+      }
+    }
+  }
+  EXPECT_GT(case2_removals, 0) << "no Case 2 removal in the stream";
+  EXPECT_GT(case3_removals, 0) << "no Case 3 removal in the stream";
 }
 
 INSTANTIATE_TEST_SUITE_P(Suite, DifferentialFuzz,

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "gpusim/block_context.hpp"
 #include "gpusim/cost_model.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/device_spec.hpp"
+#include "gpusim/hazard_detector.hpp"
 
 namespace bcdyn::sim {
 namespace {
@@ -107,6 +111,151 @@ TEST(BlockContext, ThroughputTermChargesAggregateRoundTraffic) {
   ctx.parallel_for(4, [&](std::size_t) { ctx.charge_read(10); });
   // 40 reads in one round at 0.5 cycles each.
   EXPECT_DOUBLE_EQ(ctx.cycles(), 20.0);
+}
+
+// --- parallel_for_live: the sparse host path of the same SIMT loop -------
+
+/// Every modeled counter, compared exactly (cycles included); host_items
+/// is the one field the two loops may disagree on.
+void expect_same_model(const BlockCounters& got, const BlockCounters& want) {
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.items, want.items);
+  EXPECT_EQ(got.instrs, want.instrs);
+  EXPECT_EQ(got.global_reads, want.global_reads);
+  EXPECT_EQ(got.global_writes, want.global_writes);
+  EXPECT_EQ(got.atomics, want.atomics);
+  EXPECT_EQ(got.atomic_conflicts, want.atomic_conflicts);
+  EXPECT_EQ(got.barriers, want.barriers);
+  EXPECT_EQ(got.cycles, want.cycles);  // bit for bit, not DOUBLE_EQ
+}
+
+/// A body with one uniform early exit: non-live items charge two instrs and
+/// a read, then leave. Live items diverge by index and hit a few shared
+/// atomic addresses, so rounds, maxima and conflict windows all matter.
+auto live_body(BlockContext& ctx, const std::vector<char>& live,
+               std::vector<std::size_t>& ran) {
+  return [&ctx, &live, &ran](std::size_t i) {
+    ctx.charge_instr(2);
+    ctx.charge_read(1);
+    if (live[i] == 0) return;
+    ran.push_back(i);
+    ctx.charge_read(1 + i % 3);
+    ctx.charge_write(i % 2);
+    ctx.charge_atomic(i % 5 == 0 ? 7 : i % 3);
+    if (i % 4 == 1) ctx.charge_atomic_aggregated();
+  };
+}
+
+TEST(BlockContext, LiveLoopChargesExactlyWhatTheFullLoopCharges) {
+  const CostModel cm;
+  DeviceSpec spec = tiny_spec(1, 8);
+  spec.warp_size = 4;  // two warps per round
+  // n = 0, n < T, n = kT and n = kT + r; live sets that are empty, full,
+  // or sit on round (8, 16) and warp (4, 12) boundaries.
+  const std::vector<std::vector<std::size_t>> patterns = {
+      {},
+      {0},
+      {3, 4},
+      {7, 8},
+      {4, 5, 6, 12, 15, 16},
+      {0, 1, 2, 3, 8, 9, 10, 11, 16, 17, 18},
+      {15, 16, 17, 18},
+      {2, 6, 10, 14, 18}};
+  for (const std::size_t n : {0u, 3u, 8u, 16u, 19u}) {
+    std::vector<std::vector<std::size_t>> sets;
+    for (const auto& pattern : patterns) {
+      std::vector<std::size_t> items;
+      for (std::size_t i : pattern) {
+        if (i < n) items.push_back(i);
+      }
+      sets.push_back(items);
+    }
+    std::vector<std::size_t> all(n);
+    for (std::size_t i = 0; i < n; ++i) all[i] = i;
+    sets.push_back(all);
+    for (const bool tracking : {false, true}) {
+      for (const auto& items : sets) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " live=" +
+                     std::to_string(items.size()) +
+                     (tracking ? " tracked" : " untracked"));
+        std::vector<char> live(n, 0);
+        for (std::size_t i : items) live[i] = 1;
+        BlockContext full(spec, cm, 0, tracking);
+        BlockContext sparse(spec, cm, 0, tracking);
+        std::vector<std::size_t> ran_full;
+        std::vector<std::size_t> ran_sparse;
+        // An atomic outside any item stays in the first warp's window in
+        // both loops; the second loop checks the state each one leaves.
+        for (BlockContext* ctx : {&full, &sparse}) ctx->charge_atomic(7);
+        for (int loop = 0; loop < 2; ++loop) {
+          full.parallel_for(n, live_body(full, live, ran_full));
+          sparse.parallel_for_live(
+              n,
+              [&](auto&& visit) {
+                for (std::size_t i : items) visit(i, i + 1);
+              },
+              live_body(sparse, live, ran_sparse));
+        }
+        expect_same_model(sparse.counters(), full.counters());
+        EXPECT_EQ(ran_sparse, ran_full);
+        EXPECT_EQ(full.counters().host_items, full.counters().items);
+        // Live items plus one probe of the uniform exit per loop that has
+        // a non-live item.
+        const std::size_t probes = items.size() < n ? 2 : 0;
+        EXPECT_EQ(sparse.counters().host_items, 2 * items.size() + probes);
+      }
+    }
+  }
+}
+
+TEST(BlockContext, LiveLoopAcceptsAdjacentRangesAndLiveItemsThatExitEarly) {
+  const CostModel cm;
+  const auto spec = tiny_spec(1, 4);
+  // Items 2..9 are listed live in three touching ranges, but only 5 and 6
+  // get past the uniform exit; the rest must still cost the same.
+  std::vector<char> live(12, 0);
+  live[5] = live[6] = 1;
+  std::vector<std::size_t> ran_full;
+  std::vector<std::size_t> ran_sparse;
+  BlockContext full(spec, cm, 0, true);
+  BlockContext sparse(spec, cm, 0, true);
+  full.parallel_for(12, live_body(full, live, ran_full));
+  sparse.parallel_for_live(
+      12,
+      [](auto&& visit) {
+        visit(2, 4);
+        visit(4, 6);
+        visit(6, 10);
+      },
+      live_body(sparse, live, ran_sparse));
+  expect_same_model(sparse.counters(), full.counters());
+  EXPECT_EQ(ran_sparse, ran_full);
+  EXPECT_EQ(sparse.counters().host_items, 9u);  // 8 listed + 1 probe
+}
+
+TEST(BlockContext, LiveLoopRejectsAtomicsInTheUniformExit) {
+  const CostModel cm;
+  const auto spec = tiny_spec(1, 4);
+  BlockContext ctx(spec, cm, 0);
+  EXPECT_THROW(ctx.parallel_for_live(
+                   8, [](auto&& visit) { visit(0, 1); },
+                   [&](std::size_t) { ctx.charge_atomic(1); }),
+               std::logic_error);
+}
+
+TEST(BlockContext, LiveLoopRunsEveryItemUnderTheHazardShadow) {
+  const CostModel cm;
+  const auto spec = tiny_spec(1, 4);
+  const bool was_enabled = hazards().enabled();
+  hazards().set_enabled(true);
+  BlockContext ctx(spec, cm, 0);
+  hazards().set_enabled(was_enabled);
+  std::size_t bodies = 0;
+  ctx.parallel_for_live(
+      10, [](auto&& visit) { visit(3, 4); }, [&](std::size_t) { ++bodies; });
+  EXPECT_EQ(bodies, 10u);
+  EXPECT_EQ(ctx.counters().host_items, 10u);
+  EXPECT_EQ(ctx.counters().items, 10u);
 }
 
 TEST(ScheduleMakespan, PerfectDivisionIsFlat) {
