@@ -15,7 +15,7 @@
 #include <cmath>
 #include <iostream>
 
-#include "bc/sharded_gpu.hpp"
+#include "bc/dynamic_gpu.hpp"
 #include "bench_common.hpp"
 
 using namespace bcdyn;
@@ -35,14 +35,14 @@ ShardedRunResult run_sharded(const analysis::EdgeStream& stream,
   ShardedRunResult result;
   CSRGraph g = stream.base;
   BcStore store(g.num_vertices(), approx);
-  ShardedGpuBc bc(devices, sim::DeviceSpec::tesla_c2075(), mode, {},
+  DynamicGpuBc bc(devices, sim::DeviceSpec::tesla_c2075(), mode, {},
                   /*track_atomic_conflicts=*/false, policy);
-  result.compute_seconds = bc.compute(g, store).group.seconds;
+  result.compute_seconds = bc.compute(g, store).seconds;
   for (const auto& [u, v] : stream.insertions) {
     g = g.with_edge(u, v);
-    const ShardedUpdateResult r = bc.insert_edge_update(g, store, u, v);
-    result.update_seconds += r.launch.group.seconds;
-    result.steals += r.launch.steals;
+    const GpuUpdateResult r = bc.insert_edge_update(g, store, u, v);
+    result.update_seconds += r.stats.seconds;
+    result.steals += r.group.steals;
   }
   result.final_bc.assign(store.bc().begin(), store.bc().end());
   return result;

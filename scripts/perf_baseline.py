@@ -28,6 +28,11 @@ Policy knobs stored in the baseline:
   exclude_patterns    substrings exempting a gauge (host wall-clock
                       keys contain "wall" by convention and are never
                       gated - they are not deterministic across hosts)
+
+Next to the latency gauges, each bench's host-work counters
+(HOST_WORK_COUNTERS) are stored and gated per key. They count the work
+items the host actually executed, so unlike wall time they are exact on
+every host; they stay out of the geometric mean, which is a latency gate.
 """
 
 import argparse
@@ -50,6 +55,9 @@ DEFAULT_BENCHES = [
     "table3_update_vs_recompute",
 ]
 
+# Deterministic host-work counters gated next to the latency gauges.
+HOST_WORK_COUNTERS = ["sim.host_items"]
+
 DEFAULT_POLICY = {
     "default_tolerance": 0.02,
     "geomean_tolerance": 0.01,
@@ -59,7 +67,7 @@ DEFAULT_POLICY = {
 
 
 def run_bench(bindir, bench, args):
-    """Runs one bench with --metrics and returns its gauges dict."""
+    """Runs one bench with --metrics and returns its metrics JSON."""
     with tempfile.TemporaryDirectory() as tmp:
         metrics_path = os.path.join(tmp, "metrics.json")
         cmd = [os.path.join(bindir, bench)] + args + [f"--metrics={metrics_path}"]
@@ -68,18 +76,23 @@ def run_bench(bindir, bench, args):
         if result.returncode != 0:
             raise RuntimeError(f"{bench} exited {result.returncode}")
         with open(metrics_path) as f:
-            return json.load(f).get("gauges", {})
+            return json.load(f)
 
 
-def latency_keys(gauges, policy):
-    """Gauge keys gated by the regression check, per the baseline policy."""
+def gated_keys(metrics, policy):
+    """Keys gated by the regression check: the latency gauges, per the
+    baseline policy, plus the host-work counters."""
     keep = {}
-    for key, value in gauges.items():
+    for key, value in metrics.get("gauges", {}).items():
         if not any(pat in key for pat in policy["latency_patterns"]):
             continue
         if any(pat in key for pat in policy["exclude_patterns"]):
             continue
         keep[key] = value
+    counters = metrics.get("counters", {})
+    for key in HOST_WORK_COUNTERS:
+        if key in counters:
+            keep[key] = counters[key]
     return keep
 
 
@@ -106,8 +119,8 @@ def main():
     for bench in args.benches.split(","):
         bench_args = ["--smoke"]
         print(f"  {bench} {' '.join(bench_args)} ...", file=sys.stderr)
-        gauges = run_bench(args.bindir, bench, bench_args)
-        gated = latency_keys(gauges, baseline["policy"])
+        gated = gated_keys(run_bench(args.bindir, bench, bench_args),
+                           baseline["policy"])
         if not gated:
             print(f"error: {bench} emitted no latency gauges", file=sys.stderr)
             return 1

@@ -3,16 +3,17 @@
 
 Loads a committed baseline (bench/baselines/smoke.json, written by
 scripts/perf_baseline.py), reruns each recorded bench with the recorded
-args, and compares the latency gauges:
+args, and compares the latency gauges and host-work counters:
 
   * per-key gate    a key whose current/baseline ratio exceeds
                     1 + default_tolerance is a regression; a key that
                     disappeared is always a failure (renames must update
                     the baseline deliberately)
-  * geomean gate    the geometric mean of all ratios in a bench must stay
-                    under 1 + geomean_tolerance, so many small slowdowns
-                    that each duck the per-key tolerance still trip the
-                    gate
+  * geomean gate    the geometric mean of a bench's latency ratios must
+                    stay under 1 + geomean_tolerance, so many small
+                    slowdowns that each duck the per-key tolerance still
+                    trip the gate (host-work counters take the per-key
+                    gate only)
 
 Improvements (ratio < 1) never fail; they are listed so an expected
 speedup reminds you to refresh the baseline. Exit 0 = no regression,
@@ -25,6 +26,8 @@ to prove the gate actually fires:
     python3 scripts/perf_regress.py --bindir build/bench \
         --baseline bench/baselines/smoke.json \
         --benches bench_batch_update --inject 'seconds:1.2'
+
+and a host-work regression the same way, with --inject 'host_items:1.2'.
 """
 
 import argparse
@@ -33,7 +36,7 @@ import math
 import re
 import sys
 
-from perf_baseline import latency_keys, run_bench
+from perf_baseline import HOST_WORK_COUNTERS, gated_keys, run_bench
 
 
 def compare_bench(bench, baseline_gauges, current_gauges, policy, inject):
@@ -44,8 +47,10 @@ def compare_bench(bench, baseline_gauges, current_gauges, policy, inject):
     ratios = []
     for key in sorted(baseline_gauges):
         base = float(baseline_gauges[key])
+        host_work = key in HOST_WORK_COUNTERS
+        unit = "" if host_work else "s"
         if key not in current_gauges:
-            failures.append(f"{bench}: latency gauge disappeared: {key} "
+            failures.append(f"{bench}: gated key disappeared: {key} "
                             f"(renamed? regenerate the baseline deliberately)")
             continue
         cur = float(current_gauges[key])
@@ -56,16 +61,17 @@ def compare_bench(bench, baseline_gauges, current_gauges, policy, inject):
         if base <= 0.0:
             continue  # degenerate baseline entry; nothing to gate
         ratio = cur / base
-        ratios.append(ratio)
+        if not host_work:
+            ratios.append(ratio)
         if ratio > 1.0 + tol:
             failures.append(
                 f"{bench}: {key} regressed {ratio:.4f}x "
-                f"(baseline {base:.6g}s -> current {cur:.6g}s, "
+                f"(baseline {base:.6g}{unit} -> current {cur:.6g}{unit}, "
                 f"tolerance {tol:.0%})")
         elif ratio < 1.0 - tol:
             improvements.append(
                 f"{bench}: {key} improved {1.0 / ratio:.4f}x "
-                f"(baseline {base:.6g}s -> current {cur:.6g}s)")
+                f"(baseline {base:.6g}{unit} -> current {cur:.6g}{unit})")
     return failures, improvements, ratios
 
 
@@ -112,16 +118,16 @@ def main():
     for bench, entry in sorted(selected.items()):
         print(f"  {bench} {' '.join(entry['args'])} ...", file=sys.stderr)
         try:
-            gauges = run_bench(args.bindir, bench, list(entry["args"]))
+            metrics = run_bench(args.bindir, bench, list(entry["args"]))
         except (OSError, RuntimeError) as e:
             failures.append(f"{bench}: failed to collect metrics ({e})")
             continue
-        current = latency_keys(gauges, policy)
+        current = gated_keys(metrics, policy)
         bench_failures, bench_improvements, ratios = compare_bench(
             bench, entry["gauges"], current, policy, inject)
         failures.extend(bench_failures)
         improvements.extend(bench_improvements)
-        checked += len(ratios)
+        checked += len(entry["gauges"])
         if ratios:
             geomean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
             if geomean > 1.0 + geo_tol:
@@ -138,7 +144,7 @@ def main():
         for line in failures:
             print(f"error: {line}", file=sys.stderr)
         return 1
-    print(f"ok: {checked} latency gauges across {len(selected)} benches "
+    print(f"ok: {checked} gated keys across {len(selected)} benches "
           f"within tolerance of {args.baseline}")
     return 0
 

@@ -274,8 +274,8 @@ class ParallelismPolicy {
 enum class SourceLaunchKind { kStatic, kInsert, kRemove, kBatch };
 
 /// One per-source GPU launch's share of the adaptive protocol, common to
-/// every engine launch (the static pass and the updates of DynamicGpuBc
-/// and ShardedGpuBc, batch paths included): the mode each source runs, the launch name
+/// every DynamicGpuBc launch on a device or a group (the static pass, the
+/// updates and the batches): the mode each source runs, the launch name
 /// "<kind>.<edge|node|adaptive>", the per-source modeled cycles and the
 /// post-launch feedback. Without a policy every source runs the engine's
 /// fixed mode and nothing is timed or fed back. With one, the constructor

@@ -1,13 +1,10 @@
 #include "bc/batch_update.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
-#include "bc/adaptive_policy.hpp"
 #include "bc/brandes.hpp"
 #include "bc/dynamic_bc.hpp"
-#include "bc/dynamic_gpu.hpp"
 #include "gpusim/cost_model.hpp"
 #include "trace/telemetry.hpp"
 #include "trace/trace.hpp"
@@ -137,57 +134,6 @@ CpuBatchResult batch_insert_update(DynamicCpuEngine& engine,
   return result;
 }
 
-GpuBatchResult DynamicGpuBc::insert_edge_batch(const BatchSnapshots& batch,
-                                               BcStore& store,
-                                               const BatchConfig& config) {
-  const int k = store.num_sources();
-  GpuBatchResult result;
-  result.outcomes.resize(static_cast<std::size_t>(k));
-  if (batch.empty() || k == 0) return result;
-  ws_.ensure(batch.final_graph().num_vertices());
-
-  // Queue order: provisional batch weight per source, heaviest first (the
-  // host-side sort a driver performs before enqueueing jobs; it changes
-  // only the schedule, never the per-source results). The policy decides
-  // per-job modes but never the queue order: job order is the order BC
-  // deltas fold in, so reordering would perturb the float sums the forced
-  // modes must reproduce bit-identically - and the classification-based
-  // weight schedules at least as well as the cycle estimate.
-  PlannedLaunch launch(SourceLaunchKind::kBatch, policy_, mode_,
-                       [&](ParallelismPolicy& p) {
-                         return p.plan_batch(batch.final_graph(), store,
-                                             batch);
-                       });
-  auto& order = result.job_sources;
-  order.resize(static_cast<std::size_t>(k));
-  std::iota(order.begin(), order.end(), 0);
-  std::vector<std::int64_t> weight(static_cast<std::size_t>(k), 0);
-  for (int si = 0; si < k; ++si) {
-    weight[static_cast<std::size_t>(si)] =
-        detail::batch_job_weight(store.dist_row(si), batch);
-  }
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return weight[static_cast<std::size_t>(a)] >
-           weight[static_cast<std::size_t>(b)];
-  });
-
-  result.stats = device_.launch_queue(
-      k,
-      [&](sim::BlockContext& ctx, int job) {
-        const int si = order[static_cast<std::size_t>(job)];
-        std::vector<VertexId> bfs_order;
-        std::vector<std::size_t> level_offsets;
-        launch.run(ctx, si, [&](Parallelism m) {
-          result.outcomes[static_cast<std::size_t>(si)] =
-              detail::gpu_source_batch(ctx, ws_, m, batch, config, store, si,
-                                       bfs_order, level_offsets);
-        });
-      },
-      &result.job_stats, launch.name());
-  launch.feedback(result.outcomes, &SourceBatchOutcome::touched_total);
-  return result;
-}
-
 BatchSnapshots DynamicBc::stage_batch(
     std::span<const std::pair<VertexId, VertexId>> edges,
     UpdateOutcome& outcome) {
@@ -228,17 +174,10 @@ void DynamicBc::run_batch_kernels(const BatchSnapshots& batch,
     run_recovered(
         "bc.batch",
         [&] {
-          if (sharded_) {
-            const ShardedBatchResult sharded_result =
-                sharded_->insert_edge_batch(batch, store_, config);
-            fold(sharded_result.outcomes);
-            outcome.modeled_seconds = sharded_result.launch.group.seconds;
-          } else {
-            const GpuBatchResult gpu_result =
-                gpu_engine_->insert_edge_batch(batch, store_, config);
-            fold(gpu_result.outcomes);
-            outcome.modeled_seconds = gpu_result.stats.seconds;
-          }
+          const GpuBatchResult r =
+              gpu_->insert_edge_batch(batch, store_, config);
+          fold(r.outcomes);
+          outcome.modeled_seconds = r.stats.seconds;
         },
         outcome);
   }

@@ -7,10 +7,11 @@
 // becomes ONE job: the job replays the batch's insertions against its
 // source row in sequence, each edge classified with case_classify against
 // the row's current distances and updated with the paper's case-2/case-3
-// kernels. On the simulated GPU all jobs run in a single work-queue launch
-// (Device::launch_queue) instead of one launch per edge, so a batch of k
-// insertions pays one kernel-launch overhead rather than k and the greedy
-// next-free-SM schedule balances skewed per-source work.
+// kernels. On the simulated GPU all jobs run in a single launch - a work
+// queue on one device (Device::launch_queue), one sharded launch on a
+// group - instead of one launch per edge, so a batch of k insertions pays
+// one kernel-launch overhead rather than k and the greedy next-free-SM
+// schedule balances skewed per-source work.
 //
 // Fallback (paper §V: recomputation wins once most of the graph is
 // touched): each job tracks its cumulative touched fraction; when it
@@ -32,18 +33,12 @@
 
 #include "bc/bc_store.hpp"
 #include "bc/dynamic_cpu.hpp"
+#include "bc/dynamic_gpu.hpp"
 #include "bc/update_outcome.hpp"
-#include "gpusim/kernel_stats.hpp"
 #include "graph/csr_graph.hpp"
 #include "util/types.hpp"
 
 namespace bcdyn {
-
-namespace sim {
-class BlockContext;  // gpusim/block_context.hpp
-}
-struct GpuWorkspace;     // bc/dynamic_gpu.hpp
-enum class Parallelism;  // bc/static_kernels.hpp
 
 struct BatchConfig {
   /// Cumulative touched fraction (summed per-edge |touched| over n) above
@@ -86,11 +81,8 @@ struct CpuBatchResult {
   CpuOpCounters ops;  // engine counters plus modeled fallback-recompute cost
 };
 
-struct GpuBatchResult {
-  sim::KernelStats stats;                    // the single work-queue launch
+struct GpuBatchResult : GpuLaunch {
   std::vector<SourceBatchOutcome> outcomes;  // indexed by source index
-  std::vector<int> job_sources;       // queue position -> source index
-  std::vector<sim::BlockCounters> job_stats;  // per queue position
 };
 
 /// Sequential-CPU batch update: every source row of `store` plus the BC
@@ -107,17 +99,15 @@ namespace detail {
 /// Provisional per-source batch weight from the pre-batch distance row:
 /// the scheduling priority of a (source, batch) job. Case-3 edges move
 /// distances and dominate, case-2 edges cost a frontier walk, case-1 edges
-/// are free. A heuristic, not a semantic input - it only orders (and, for
-/// the sharded engine, shards) the work queue. Shared by the single-device
-/// work-queue launch and the multi-device sharded path.
+/// are free. A heuristic, not a semantic input - it only orders (and, on a
+/// device group, shards) the work queue.
 std::int64_t batch_job_weight(std::span<const Dist> dist,
                               const BatchSnapshots& batch);
 
 /// One (source, batch) job on the simulated device: applies the batch's
 /// insertions to source si's row in order, each against the snapshot it
 /// was inserted into, with the touched-fraction recompute fallback against
-/// the final graph. Shared by the single-device work-queue launch and the
-/// sharded group launch; `bfs_order`/`level_offsets` are the fallback's
+/// the final graph; `bfs_order`/`level_offsets` are the fallback's
 /// node-parallel frontier scratch.
 SourceBatchOutcome gpu_source_batch(sim::BlockContext& ctx, GpuWorkspace& ws,
                                     Parallelism mode,

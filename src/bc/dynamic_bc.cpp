@@ -83,23 +83,18 @@ DynamicBc::DynamicBc(const CSRGraph& g, const bc::Options& options)
       const Parallelism mode = options_.engine == EngineKind::kGpuEdge
                                    ? Parallelism::kEdge
                                    : Parallelism::kNode;
-      if (options_.num_devices > 1) {
-        sharded_ = std::make_unique<ShardedGpuBc>(
-            options_.num_devices, options_.device_spec, mode, cost_model_,
-            options_.track_atomic_conflicts, options_.shard_policy);
-      } else {
-        gpu_engine_ = std::make_unique<DynamicGpuBc>(
-            options_.device_spec, mode, cost_model_,
-            options_.track_atomic_conflicts);
-      }
+      gpu_ = options_.num_devices > 1
+                 ? std::make_unique<DynamicGpuBc>(
+                       options_.num_devices, options_.device_spec, mode,
+                       cost_model_, options_.track_atomic_conflicts,
+                       options_.shard_policy)
+                 : std::make_unique<DynamicGpuBc>(
+                       options_.device_spec, mode, cost_model_,
+                       options_.track_atomic_conflicts);
       if (options_.engine == EngineKind::kGpuAdaptive) {
         policy_ = std::make_unique<ParallelismPolicy>(
             options_.adaptive, options_.device_spec, cost_model_);
-        if (sharded_) {
-          sharded_->set_policy(policy_.get());
-        } else {
-          gpu_engine_->set_policy(policy_.get());
-        }
+        gpu_->set_policy(policy_.get());
       }
       break;
     }
@@ -107,7 +102,7 @@ DynamicBc::DynamicBc(const CSRGraph& g, const bc::Options& options)
 }
 
 int DynamicBc::num_devices() const {
-  return sharded_ ? sharded_->num_devices() : 1;
+  return gpu_ ? gpu_->num_devices() : 1;
 }
 
 void DynamicBc::record_telemetry(trace::UpdateKind kind,
@@ -152,27 +147,9 @@ double DynamicBc::recompute() {
   double modeled = 0.0;
   detail::retry_faults(
       "bc.recompute", options_.recovery, num_devices(),
-      [&] {
-        if (sharded_) {
-          modeled = sharded_->compute(csr_, store_).group.seconds;
-        } else {
-          modeled = gpu_engine_->compute(csr_, store_).seconds;
-        }
-      },
+      [&] { modeled = gpu_->compute(csr_, store_).seconds; },
       [&](double cycles) { charge_backoff(cycles); });
   return modeled;
-}
-
-std::vector<sim::Device*> DynamicBc::devices() {
-  std::vector<sim::Device*> devs;
-  if (sharded_) {
-    for (int d = 0; d < sharded_->num_devices(); ++d) {
-      devs.push_back(&sharded_->group().device(d));
-    }
-  } else if (gpu_engine_) {
-    devs.push_back(&gpu_engine_->device());
-  }
-  return devs;
 }
 
 void DynamicBc::charge_backoff(double cycles) {
@@ -279,19 +256,11 @@ UpdateOutcome DynamicBc::run_update(trace::UpdateKind kind, VertexId u,
   } else {
     // The labels seed the fault decisions, so each kind keeps its own.
     run_recovered(insert ? "bc.insert" : "bc.remove", [&] {
-      if (sharded_) {
-        const ShardedUpdateResult r =
-            insert ? sharded_->insert_edge_update(csr_, store_, u, v)
-                   : sharded_->remove_edge_update(csr_, store_, u, v);
-        fold_outcomes(r.outcomes, outcome);
-        outcome.modeled_seconds = r.launch.group.seconds;
-      } else {
-        const GpuUpdateResult r =
-            insert ? gpu_engine_->insert_edge_update(csr_, store_, u, v)
-                   : gpu_engine_->remove_edge_update(csr_, store_, u, v);
-        fold_outcomes(r.outcomes, outcome);
-        outcome.modeled_seconds = r.stats.seconds;
-      }
+      const GpuUpdateResult r =
+          insert ? gpu_->insert_edge_update(csr_, store_, u, v)
+                 : gpu_->remove_edge_update(csr_, store_, u, v);
+      fold_outcomes(r.outcomes, outcome);
+      outcome.modeled_seconds = r.stats.seconds;
     }, outcome);
   }
   outcome.inserted = 1;

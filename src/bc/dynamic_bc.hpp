@@ -11,9 +11,10 @@
 //
 // The engine can be the sequential CPU algorithm (Green et al.) or either
 // simulated-GPU variant (edge-/node-parallel); all produce identical
-// scores. GPU engines optionally shard their per-source jobs across
-// `num_devices` simulated devices with cross-device work stealing
-// (bc/sharded_gpu.hpp) - scores stay bit-identical to one device; only the
+// scores. The GPU engine (bc/dynamic_gpu.hpp) runs on one simulated device
+// or, with `num_devices` > 1, shards its per-source jobs across a group of
+// devices with cross-device work stealing - scores agree with one device
+// within rounding and are bit-identical across group sizes; only the
 // modeled time scales. Graph-structure maintenance - validating an update
 // and patching the analytic's CSR in place (graph/csr_graph.hpp), plus the
 // per-edge snapshots of a batch - is timed separately from the analytic
@@ -36,7 +37,6 @@
 #include "bc/recovery.hpp"
 #include "bc/dynamic_cpu.hpp"
 #include "bc/dynamic_gpu.hpp"
-#include "bc/sharded_gpu.hpp"
 #include "bc/update_outcome.hpp"
 #include "graph/csr_graph.hpp"
 #include "trace/telemetry.hpp"
@@ -96,8 +96,7 @@ struct Options {
   ApproxConfig approx;  // source sampling (paper §II.B)
   sim::DeviceSpec device_spec = sim::DeviceSpec::tesla_c2075();
   /// GPU engines only: shard per-source jobs across this many simulated
-  /// devices with cross-device work stealing. 1 = the single-device
-  /// engines; scores are bit-identical either way.
+  /// devices with cross-device work stealing. 1 = one device, no group.
   int num_devices = 1;
   ShardPolicy shard_policy = ShardPolicy::kRoundRobin;
   /// Turns on the simulator's per-address atomic conflict accounting
@@ -211,10 +210,11 @@ class DynamicBc {
   /// validates and patches csr_, then runs the engine on every source.
   UpdateOutcome run_update(trace::UpdateKind kind, VertexId u, VertexId v);
   double recompute();
-  /// The simulated devices the GPU engines run on: the sharded group's
-  /// devices in order, or the single-device engine's one (empty for the
-  /// CPU engine).
-  std::vector<sim::Device*> devices();
+  /// The simulated devices the GPU engine runs on (empty for the CPU
+  /// engine).
+  std::vector<sim::Device*> devices() {
+    return gpu_ ? gpu_->devices() : std::vector<sim::Device*>{};
+  }
   /// Charges deterministic modeled backoff cycles to every device the GPU
   /// engines run on (no-op for the CPU engine).
   void charge_backoff(double cycles);
@@ -245,7 +245,8 @@ class DynamicBc {
   /// Folds a finished update into the opt-in stream telemetry
   /// (trace/telemetry.hpp). Every update path - single insert, removal,
   /// batch - reports through this one hook at the UpdateOutcome layer, so
-  /// all engines (CPU, GPU variants, sharded) inherit the attribution.
+  /// all engines (CPU, GPU variants, any device count) inherit the
+  /// attribution.
   /// No-op while telemetry is disabled.
   void record_telemetry(trace::UpdateKind kind,
                         const UpdateOutcome& outcome) const;
@@ -256,9 +257,8 @@ class DynamicBc {
   bool computed_ = false;
 
   std::unique_ptr<DynamicCpuEngine> cpu_engine_;
-  std::unique_ptr<DynamicGpuBc> gpu_engine_;     // num_devices == 1
-  std::unique_ptr<ShardedGpuBc> sharded_;        // num_devices > 1
-  std::unique_ptr<ParallelismPolicy> policy_;    // kGpuAdaptive only
+  std::unique_ptr<DynamicGpuBc> gpu_;           // GPU engines only
+  std::unique_ptr<ParallelismPolicy> policy_;  // kGpuAdaptive only
   sim::CostModel cost_model_;
 };
 

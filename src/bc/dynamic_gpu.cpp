@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <numeric>
+#include <utility>
 
 #include "bc/adaptive_policy.hpp"
+#include "bc/batch_update.hpp"
 #include "bc/static_kernels.hpp"
 #include "gpusim/primitives.hpp"
 #include "trace/metrics.hpp"
@@ -1497,36 +1501,221 @@ void GpuWorkspace::ensure(VertexId n) {
   d_new.assign(size, kInfDist);
 }
 
+namespace {
+
+/// Greedy LPT: heaviest job first, each to the least-loaded device (ties
+/// toward the lowest device id). Equal (or no) weights degrade to
+/// round-robin.
+std::vector<int> lpt_assign(std::span<const std::int64_t> weights, int k,
+                            int num_devices) {
+  const auto weight = [&](int si) {
+    return weights.empty() ? 0 : weights[static_cast<std::size_t>(si)];
+  };
+  std::vector<int> order(static_cast<std::size_t>(k));
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](int a, int b) { return weight(a) > weight(b); });
+  std::vector<int> device(static_cast<std::size_t>(k), 0);
+  std::vector<std::int64_t> load(static_cast<std::size_t>(num_devices), 0);
+  for (int si : order) {
+    const auto target = static_cast<std::size_t>(
+        std::min_element(load.begin(), load.end()) - load.begin());
+    device[static_cast<std::size_t>(si)] = static_cast<int>(target);
+    // Weightless jobs still occupy a queue slot; count them as 1 so the
+    // first launch (no history) spreads sources instead of piling them
+    // onto device 0.
+    load[target] += std::max<std::int64_t>(weight(si), 1);
+  }
+  return device;
+}
+
+std::vector<int> round_robin_assign(int k, int num_devices) {
+  std::vector<int> device(static_cast<std::size_t>(k));
+  for (int si = 0; si < k; ++si) {
+    device[static_cast<std::size_t>(si)] = si % num_devices;
+  }
+  return device;
+}
+
+/// Predicted relative cost of one source's single-edge update, readable
+/// from the store's dist row before launching (the same host-side
+/// information a real multi-GPU driver has): same-level edges are
+/// classification-only, adjacent ones pay for their touched subtree, and
+/// distance-changing ones run the Case 3 repair - the heavy tail LPT must
+/// spread. Same scale as batch_job_weight. An existing edge's endpoints
+/// differ by at most one level, so removals classify to kNoWork or
+/// kAdjacent only; an adjacent removal can escalate to the distance-growing
+/// Case 3 repair (no surviving parent), so it gets the heavy weight.
+std::int64_t update_job_weight(std::span<const Dist> dist, VertexId u,
+                               VertexId v, bool removal) {
+  switch (classify_insertion(dist, u, v).update_case) {
+    case UpdateCase::kNoWork:
+      return 0;
+    case UpdateCase::kAdjacent:
+      return removal ? 4 : 1;
+    case UpdateCase::kFar:
+      return 4;
+  }
+  return 0;
+}
+
+}  // namespace
+
+const char* to_string(ShardPolicy policy) {
+  return policy == ShardPolicy::kRoundRobin ? "round-robin" : "lpt";
+}
+
 DynamicGpuBc::DynamicGpuBc(sim::DeviceSpec spec, Parallelism mode,
                            sim::CostModel cost, bool track_atomic_conflicts)
-    : device_(std::move(spec), cost, track_atomic_conflicts), mode_(mode) {}
+    : mode_(mode) {
+  device_.emplace(std::move(spec), cost, track_atomic_conflicts);
+}
+
+DynamicGpuBc::DynamicGpuBc(int num_devices, sim::DeviceSpec spec,
+                           Parallelism mode, sim::CostModel cost,
+                           bool track_atomic_conflicts,
+                           ShardPolicy shard_policy)
+    : mode_(mode), shard_policy_(shard_policy) {
+  group_.emplace(num_devices, std::move(spec), cost, track_atomic_conflicts);
+}
+
+const sim::DeviceSpec& DynamicGpuBc::spec() const {
+  return device_ ? device_->spec() : group_->spec();
+}
+
+int DynamicGpuBc::num_devices() const {
+  return device_ ? 1 : group_->num_devices();
+}
+
+std::vector<sim::Device*> DynamicGpuBc::devices() {
+  if (device_) return {&*device_};
+  std::vector<sim::Device*> devs;
+  for (int d = 0; d < group_->num_devices(); ++d) {
+    devs.push_back(&group_->device(d));
+  }
+  return devs;
+}
+
+std::vector<int> DynamicGpuBc::shard_sources(int k) const {
+  if (shard_policy_ == ShardPolicy::kRoundRobin) {
+    return round_robin_assign(k, num_devices());
+  }
+  const bool history = last_cycles_.size() == static_cast<std::size_t>(k);
+  return lpt_assign(history ? std::span<const std::int64_t>(last_cycles_)
+                            : std::span<const std::int64_t>(),
+                    k, num_devices());
+}
+
+void DynamicGpuBc::remember_weights(const sim::GroupLaunchResult& result) {
+  last_cycles_.resize(result.placements.size());
+  for (std::size_t j = 0; j < result.placements.size(); ++j) {
+    const auto& p = result.placements[j];
+    last_cycles_[j] = std::llround(p.end_cycles - p.start_cycles);
+  }
+}
+
+void DynamicGpuBc::launch(SourceLaunchKind kind, const PlannedLaunch& plan,
+                          int k, const Weigh& weigh, const SourceJob& job,
+                          GpuLaunch& out, int num_blocks) {
+  const bool batch = kind == SourceLaunchKind::kBatch;
+  const auto predicted = [&] {
+    std::vector<std::int64_t> weights(static_cast<std::size_t>(k));
+    for (int si = 0; si < k; ++si) {
+      weights[static_cast<std::size_t>(si)] = weigh(si);
+    }
+    return weights;
+  };
+  if (device_ && !batch) {
+    if (num_blocks <= 0) num_blocks = device_->spec().num_sms;
+    out.stats = device_->launch(
+        num_blocks,
+        [&, num_blocks](BlockContext& ctx) {
+          for (int si = ctx.block_id(); si < k; si += num_blocks) {
+            job(ctx, si);
+          }
+        },
+        plan.name());
+    return;
+  }
+  if (device_) {
+    // Queue order: provisional batch weight per source, heaviest first
+    // (the host-side sort a driver performs before enqueueing jobs; it
+    // changes only the schedule, never the per-source results). The policy
+    // decides per-job modes but never the queue order: job order is the
+    // order BC deltas fold in, so reordering would perturb the float sums
+    // the forced modes must reproduce bit-identically - and the
+    // classification-based weight schedules at least as well as the cycle
+    // estimate.
+    const std::vector<std::int64_t> weights = predicted();
+    auto& order = out.job_sources;
+    order.resize(static_cast<std::size_t>(k));
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+      return weights[static_cast<std::size_t>(a)] >
+             weights[static_cast<std::size_t>(b)];
+    });
+    out.stats = device_->launch_queue(
+        k,
+        [&](BlockContext& ctx, int j) {
+          job(ctx, order[static_cast<std::size_t>(j)]);
+        },
+        &out.job_stats, plan.name());
+    return;
+  }
+
+  // On a group, LPT shards and orders the queues by predicted cost, and
+  // batches order them by it under either policy. The adaptive policy's
+  // per-job cycle estimates beat the host-side prediction (they already
+  // reflect this launch's mode decisions), which beats the previous
+  // launch's cycles: single-edge updates and batches carry an edge-aware
+  // prediction, and the heavy tail moves with the edge.
+  const bool lpt = shard_policy_ == ShardPolicy::kLptTouched;
+  std::vector<std::int64_t> weights;
+  if (lpt || batch) {
+    if (plan.adaptive()) {
+      weights = plan.planned_weights();
+    } else if (weigh) {
+      weights = predicted();
+    } else if (last_cycles_.size() == static_cast<std::size_t>(k)) {
+      weights = last_cycles_;
+    }
+  }
+  const std::vector<int> shard = lpt ? lpt_assign(weights, k, num_devices())
+                                     : round_robin_assign(k, num_devices());
+  if (batch) {
+    out.job_sources.resize(static_cast<std::size_t>(k));
+    std::iota(out.job_sources.begin(), out.job_sources.end(), 0);
+  }
+  out.group = group_->launch_sharded(k, shard, weights, job,
+                                     batch ? &out.job_stats : nullptr,
+                                     plan.name());
+  out.stats = out.group.group;
+  remember_weights(out.group);
+}
 
 sim::KernelStats DynamicGpuBc::compute(const CSRGraph& g, BcStore& store,
                                        int num_blocks) {
-  if (num_blocks <= 0) num_blocks = device_.spec().num_sms;
   std::fill(store.bc().begin(), store.bc().end(), 0.0);
-  const int k = store.num_sources();
-  PlannedLaunch launch(SourceLaunchKind::kStatic, policy_, mode_,
-                       [&](ParallelismPolicy& p) {
-                         return p.plan_static(g, store);
-                       });
-  const sim::KernelStats stats = device_.launch(
-      num_blocks,
-      [&, num_blocks](BlockContext& ctx) {
-        std::vector<VertexId> order;
-        std::vector<std::size_t> level_offsets;
-        for (int si = ctx.block_id(); si < k; si += num_blocks) {
-          launch.run(ctx, si, [&](Parallelism m) {
-            detail::static_source(
-                ctx, m, g, store.sources()[static_cast<std::size_t>(si)],
-                store.dist_row(si), store.sigma_row(si), store.delta_row(si),
-                store.bc(), order, level_offsets);
-          });
-        }
+  PlannedLaunch plan(SourceLaunchKind::kStatic, policy_, mode_,
+                     [&](ParallelismPolicy& p) {
+                       return p.plan_static(g, store);
+                     });
+  std::vector<VertexId> order;
+  std::vector<std::size_t> level_offsets;
+  GpuLaunch out;
+  launch(
+      SourceLaunchKind::kStatic, plan, store.num_sources(), /*weigh=*/{},
+      [&](BlockContext& ctx, int si) {
+        plan.run(ctx, si, [&](Parallelism m) {
+          detail::static_source(
+              ctx, m, g, store.sources()[static_cast<std::size_t>(si)],
+              store.dist_row(si), store.sigma_row(si), store.delta_row(si),
+              store.bc(), order, level_offsets);
+        });
       },
-      launch.name());
-  launch.feedback();
-  return stats;
+      out, num_blocks);
+  plan.feedback();
+  return out.stats;
 }
 
 GpuUpdateResult DynamicGpuBc::insert_edge_update(const CSRGraph& g,
@@ -1547,29 +1736,60 @@ GpuUpdateResult DynamicGpuBc::edge_update(SourceLaunchKind kind,
   const bool removal = kind == SourceLaunchKind::kRemove;
   const auto source_update = removal ? &detail::gpu_remove_source_update
                                      : &detail::gpu_insert_source_update;
-  const int num_blocks = device_.spec().num_sms;
   const int k = store.num_sources();
   GpuUpdateResult result;
   result.outcomes.resize(static_cast<std::size_t>(k));
   ws_.ensure(g.num_vertices());
-  PlannedLaunch launch(kind, policy_, mode_, [&](ParallelismPolicy& p) {
+  PlannedLaunch plan(kind, policy_, mode_, [&](ParallelismPolicy& p) {
     return removal ? p.plan_remove(g, store, u, v)
                    : p.plan_insert(g, store, u, v);
   });
-  result.stats = device_.launch(
-      num_blocks,
-      [&, num_blocks](BlockContext& ctx) {
-        for (int si = ctx.block_id(); si < k; si += num_blocks) {
-          launch.run(ctx, si, [&](Parallelism m) {
-            result.outcomes[static_cast<std::size_t>(si)] = source_update(
-                ctx, ws_, m, g, store.sources()[static_cast<std::size_t>(si)],
-                store.dist_row(si), store.sigma_row(si), store.delta_row(si),
-                store.bc(), u, v);
-          });
-        }
+  launch(
+      kind, plan, k,
+      [&](int si) {
+        return update_job_weight(store.dist_row(si), u, v, removal);
       },
-      launch.name());
-  launch.feedback(result.outcomes, &SourceUpdateOutcome::touched);
+      [&](BlockContext& ctx, int si) {
+        plan.run(ctx, si, [&](Parallelism m) {
+          result.outcomes[static_cast<std::size_t>(si)] = source_update(
+              ctx, ws_, m, g, store.sources()[static_cast<std::size_t>(si)],
+              store.dist_row(si), store.sigma_row(si), store.delta_row(si),
+              store.bc(), u, v);
+        });
+      },
+      result);
+  plan.feedback(result.outcomes, &SourceUpdateOutcome::touched);
+  return result;
+}
+
+GpuBatchResult DynamicGpuBc::insert_edge_batch(const BatchSnapshots& batch,
+                                               BcStore& store,
+                                               const BatchConfig& config) {
+  const int k = store.num_sources();
+  GpuBatchResult result;
+  result.outcomes.resize(static_cast<std::size_t>(k));
+  if (batch.empty() || k == 0) return result;
+  ws_.ensure(batch.final_graph().num_vertices());
+  PlannedLaunch plan(SourceLaunchKind::kBatch, policy_, mode_,
+                     [&](ParallelismPolicy& p) {
+                       return p.plan_batch(batch.final_graph(), store, batch);
+                     });
+  std::vector<VertexId> bfs_order;
+  std::vector<std::size_t> level_offsets;
+  launch(
+      SourceLaunchKind::kBatch, plan, k,
+      [&](int si) {
+        return detail::batch_job_weight(store.dist_row(si), batch);
+      },
+      [&](BlockContext& ctx, int si) {
+        plan.run(ctx, si, [&](Parallelism m) {
+          result.outcomes[static_cast<std::size_t>(si)] =
+              detail::gpu_source_batch(ctx, ws_, m, batch, config, store, si,
+                                       bfs_order, level_offsets);
+        });
+      },
+      result);
+  plan.feedback(result.outcomes, &SourceBatchOutcome::touched_total);
   return result;
 }
 

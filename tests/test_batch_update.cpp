@@ -166,23 +166,33 @@ TEST(BatchUpdate, GpuEngineReportsPerJobStats) {
   brandes_all(g, store);
   const auto batch = build_batch_snapshots(g, edges);
 
-  DynamicGpuBc engine(sim::DeviceSpec::tesla_c2075(), Parallelism::kEdge);
-  const GpuBatchResult result =
-      engine.insert_edge_batch(batch, store, BatchConfig{});
-  ASSERT_EQ(result.outcomes.size(), 10u);
-  ASSERT_EQ(result.job_sources.size(), 10u);
-  ASSERT_EQ(result.job_stats.size(), 10u);
+  // The same result reads the same way on a device and on a group.
+  for (const int devices : {1, 2}) {
+    SCOPED_TRACE(devices);
+    BcStore run = store;
+    DynamicGpuBc engine =
+        devices == 1
+            ? DynamicGpuBc(sim::DeviceSpec::tesla_c2075(), Parallelism::kEdge)
+            : DynamicGpuBc(devices, sim::DeviceSpec::tesla_c2075(),
+                           Parallelism::kEdge);
+    const GpuBatchResult result =
+        engine.insert_edge_batch(batch, run, BatchConfig{});
+    ASSERT_EQ(result.outcomes.size(), 10u);
+    ASSERT_EQ(result.job_sources.size(), 10u);
+    ASSERT_EQ(result.job_stats.size(), 10u);
+    EXPECT_EQ(result.group.placements.size(), devices == 1 ? 0u : 10u);
 
-  // job_sources is a permutation of the source indices.
-  auto perm = result.job_sources;
-  std::sort(perm.begin(), perm.end());
-  for (int si = 0; si < 10; ++si) EXPECT_EQ(perm[si], si);
+    // job_sources is a permutation of the source indices.
+    auto perm = result.job_sources;
+    std::sort(perm.begin(), perm.end());
+    for (int si = 0; si < 10; ++si) EXPECT_EQ(perm[si], si);
 
-  // Per-job counters sum to the launch totals.
-  std::uint64_t reads = 0;
-  for (const auto& c : result.job_stats) reads += c.global_reads;
-  EXPECT_EQ(reads, result.stats.total.global_reads);
-  EXPECT_GT(result.stats.makespan_cycles, 0.0);
+    // Per-job counters sum to the launch totals.
+    std::uint64_t reads = 0;
+    for (const auto& c : result.job_stats) reads += c.global_reads;
+    EXPECT_EQ(reads, result.stats.total.global_reads);
+    EXPECT_GT(result.stats.makespan_cycles, 0.0);
+  }
 }
 
 /// The tentpole's acceptance criterion at unit-test scale: one batched

@@ -25,7 +25,6 @@
 #include "bc/dynamic_bc.hpp"
 #include "bc/dynamic_cpu.hpp"
 #include "bc/dynamic_gpu.hpp"
-#include "bc/sharded_gpu.hpp"
 #include "gpusim/fault_injector.hpp"
 #include "gen/suite.hpp"
 #include "test_helpers.hpp"
@@ -275,15 +274,6 @@ TEST_P(DifferentialFuzz, MixedInsertRemoveStreamMatchesFreshRecompute) {
 // same sweeps run every item. Both paths must leave the same stores and the
 // same modeled KernelStats, bit for bit.
 
-const sim::KernelStats& stats_of(const sim::KernelStats& s) { return s; }
-const sim::KernelStats& stats_of(const sim::GroupLaunchResult& r) {
-  return r.group;
-}
-const sim::KernelStats& stats_of(const GpuUpdateResult& r) { return r.stats; }
-const sim::KernelStats& stats_of(const ShardedUpdateResult& r) {
-  return r.launch.group;
-}
-
 /// One engine's record of a stream: the stats of every launch (the static
 /// pass first) and the final store.
 struct SweepRun {
@@ -293,19 +283,18 @@ struct SweepRun {
   int case3_removals = 0;
 };
 
-template <typename Engine>
-SweepRun run_sweep_stream(Engine& engine, const CSRGraph& g0,
+SweepRun run_sweep_stream(DynamicGpuBc& engine, const CSRGraph& g0,
                           const std::vector<MixedStep>& ops,
                           const ApproxConfig& cfg) {
   SweepRun run{{}, BcStore(g0.num_vertices(), cfg)};
   CSRGraph g = g0;
-  run.stats.push_back(stats_of(engine.compute(g, run.store)));
+  run.stats.push_back(engine.compute(g, run.store));
   for (const MixedStep& op : ops) {
     g = op.insert ? g.with_edge(op.u, op.v) : g.without_edge(op.u, op.v);
     const auto r = op.insert
                        ? engine.insert_edge_update(g, run.store, op.u, op.v)
                        : engine.remove_edge_update(g, run.store, op.u, op.v);
-    run.stats.push_back(stats_of(r));
+    run.stats.push_back(r.stats);
     if (op.insert) continue;
     for (const SourceUpdateOutcome& o : r.outcomes) {
       run.case2_removals += o.update_case == UpdateCase::kAdjacent ? 1 : 0;
@@ -376,12 +365,10 @@ TEST_P(DifferentialFuzz, SparseSweepsMatchExplicitSweepsBitForBit) {
           std::optional<test::HazardScope> shadow;
           if (explicit_sweeps) shadow.emplace(/*strict=*/false);
           ParallelismPolicy policy;
-          if (devices == 1) {
-            DynamicGpuBc engine(spec, mode, {}, kTracking);
-            if (adaptive) engine.set_policy(&policy);
-            return run_sweep_stream(engine, entry.graph, ops, cfg);
-          }
-          ShardedGpuBc engine(devices, spec, mode, {}, kTracking);
+          // One device block-strides; two shard across a group.
+          DynamicGpuBc engine =
+              devices == 1 ? DynamicGpuBc(spec, mode, {}, kTracking)
+                           : DynamicGpuBc(devices, spec, mode, {}, kTracking);
           if (adaptive) engine.set_policy(&policy);
           return run_sweep_stream(engine, entry.graph, ops, cfg);
         };

@@ -609,6 +609,50 @@ INSTANTIATE_TEST_SUITE_P(
                       ChaosCase{EngineKind::kGpuAdaptive, 2}),
     chaos_name);
 
+/// The front door pins the fault-site names seeded chaos runs replay by:
+/// a one-device session's launch aborts at "dev.launch.<kind>.<mode>" and
+/// polls no loss site; a two-device session's at
+/// "group.launch.<kind>.<mode>", and each of its launches polls "dev0.loss"
+/// then "dev1.loss" first.
+TEST(FaultSites, SessionPinsLaunchAndLossSiteNames) {
+  const CSRGraph g = test::gnp_graph(40, 0.12, 7);
+  const auto options = [](int devices, const sim::FaultPlan& plan) {
+    bc::Options opt = gpu_options(
+        devices, {.max_retries = 0, .fallback_recompute = false});
+    opt.runtime = {.fault_injection = true, .fault_plan = plan};
+    return opt;
+  };
+  const auto sites = [] {
+    std::vector<std::string> out;
+    for (const auto& rec : sim::faults().records()) out.push_back(rec.site);
+    return out;
+  };
+  const sim::FaultPlan abort_inserts{
+      .seed = 3, .kernel_abort_rate = 1.0, .site_filter = ".launch.insert"};
+  for (const auto& [devices, domain] :
+       {std::pair{1, "dev"}, std::pair{2, "group"}}) {
+    SCOPED_TRACE(domain);
+    bc::Session session(g, options(devices, abort_inserts));
+    session.compute();
+    BCDYN_SEEDED_RNG(rng, 41);
+    const auto [u, v] = test::random_absent_edge(session.graph(), rng);
+    EXPECT_THROW(session.insert_edge(u, v), sim::FaultError);
+    EXPECT_EQ(sites(),
+              std::vector<std::string>{std::string(domain) +
+                                       ".launch.insert.edge"});
+  }
+
+  const sim::FaultPlan lose_devices{.seed = 3, .device_loss_rate = 1.0};
+  {
+    bc::Session one(g, options(1, lose_devices));
+    EXPECT_NO_THROW(one.compute());
+    EXPECT_TRUE(sites().empty());
+  }
+  bc::Session two(g, options(2, lose_devices));
+  EXPECT_THROW(two.compute(), sim::FaultError);
+  EXPECT_EQ(sites(), (std::vector<std::string>{"dev0.loss", "dev1.loss"}));
+}
+
 TEST(ChaosPipeline, TransferFaultsRecoverBitIdentically) {
   const CSRGraph g = test::gnp_graph(64, 0.1, 13);
   bc::Options opt = gpu_options(2, {.max_retries = 8});
