@@ -121,11 +121,7 @@ void BM_DynamicCpuUpdate(benchmark::State& state) {
     } while (u == v || g.has_edge(u, v));
     g = g.with_edge(u, v);
     state.ResumeTiming();
-    for (int si = 0; si < store.num_sources(); ++si) {
-      engine.update_source(g, store.sources()[static_cast<std::size_t>(si)],
-                           store.dist_row(si), store.sigma_row(si),
-                           store.delta_row(si), store.bc(), u, v);
-    }
+    engine.insert_edge_update(g, store, u, v);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           store.num_sources());

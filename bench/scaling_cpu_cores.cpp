@@ -1,24 +1,61 @@
 // Extension bench (paper §VI future work: multi-core CPU parallelism):
 // strong scaling of the dynamic analytic across CPU worker lanes. Sources
-// are dealt to lanes in contiguous chunks; the modeled parallel time of an
-// update is the *makespan* over lanes (max per-lane operation cost), so
-// the numbers show both the parallel speedup and the load-imbalance loss.
+// are dealt to lanes in contiguous chunks of ceil(k / lanes); the modeled
+// parallel time of an update is the *makespan* over lanes (max per-lane
+// operation cost), so the numbers show both the parallel speedup and the
+// load-imbalance loss.
 //
-// Flags: common flags plus --lanes=1,2,4,...
+// No threads run: one sequential engine updates every source and reports
+// each source's integer operation counters. A source's charges do not
+// depend on which source ran before it, so a lane's cost is exactly the
+// sum of its chunk's counters, and one pass over the stream serves every
+// lane count.
+//
+// Flags: common flags plus --lanes=1,2,4,... (each >= 1)
+#include <algorithm>
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "bc/brandes.hpp"
-#include "bc/dynamic_cpu_parallel.hpp"
+#include "bc/dynamic_cpu.hpp"
 #include "gpusim/cost_model.hpp"
 
 using namespace bcdyn;
+
+namespace {
+
+/// Modeled makespan of one update with `lanes` lanes: the costliest
+/// contiguous chunk of per-source counters.
+double lane_makespan(const sim::CostModel& cm,
+                     std::span<const CpuOpCounters> source_ops,
+                     std::int64_t lanes) {
+  const auto k = static_cast<std::int64_t>(source_ops.size());
+  const std::int64_t chunk = k / lanes + (k % lanes != 0 ? 1 : 0);
+  double worst = 0.0;
+  for (std::int64_t begin = 0; begin < k; begin += chunk) {
+    CpuOpCounters lane;
+    for (std::int64_t si = begin; si < std::min(k, begin + chunk); ++si) {
+      lane += source_ops[static_cast<std::size_t>(si)];
+    }
+    worst = std::max(worst,
+                     sim::cpu_seconds(cm, lane.instrs, lane.reads, lane.writes));
+  }
+  return worst;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   bench::CommonConfig cfg = bench::parse_common(cli);
   const auto lane_counts = cli.get_int_list("lanes", {1, 2, 4, 8, 16});
   bench::warn_unused(cli);
+  for (auto lanes : lane_counts) {
+    if (lanes < 1) {
+      std::cerr << "error: --lanes wants counts >= 1, got " << lanes << "\n";
+      return 2;
+    }
+  }
   if (!cli.has("graphs") && cfg.graph_file.empty()) {
     cfg.graph_names = {"caida", "pref", "small"};
   }
@@ -38,43 +75,32 @@ int main(int argc, char** argv) {
   for (const auto& entry : graphs) {
     const auto stream = analysis::make_insertion_stream(
         entry.graph, {.num_insertions = cfg.insertions, .seed = cfg.seed});
-    std::vector<std::string> row = {entry.name};
-    double base = 0.0;
-    for (auto lanes : lane_counts) {
-      CSRGraph g = stream.base;
-      BcStore store(g.num_vertices(), approx);
-      brandes_all(g, store);
-      // The lane count defines the source partition; the engine sizes its
-      // lanes by max(workers, 1), so pass the lane count as the worker
-      // count (real threads scale on multi-core hosts, and the *model* is
-      // identical on a single core).
-      DynamicCpuParallelEngine laned(g.num_vertices(),
-                                     static_cast<int>(lanes));
-      double makespan = 0.0;
-      auto before = laned.lane_counters();
-      for (const auto& [u, v] : stream.insertions) {
-        g = g.with_edge(u, v);
-        laned.insert_edge_update(g, store, u, v);
-        const auto after = laned.lane_counters();
-        double worst = 0.0;
-        for (std::size_t lane = 0; lane < after.size(); ++lane) {
-          const auto& a = after[lane];
-          const auto& b = lane < before.size() ? before[lane] : CpuOpCounters{};
-          worst = std::max(worst, sim::cpu_seconds(cm, a.instrs - b.instrs,
-                                                   a.reads - b.reads,
-                                                   a.writes - b.writes));
-        }
-        makespan += worst;
-        before = after;
+    CSRGraph g = stream.base;
+    BcStore store(g.num_vertices(), approx);
+    brandes_all(g, store);
+    DynamicCpuEngine engine(g.num_vertices());
+    std::vector<CpuOpCounters> source_ops(
+        static_cast<std::size_t>(store.num_sources()));
+    std::vector<double> makespans(lane_counts.size(), 0.0);
+    for (const auto& [u, v] : stream.insertions) {
+      g = g.with_edge(u, v);
+      engine.insert_edge_update(g, store, u, v, source_ops);
+      for (std::size_t i = 0; i < lane_counts.size(); ++i) {
+        makespans[i] += lane_makespan(cm, source_ops, lane_counts[i]);
       }
-      if (base == 0.0) base = makespan;
-      const std::string lane_key = "lanes" + std::to_string(lanes);
+    }
+
+    std::vector<std::string> row = {entry.name};
+    for (std::size_t i = 0; i < lane_counts.size(); ++i) {
+      const double makespan = makespans[i];
+      const double speedup = makespans.front() / makespan;
+      const std::string lane_key = "lanes" + std::to_string(lane_counts[i]);
       bench::record_result("scaling_cpu_cores", entry.name,
                            lane_key + ".makespan_seconds", makespan);
       bench::record_result("scaling_cpu_cores", entry.name,
-                           lane_key + ".speedup", base / makespan);
-      row.push_back(util::Table::fmt_speedup(base / makespan));
-      std::cerr << "  " << entry.name << " " << lanes
+                           lane_key + ".speedup", speedup);
+      row.push_back(util::Table::fmt_speedup(speedup));
+      std::cerr << "  " << entry.name << " " << lane_counts[i]
                 << " lanes: " << util::Table::fmt(makespan, 5) << "s\n";
     }
     table.add_row(std::move(row));

@@ -49,6 +49,7 @@ DEFAULT_BENCHES = [
     "bench_batch_update",
     "fig1_thread_blocks",
     "pipeline_overlap",
+    "scaling_cpu_cores",
     "scaling_device_count",
     "service_throughput",
     "table2_dynamic_speedup",

@@ -68,20 +68,15 @@ DynamicRunResult run_cpu_dynamic(const EdgeStream& stream,
   for (const auto& [u, v] : stream.insertions) {
     g = g.with_edge(u, v);
     const CpuOpCounters before = engine.counters();
-    for (int si = 0; si < store.num_sources(); ++si) {
-      const VertexId s = store.sources()[static_cast<std::size_t>(si)];
-      const SourceUpdateOutcome r = engine.update_source(
-          g, s, store.dist_row(si), store.sigma_row(si), store.delta_row(si),
-          store.bc(), u, v);
+    for (const auto& r : engine.insert_edge_update(g, store, u, v)) {
       result.scenarios.record(r.update_case);
       if (touched != nullptr && r.update_case == UpdateCase::kAdjacent) {
         touched->record(r.touched);
       }
     }
-    const CpuOpCounters& after = engine.counters();
-    per_insertion.push_back(sim::cpu_seconds(cm, after.instrs - before.instrs,
-                                             after.reads - before.reads,
-                                             after.writes - before.writes));
+    const CpuOpCounters ops = engine.counters() - before;
+    per_insertion.push_back(
+        sim::cpu_seconds(cm, ops.instrs, ops.reads, ops.writes));
   }
   result.wall_seconds = clock.elapsed_s();
   finish_run(result, per_insertion);

@@ -237,19 +237,9 @@ UpdateOutcome DynamicBc::run_update(trace::UpdateKind kind, VertexId u,
   util::Stopwatch clock;
   if (options_.engine == EngineKind::kCpu) {
     cpu_engine_->reset_counters();
-    std::vector<SourceUpdateOutcome> outcomes(
-        static_cast<std::size_t>(store_.num_sources()));
-    for (int si = 0; si < store_.num_sources(); ++si) {
-      const VertexId s = store_.sources()[static_cast<std::size_t>(si)];
-      outcomes[static_cast<std::size_t>(si)] =
-          insert ? cpu_engine_->update_source(
-                       csr_, s, store_.dist_row(si), store_.sigma_row(si),
-                       store_.delta_row(si), store_.bc(), u, v)
-                 : cpu_engine_->remove_update_source(
-                       csr_, s, store_.dist_row(si), store_.sigma_row(si),
-                       store_.delta_row(si), store_.bc(), u, v);
-    }
-    fold_outcomes(outcomes, outcome);
+    fold_outcomes(insert ? cpu_engine_->insert_edge_update(csr_, store_, u, v)
+                         : cpu_engine_->remove_edge_update(csr_, store_, u, v),
+                  outcome);
     const CpuOpCounters& ops = cpu_engine_->counters();
     outcome.modeled_seconds =
         sim::cpu_seconds(cost_model_, ops.instrs, ops.reads, ops.writes);

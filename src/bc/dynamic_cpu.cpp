@@ -57,6 +57,28 @@ void DynamicCpuEngine::clear_qq() {
   qq_max_ = -1;
 }
 
+std::vector<SourceUpdateOutcome> DynamicCpuEngine::store_update(
+    bool insert, const CSRGraph& g, BcStore& store, VertexId u, VertexId v,
+    std::span<CpuOpCounters> source_ops) {
+  assert(source_ops.empty() ||
+         source_ops.size() == static_cast<std::size_t>(store.num_sources()));
+  std::vector<SourceUpdateOutcome> outcomes(
+      static_cast<std::size_t>(store.num_sources()));
+  for (int si = 0; si < store.num_sources(); ++si) {
+    const auto i = static_cast<std::size_t>(si);
+    const VertexId s = store.sources()[i];
+    const CpuOpCounters before = ops_;
+    outcomes[i] =
+        insert ? update_source(g, s, store.dist_row(si), store.sigma_row(si),
+                               store.delta_row(si), store.bc(), u, v)
+               : remove_update_source(g, s, store.dist_row(si),
+                                      store.sigma_row(si), store.delta_row(si),
+                                      store.bc(), u, v);
+    if (!source_ops.empty()) source_ops[i] = ops_ - before;
+  }
+  return outcomes;
+}
+
 SourceUpdateOutcome DynamicCpuEngine::update_source(
     const CSRGraph& g, VertexId s, std::span<Dist> dist,
     std::span<Sigma> sigma, std::span<double> delta, std::span<double> bc,

@@ -24,6 +24,7 @@
 #include <span>
 #include <vector>
 
+#include "bc/bc_store.hpp"
 #include "bc/case_classify.hpp"
 #include "graph/csr_graph.hpp"
 #include "trace/metrics.hpp"
@@ -43,6 +44,13 @@ struct CpuOpCounters {
     reads += o.reads;
     writes += o.writes;
     return *this;
+  }
+  bool operator==(const CpuOpCounters&) const = default;
+  friend CpuOpCounters operator-(CpuOpCounters a, const CpuOpCounters& b) {
+    a.instrs -= b.instrs;
+    a.reads -= b.reads;
+    a.writes -= b.writes;
+    return a;
   }
 };
 
@@ -81,6 +89,27 @@ class DynamicCpuEngine {
  public:
   explicit DynamicCpuEngine(VertexId num_vertices);
 
+  /// Updates every source row of `store` plus its BC scores for the
+  /// insertion of {u, v} (`g` must already contain the edge): one
+  /// update_source per source, in ascending source order, folding straight
+  /// into store.bc(). Returns the per-source outcomes, indexed by source
+  /// index. A non-empty `source_ops` (one slot per source) receives each
+  /// source's counter delta. No charge depends on which source ran before
+  /// (init_scratch charges a fixed O(n) per call, the rest per operation),
+  /// so a contiguous chunk's sum is that chunk's cost on a lane of its own.
+  std::vector<SourceUpdateOutcome> insert_edge_update(
+      const CSRGraph& g, BcStore& store, VertexId u, VertexId v,
+      std::span<CpuOpCounters> source_ops = {}) {
+    return store_update(/*insert=*/true, g, store, u, v, source_ops);
+  }
+
+  /// Decremental counterpart (`g` must no longer contain the edge).
+  std::vector<SourceUpdateOutcome> remove_edge_update(
+      const CSRGraph& g, BcStore& store, VertexId u, VertexId v,
+      std::span<CpuOpCounters> source_ops = {}) {
+    return store_update(/*insert=*/false, g, store, u, v, source_ops);
+  }
+
   /// Updates source s's rows (dist/sigma/delta, holding pre-insertion
   /// values) and the shared BC scores for the insertion of edge {u, v}.
   /// `g` must already contain the edge. Pass `force_general = true` to
@@ -118,6 +147,10 @@ class DynamicCpuEngine {
 
  private:
   enum class Touch : std::uint8_t { kUntouched = 0, kDown = 1, kUp = 2 };
+
+  std::vector<SourceUpdateOutcome> store_update(
+      bool insert, const CSRGraph& g, BcStore& store, VertexId u, VertexId v,
+      std::span<CpuOpCounters> source_ops);
 
   void init_scratch(std::span<const Sigma> sigma, bool case3,
                     std::span<const Dist> dist);

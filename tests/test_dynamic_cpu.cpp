@@ -3,6 +3,7 @@
 // must equal a from-scratch static recomputation on the updated graph.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 #include "bc/brandes.hpp"
@@ -219,17 +220,251 @@ TEST(DynamicCpu, CountersIncreaseMonotonically) {
   for (int step = 0; step < 3; ++step) {
     const auto [u, v] = test::random_absent_edge(g, rng);
     g = g.with_edge(u, v);
-    for (int si = 0; si < store.num_sources(); ++si) {
-      engine.update_source(g, store.sources()[static_cast<std::size_t>(si)],
-                           store.dist_row(si), store.sigma_row(si),
-                           store.delta_row(si), store.bc(), u, v);
-    }
+    engine.insert_edge_update(g, store, u, v);
     const auto& ops = engine.counters();
     EXPECT_GT(ops.reads + ops.writes, last);
     last = ops.reads + ops.writes;
   }
   engine.reset_counters();
   EXPECT_EQ(engine.counters().reads, 0u);
+}
+
+// Modeled multi-core lanes (bench/scaling_cpu_cores): lane i updates the
+// i-th contiguous chunk of ceil(k / lanes) sources with an engine of its
+// own, lanes in ascending order. 0 lanes is the store-level entry.
+std::vector<SourceUpdateOutcome> lane_update(
+    bool insert, const CSRGraph& g, BcStore& store,
+    std::vector<DynamicCpuEngine>& engines, int lanes, VertexId u,
+    VertexId v) {
+  if (lanes == 0) {
+    return insert ? engines[0].insert_edge_update(g, store, u, v)
+                  : engines[0].remove_edge_update(g, store, u, v);
+  }
+  const int k = store.num_sources();
+  const int chunk = (k + lanes - 1) / lanes;
+  std::vector<SourceUpdateOutcome> outcomes(static_cast<std::size_t>(k));
+  for (int si = 0; si < k; ++si) {
+    auto& engine = engines[static_cast<std::size_t>(si / chunk)];
+    const VertexId s = store.sources()[static_cast<std::size_t>(si)];
+    outcomes[static_cast<std::size_t>(si)] =
+        insert ? engine.update_source(g, s, store.dist_row(si),
+                                      store.sigma_row(si), store.delta_row(si),
+                                      store.bc(), u, v)
+               : engine.remove_update_source(
+                     g, s, store.dist_row(si), store.sigma_row(si),
+                     store.delta_row(si), store.bc(), u, v);
+  }
+  return outcomes;
+}
+
+std::vector<DynamicCpuEngine> lane_engines(VertexId n, int lanes) {
+  return std::vector<DynamicCpuEngine>(
+      static_cast<std::size_t>(std::max(1, lanes)), DynamicCpuEngine(n));
+}
+
+class CpuParallelWorkers : public ::testing::TestWithParam<int> {};
+
+TEST_P(CpuParallelWorkers, InsertionStreamMatchesStaticRecompute) {
+  const int lanes = GetParam();
+  auto g = test::gnp_graph(60, 0.06, 811);
+  ApproxConfig cfg{.num_sources = 14, .seed = 2};
+  BcStore store(60, cfg);
+  brandes_all(g, store);
+  auto engines = lane_engines(60, lanes);
+
+  BCDYN_SEEDED_RNG(rng, 31);
+  for (int step = 0; step < 8; ++step) {
+    const auto [u, v] = test::random_absent_edge(g, rng);
+    g = g.with_edge(u, v);
+    const auto outcomes = lane_update(true, g, store, engines, lanes, u, v);
+    ASSERT_EQ(outcomes.size(), 14u);
+
+    BcStore fresh(60, cfg);
+    brandes_all(g, fresh);
+    for (int si = 0; si < store.num_sources(); ++si) {
+      const auto d_upd = store.dist_row(si);
+      const auto d_ref = fresh.dist_row(si);
+      for (std::size_t i = 0; i < d_upd.size(); ++i) {
+        ASSERT_EQ(d_upd[i], d_ref[i])
+            << "lanes=" << lanes << " step=" << step << " si=" << si;
+      }
+    }
+    test::expect_near_spans(store.bc(), fresh.bc(), 1e-7, "bc");
+  }
+}
+
+TEST_P(CpuParallelWorkers, MixedStreamWithRemovals) {
+  const int lanes = GetParam();
+  auto g = gen::small_world(120, 3, 0.1, 17);
+  ApproxConfig cfg{.num_sources = 10, .seed = 3};
+  BcStore store(g.num_vertices(), cfg);
+  brandes_all(g, store);
+  auto engines = lane_engines(g.num_vertices(), lanes);
+
+  BCDYN_SEEDED_RNG(rng, 71);
+  std::vector<std::pair<VertexId, VertexId>> added;
+  for (int op = 0; op < 14; ++op) {
+    if (rng.next_bool(0.65) || added.empty()) {
+      const auto [u, v] = test::random_absent_edge(g, rng);
+      g = g.with_edge(u, v);
+      lane_update(true, g, store, engines, lanes, u, v);
+      added.emplace_back(u, v);
+    } else {
+      const auto [u, v] = added.back();
+      added.pop_back();
+      g = g.without_edge(u, v);
+      lane_update(false, g, store, engines, lanes, u, v);
+    }
+  }
+  BcStore fresh(g.num_vertices(), cfg);
+  brandes_all(g, fresh);
+  test::expect_near_spans(store.bc(), fresh.bc(), 1e-7, "bc");
+}
+
+INSTANTIATE_TEST_SUITE_P(WorkerCounts, CpuParallelWorkers,
+                         ::testing::Values(0, 1, 3, 8));
+
+// Four lanes' counters add up to the store-level update's counter delta.
+TEST(CpuParallel, CountersAggregateAcrossLanes) {
+  auto g = test::gnp_graph(40, 0.1, 5);
+  ApproxConfig cfg{.num_sources = 12, .seed = 1};
+  BcStore store_lanes(40, cfg);
+  brandes_all(g, store_lanes);
+  BcStore store_whole = store_lanes;
+  auto engines = lane_engines(40, 4);
+  DynamicCpuEngine whole(40);
+  BCDYN_SEEDED_RNG(rng, 2);
+  const auto [u, v] = test::random_absent_edge(g, rng);
+  g = g.with_edge(u, v);
+  lane_update(true, g, store_lanes, engines, 4, u, v);
+  whole.insert_edge_update(g, store_whole, u, v);
+  CpuOpCounters ops;
+  for (const auto& engine : engines) ops += engine.counters();
+  EXPECT_GT(ops.reads, 0u);
+  EXPECT_GT(ops.writes, 0u);
+  EXPECT_EQ(ops, whole.counters());
+}
+
+// The store-level entry reports what a per-source loop reports.
+TEST(CpuParallel, OutcomesMatchSequentialEngine) {
+  auto g = test::gnp_graph(50, 0.08, 66);
+  ApproxConfig cfg{.num_sources = 16, .seed = 4};
+  BcStore store_par(50, cfg);
+  BcStore store_seq(50, cfg);
+  brandes_all(g, store_par);
+  brandes_all(g, store_seq);
+  DynamicCpuEngine par(50);
+  DynamicCpuEngine seq(50);
+
+  BCDYN_SEEDED_RNG(rng, 9);
+  const auto [u, v] = test::random_absent_edge(g, rng);
+  g = g.with_edge(u, v);
+  const auto outcomes = par.insert_edge_update(g, store_par, u, v);
+  for (int si = 0; si < 16; ++si) {
+    const auto r = seq.update_source(
+        g, store_seq.sources()[static_cast<std::size_t>(si)],
+        store_seq.dist_row(si), store_seq.sigma_row(si),
+        store_seq.delta_row(si), store_seq.bc(), u, v);
+    EXPECT_EQ(outcomes[static_cast<std::size_t>(si)].update_case,
+              r.update_case)
+        << si;
+    EXPECT_EQ(outcomes[static_cast<std::size_t>(si)].touched, r.touched)
+        << si;
+  }
+  test::expect_near_spans(store_par.bc(), store_seq.bc(), 1e-9, "bc");
+}
+
+// The property the multi-core lane model (bench/scaling_cpu_cores) rests
+// on: a lane's cost is the sum of its chunk's per-source counters. Twins
+// of one store walk the sources one by one in chunks of 1, 3 and k, next
+// to the store-level update, over a mixed insert/remove stream.
+TEST(DynamicCpu, SourceChunkCountersSumToStoreUpdate) {
+  auto g = gen::small_world(120, 3, 0.1, 17);
+  const ApproxConfig cfg{.num_sources = 10, .seed = 3};
+  const VertexId n = g.num_vertices();
+  BcStore whole(n, cfg);
+  brandes_all(g, whole);
+  DynamicCpuEngine whole_engine(n);
+  const int k = whole.num_sources();
+
+  struct Twin {
+    int chunk;
+    bool reversed;  // descending source order: a different source runs first
+    BcStore store;
+    DynamicCpuEngine engine;
+  };
+  std::vector<Twin> twins;
+  for (const auto& [chunk, reversed] : {std::pair{1, false}, std::pair{3, false},
+                                       std::pair{k, false}, std::pair{1, true}}) {
+    twins.push_back({chunk, reversed, whole, DynamicCpuEngine(n)});
+  }
+
+  BCDYN_SEEDED_RNG(rng, 71);
+  std::vector<std::pair<VertexId, VertexId>> added;
+  std::vector<CpuOpCounters> source_ops(static_cast<std::size_t>(k));
+  int removals = 0;
+  for (int op = 0; op < 16; ++op) {
+    const bool insert = added.empty() || rng.next_bool(0.6);
+    VertexId u = 0;
+    VertexId v = 0;
+    if (insert) {
+      std::tie(u, v) = test::random_absent_edge(g, rng);
+      g = g.with_edge(u, v);
+      added.emplace_back(u, v);
+    } else {
+      std::tie(u, v) = added.back();
+      added.pop_back();
+      g = g.without_edge(u, v);
+      ++removals;
+    }
+    const CpuOpCounters before = whole_engine.counters();
+    if (insert) {
+      whole_engine.insert_edge_update(g, whole, u, v, source_ops);
+    } else {
+      whole_engine.remove_edge_update(g, whole, u, v, source_ops);
+    }
+    CpuOpCounters summed;
+    for (const auto& ops : source_ops) summed += ops;
+    EXPECT_EQ(summed, whole_engine.counters() - before) << "op=" << op;
+
+    for (auto& twin : twins) {
+      for (int begin = 0; begin < k; begin += twin.chunk) {
+        const CpuOpCounters chunk_before = twin.engine.counters();
+        CpuOpCounters expected;
+        for (int j = begin; j < std::min(k, begin + twin.chunk); ++j) {
+          const int si = twin.reversed ? k - 1 - j : j;
+          const VertexId s = twin.store.sources()[static_cast<std::size_t>(si)];
+          BcStore& st = twin.store;
+          if (insert) {
+            twin.engine.update_source(g, s, st.dist_row(si), st.sigma_row(si),
+                                      st.delta_row(si), st.bc(), u, v);
+          } else {
+            twin.engine.remove_update_source(g, s, st.dist_row(si),
+                                             st.sigma_row(si), st.delta_row(si),
+                                             st.bc(), u, v);
+          }
+          expected += source_ops[static_cast<std::size_t>(si)];
+        }
+        EXPECT_EQ(twin.engine.counters() - chunk_before, expected)
+            << "op=" << op << " chunk=" << twin.chunk
+            << " reversed=" << twin.reversed << " begin=" << begin;
+      }
+      for (int si = 0; si < k; ++si) {
+        ASSERT_TRUE(std::ranges::equal(twin.store.dist_row(si),
+                                       whole.dist_row(si)));
+        ASSERT_TRUE(std::ranges::equal(twin.store.sigma_row(si),
+                                       whole.sigma_row(si)));
+        ASSERT_TRUE(std::ranges::equal(twin.store.delta_row(si),
+                                       whole.delta_row(si)));
+      }
+      // Ascending twins fold into the scores in the store-level order.
+      if (!twin.reversed) {
+        ASSERT_TRUE(std::ranges::equal(twin.store.bc(), whole.bc()))
+            << "op=" << op << " chunk=" << twin.chunk;
+      }
+    }
+  }
+  EXPECT_GT(removals, 0);
 }
 
 }  // namespace

@@ -1,8 +1,6 @@
-// util/: RNG distribution sanity, prefix sums, thread pool, table printer,
-// CLI parser.
+// util/: RNG distribution sanity, prefix sums, table printer, CLI parser.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <numeric>
 #include <sstream>
 
@@ -11,7 +9,6 @@
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace bcdyn::util {
 namespace {
@@ -97,34 +94,6 @@ TEST(PrefixSum, OffsetsFromCounts) {
   const auto offsets = offsets_from_counts(counts);
   EXPECT_EQ(offsets, (std::vector<std::int64_t>{0, 2, 2, 5}));
   EXPECT_EQ(offsets_from_counts({}).size(), 1u);
-}
-
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, DegenerateInlinePool) {
-  ThreadPool pool(0);
-  int count = 0;
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count, 1);
-  EXPECT_EQ(pool.num_workers(), 0u);
-}
-
-TEST(ThreadPool, ParallelForChunkedCoversRange) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for_chunked(pool, 1000, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(Table, AlignedAndCsvOutput) {
