@@ -143,6 +143,20 @@ inline void warn_unused(const util::Cli& cli) {
   }
 }
 
+/// False (after printing an error naming --`flag`) when any count is below
+/// one; a bench then exits 2 instead of running a meaningless column.
+inline bool counts_at_least_one(const std::string& flag,
+                                const std::vector<std::int64_t>& counts) {
+  for (const std::int64_t c : counts) {
+    if (c < 1) {
+      std::cerr << "error: --" << flag << " wants counts >= 1, got " << c
+                << "\n";
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Records one headline bench result as a stable-keyed gauge
 /// (`<bench>.<graph>.<key>`) destined for the --metrics JSON file.
 inline void record_result(const std::string& bench, const std::string& graph,

@@ -1,15 +1,13 @@
 // Microbenchmarks (google-benchmark, host wall time) for the simulator's
-// block-level primitives and the host-side scan utilities.
+// block-level primitives.
 #include <benchmark/benchmark.h>
 
 #include "micro_smoke.hpp"
 
-#include <numeric>
 #include <vector>
 
 #include "gpusim/block_context.hpp"
 #include "gpusim/primitives.hpp"
-#include "util/prefix_sum.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -77,19 +75,6 @@ void BM_RemoveDuplicates(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_RemoveDuplicates)->Arg(256)->Arg(4096);
-
-void BM_HostExclusiveScan(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<std::int64_t> data(n, 3);
-  for (auto _ : state) {
-    std::vector<std::int64_t> work = data;
-    benchmark::DoNotOptimize(
-        util::exclusive_prefix_sum(std::span(work)));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_HostExclusiveScan)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_ChargingOverhead(benchmark::State& state) {
   // Cost of the simulator's instrumentation itself: an empty charged loop.

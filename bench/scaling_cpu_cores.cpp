@@ -50,12 +50,7 @@ int main(int argc, char** argv) {
   bench::CommonConfig cfg = bench::parse_common(cli);
   const auto lane_counts = cli.get_int_list("lanes", {1, 2, 4, 8, 16});
   bench::warn_unused(cli);
-  for (auto lanes : lane_counts) {
-    if (lanes < 1) {
-      std::cerr << "error: --lanes wants counts >= 1, got " << lanes << "\n";
-      return 2;
-    }
-  }
+  if (!bench::counts_at_least_one("lanes", lane_counts)) return 2;
   if (!cli.has("graphs") && cfg.graph_file.empty()) {
     cfg.graph_names = {"caida", "pref", "small"};
   }

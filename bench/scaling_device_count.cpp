@@ -67,6 +67,7 @@ int main(int argc, char** argv) {
   // uniform per-source cost also shards better.
   const std::string mode_name = cli.get("mode", "edge");
   bench::warn_unused(cli);
+  if (!bench::counts_at_least_one("devices", device_counts)) return 2;
   const Parallelism mode =
       mode_name == "edge" ? Parallelism::kEdge : Parallelism::kNode;
   if (!cli.has("graphs") && cfg.graph_file.empty()) {

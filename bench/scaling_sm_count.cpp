@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   bench::CommonConfig cfg = bench::parse_common(cli);
   const auto sm_counts = cli.get_int_list("sms", {7, 14, 28, 56, 112});
   bench::warn_unused(cli);
+  if (!bench::counts_at_least_one("sms", sm_counts)) return 2;
   if (!cli.has("graphs") && cfg.graph_file.empty()) {
     cfg.graph_names = {"caida", "pref", "small"};
   }

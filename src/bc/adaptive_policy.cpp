@@ -349,30 +349,18 @@ Parallelism ParallelismPolicy::decide(const DecisionFeatures& f) {
     rec.mode = want.mode;
     rec.explored = want.explored;
   } else {
-    switch (config_.force) {
-      case AdaptiveConfig::Force::kEdge:
-        rec.mode = Parallelism::kEdge;
-        break;
-      case AdaptiveConfig::Force::kNode:
-        rec.mode = Parallelism::kNode;
-        break;
-      case AdaptiveConfig::Force::kAuto: {
-        rec.mode = rec.est_node_cycles <= rec.est_edge_cycles
-                       ? Parallelism::kNode
-                       : Parallelism::kEdge;
-        if (config_.explore_period > 0) {
-          const double lo = std::min(rec.est_edge_cycles, rec.est_node_cycles);
-          const double hi = std::max(rec.est_edge_cycles, rec.est_node_cycles);
-          if (hi <= lo * config_.explore_margin &&
-              probe_hash(f, config_.seed) %
-                      static_cast<std::uint64_t>(config_.explore_period) ==
-                  0) {
-            rec.mode = rec.mode == Parallelism::kEdge ? Parallelism::kNode
-                                                      : Parallelism::kEdge;
-            rec.explored = true;
-          }
-        }
-        break;
+    rec.mode = rec.est_node_cycles <= rec.est_edge_cycles ? Parallelism::kNode
+                                                          : Parallelism::kEdge;
+    if (config_.explore_period > 0) {
+      const double lo = std::min(rec.est_edge_cycles, rec.est_node_cycles);
+      const double hi = std::max(rec.est_edge_cycles, rec.est_node_cycles);
+      if (hi <= lo * config_.explore_margin &&
+          probe_hash(f, config_.seed) %
+                  static_cast<std::uint64_t>(config_.explore_period) ==
+              0) {
+        rec.mode = rec.mode == Parallelism::kEdge ? Parallelism::kNode
+                                                  : Parallelism::kEdge;
+        rec.explored = true;
       }
     }
   }
@@ -455,7 +443,7 @@ LaunchPlan ParallelismPolicy::plan_static(const CSRGraph& g,
   return plan;
 }
 
-LaunchPlan ParallelismPolicy::plan_insert(const CSRGraph& g,
+LaunchPlan ParallelismPolicy::plan_update(bool removal, const CSRGraph& g,
                                           const BcStore& store, VertexId u,
                                           VertexId v) {
   const int k = store.num_sources();
@@ -466,49 +454,17 @@ LaunchPlan ParallelismPolicy::plan_insert(const CSRGraph& g,
   const GraphFeatures& gf = graph_features(g, store.sources()[0]);
   for (int si = 0; si < k; ++si) {
     const auto d = store.dist_row(si);
-    const CaseInfo info = classify_insertion(d, u, v);
+    const CaseInfo info =
+        removal ? classify_removal(g, d, u, v, [](VertexId) {})
+                : classify_insertion(d, u, v);
     if (info.update_case == UpdateCase::kNoWork) continue;
-    const LaunchKind kind = info.update_case == UpdateCase::kAdjacent
-                                ? LaunchKind::kInsertCase2
-                                : LaunchKind::kCase3;
+    const LaunchKind kind = info.update_case == UpdateCase::kFar
+                                ? LaunchKind::kCase3
+                            : removal ? LaunchKind::kRemoval
+                                      : LaunchKind::kInsertCase2;
     const auto i = static_cast<std::size_t>(si);
     plan.features[i] = update_features(
         kind, si, gf, d[static_cast<std::size_t>(info.u_low)]);
-    plan.modes[i] = decide(plan.features[i]);
-    plan.decided[i] = 1;
-  }
-  return plan;
-}
-
-LaunchPlan ParallelismPolicy::plan_remove(const CSRGraph& g,
-                                          const BcStore& store, VertexId u,
-                                          VertexId v) {
-  const int k = store.num_sources();
-  LaunchPlan plan = make_plan(k);
-  if (k == 0) return plan;
-  trace::Span span("bc.adaptive.plan", "bc",
-                   {{"sources", static_cast<double>(k)}});
-  const GraphFeatures& gf = graph_features(g, store.sources()[0]);
-  for (int si = 0; si < k; ++si) {
-    const auto d = store.dist_row(si);
-    const Dist du = d[static_cast<std::size_t>(u)];
-    const Dist dv = d[static_cast<std::size_t>(v)];
-    if (du == dv) continue;  // never on a shortest path: no kernel work
-    const VertexId u_low = du < dv ? v : u;
-    bool has_other_parent = false;
-    for (const VertexId x : g.neighbors(u_low)) {
-      if (d[static_cast<std::size_t>(x)] + 1 ==
-          d[static_cast<std::size_t>(u_low)]) {
-        has_other_parent = true;
-        break;
-      }
-    }
-    // No surviving parent: the distance-growing Case 3 repair.
-    const LaunchKind kind =
-        has_other_parent ? LaunchKind::kRemoval : LaunchKind::kCase3;
-    const auto i = static_cast<std::size_t>(si);
-    plan.features[i] =
-        update_features(kind, si, gf, d[static_cast<std::size_t>(u_low)]);
     plan.modes[i] = decide(plan.features[i]);
     plan.decided[i] = 1;
   }

@@ -103,13 +103,6 @@ struct AdaptiveConfig {
   /// Seeds the exploration hash only; decisions are otherwise a pure
   /// function of features + learned state.
   std::uint64_t seed = 0;
-  enum class Force {
-    kAuto,  // pick by cost estimate
-    kEdge,  // every decision returns edge-parallel (bit-identical to the
-            // gpu-edge engine; the decision log still records estimates)
-    kNode,  // every decision returns node-parallel
-  };
-  Force force = Force::kAuto;
   /// Probe the non-preferred mapping on ~1/explore_period of near-tie
   /// decisions (estimate ratio below explore_margin) so both cost arms
   /// keep receiving observations. 0 disables probing. The probe trigger
@@ -190,11 +183,15 @@ class ParallelismPolicy {
   /// device (the same information a real driver has before enqueueing).
   LaunchPlan plan_static(const CSRGraph& g, const BcStore& store);
   LaunchPlan plan_insert(const CSRGraph& g, const BcStore& store, VertexId u,
-                         VertexId v);
-  /// `g` is the post-removal graph (the surviving-parent scan mirrors the
-  /// kernel's).
+                         VertexId v) {
+    return plan_update(/*removal=*/false, g, store, u, v);
+  }
+  /// `g` is the post-removal graph (the kernels' classify_removal decides
+  /// Case 2 against Case 3 here too).
   LaunchPlan plan_remove(const CSRGraph& g, const BcStore& store, VertexId u,
-                         VertexId v);
+                         VertexId v) {
+    return plan_update(/*removal=*/true, g, store, u, v);
+  }
   /// `g` is the batch's final graph; per-edge classification reads the
   /// pre-batch dist rows (the same approximation as batch_job_weight).
   LaunchPlan plan_batch(const CSRGraph& g, const BcStore& store,
@@ -232,6 +229,9 @@ class ParallelismPolicy {
     double samples = 0.0;
   };
 
+  /// The one single-edge planning loop behind plan_insert/plan_remove.
+  LaunchPlan plan_update(bool removal, const CSRGraph& g, const BcStore& store,
+                         VertexId u, VertexId v);
   double base_estimate(const DecisionFeatures& f, Parallelism mode) const;
   double edge_arc_sweep(const GraphFeatures& gf) const;
   double vertex_scan(const GraphFeatures& gf) const;

@@ -59,8 +59,9 @@ SourceBatchOutcome gpu_source_batch(sim::BlockContext& ctx, GpuWorkspace& ws,
       batch.edges.size(), final_g.num_vertices(), config,
       [&](std::size_t i) {
         const auto [u, v] = batch.edges[i];
-        return gpu_insert_source_update(ctx, ws, mode, batch.graphs[i], s, d,
-                                        sigma, delta, store.bc(), u, v);
+        return gpu_source_update(ctx, ws, mode, /*removal=*/false,
+                                 batch.graphs[i], s, d, sigma, delta,
+                                 store.bc(), u, v);
       },
       [&] {
         gpu_recompute_source(ctx, ws, mode, final_g, s, d, sigma, delta,
@@ -137,6 +138,7 @@ CpuBatchResult batch_insert_update(DynamicCpuEngine& engine,
 BatchSnapshots DynamicBc::stage_batch(
     std::span<const std::pair<VertexId, VertexId>> edges,
     UpdateOutcome& outcome) {
+  trace::Span span("bc.structure", "bc");
   util::Stopwatch structure_clock;
   BatchSnapshots batch = build_batch_snapshots(csr_, edges);
   outcome.inserted = static_cast<int>(batch.edges.size());

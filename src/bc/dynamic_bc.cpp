@@ -224,7 +224,10 @@ UpdateOutcome DynamicBc::run_update(trace::UpdateKind kind, VertexId u,
                    {{"u", static_cast<double>(u)},
                     {"v", static_cast<double>(v)}});
   util::Stopwatch structure_clock;
-  const bool applied = insert ? csr_.insert_edge(u, v) : csr_.remove_edge(u, v);
+  const bool applied = [&] {
+    trace::Span structure_span("bc.structure", "bc");
+    return insert ? csr_.insert_edge(u, v) : csr_.remove_edge(u, v);
+  }();
   UpdateOutcome outcome{.structure_wall_seconds = structure_clock.elapsed_s()};
   // Self loop, out of range, or already present (insert) / absent (remove).
   if (!applied) return outcome;

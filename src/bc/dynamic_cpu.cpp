@@ -58,7 +58,7 @@ void DynamicCpuEngine::clear_qq() {
 }
 
 std::vector<SourceUpdateOutcome> DynamicCpuEngine::store_update(
-    bool insert, const CSRGraph& g, BcStore& store, VertexId u, VertexId v,
+    bool removal, const CSRGraph& g, BcStore& store, VertexId u, VertexId v,
     std::span<CpuOpCounters> source_ops) {
   assert(source_ops.empty() ||
          source_ops.size() == static_cast<std::size_t>(store.num_sources()));
@@ -66,239 +66,79 @@ std::vector<SourceUpdateOutcome> DynamicCpuEngine::store_update(
       static_cast<std::size_t>(store.num_sources()));
   for (int si = 0; si < store.num_sources(); ++si) {
     const auto i = static_cast<std::size_t>(si);
-    const VertexId s = store.sources()[i];
     const CpuOpCounters before = ops_;
-    outcomes[i] =
-        insert ? update_source(g, s, store.dist_row(si), store.sigma_row(si),
-                               store.delta_row(si), store.bc(), u, v)
-               : remove_update_source(g, s, store.dist_row(si),
-                                      store.sigma_row(si), store.delta_row(si),
-                                      store.bc(), u, v);
+    outcomes[i] = source_update(removal, g, store.sources()[i],
+                                store.dist_row(si), store.sigma_row(si),
+                                store.delta_row(si), store.bc(), u, v);
     if (!source_ops.empty()) source_ops[i] = ops_ - before;
   }
   return outcomes;
 }
 
-SourceUpdateOutcome DynamicCpuEngine::update_source(
-    const CSRGraph& g, VertexId s, std::span<Dist> dist,
+SourceUpdateOutcome DynamicCpuEngine::source_update(
+    bool removal, const CSRGraph& g, VertexId s, std::span<Dist> dist,
     std::span<Sigma> sigma, std::span<double> delta, std::span<double> bc,
     VertexId u, VertexId v, bool force_general) {
   assert(g.num_vertices() == n_);
-  const CaseInfo info = classify_insertion(dist, u, v);
+  assert(!removal || (!g.has_edge(u, v) && !force_general));
   ops_.reads += 2;
   ops_.instrs += 4;
+  const CaseInfo info =
+      removal ? classify_removal(g, dist, u, v,
+                                 [this](VertexId) { ops_.reads += 2; })
+              : classify_insertion(dist, u, v);
 
   SourceUpdateOutcome outcome;
   outcome.update_case = info.update_case;
-  if (info.update_case != UpdateCase::kNoWork) {
-    if (info.update_case == UpdateCase::kAdjacent && !force_general) {
-      outcome.touched =
-          case2_update(g, s, dist, sigma, delta, bc, info.u_high, info.u_low);
-    } else {
-      outcome.touched =
-          case3_update(g, s, dist, sigma, delta, bc, info.u_high, info.u_low);
-    }
-  }
-  record_source_update_metrics(outcome, n_);
-  return outcome;
-}
-
-SourceUpdateOutcome DynamicCpuEngine::remove_update_source(
-    const CSRGraph& g, VertexId s, std::span<Dist> dist,
-    std::span<Sigma> sigma, std::span<double> delta, std::span<double> bc,
-    VertexId u, VertexId v) {
-  assert(g.num_vertices() == n_);
-  assert(!g.has_edge(u, v));
-  const Dist du = dist[static_cast<std::size_t>(u)];
-  const Dist dv = dist[static_cast<std::size_t>(v)];
-  ops_.reads += 2;
-  ops_.instrs += 4;
-
-  SourceUpdateOutcome outcome;
-  if (du == dv) {
-    // Same level (or both unreachable): the edge was never on a shortest
-    // path from s, so nothing changes.
-    outcome.update_case = UpdateCase::kNoWork;
-    record_source_update_metrics(outcome, n_);
-    return outcome;
-  }
-  // The edge existed, so the stored levels differ by exactly one.
-  assert(du - dv == 1 || dv - du == 1);
-  const VertexId u_high = du < dv ? u : v;
-  const VertexId u_low = du < dv ? v : u;
-  const auto lo = static_cast<std::size_t>(u_low);
-
-  // Does u_low keep another parent? If yes, no distance changes and the
-  // incremental (negative-increment) Case 2 machinery applies.
-  bool has_other_parent = false;
-  for (VertexId x : g.neighbors(u_low)) {
-    ops_.reads += 2;
-    if (dist[static_cast<std::size_t>(x)] + 1 == dist[lo]) {
-      has_other_parent = true;
-      break;
-    }
-  }
-  if (has_other_parent) {
-    outcome.update_case = UpdateCase::kAdjacent;
-    outcome.touched = case2_removal(g, s, dist, sigma, delta, bc, u_high, u_low);
-    record_source_update_metrics(outcome, n_);
-    return outcome;
-  }
-
-  // u_low's distance grows (possibly to infinity): per-source recompute.
-  // Old dependencies are saved so BC can be adjusted differentially.
-  outcome.update_case = UpdateCase::kFar;
-  outcome.touched = n_;
-  std::copy(delta.begin(), delta.end(), delta_hat_.begin());
-  brandes_source(g, s, dist, sigma, delta, {});
-  const auto n = static_cast<std::size_t>(n_);
-  for (std::size_t w = 0; w < n; ++w) {
-    if (w == static_cast<std::size_t>(s)) continue;
-    if (delta[w] != delta_hat_[w]) {
-      bc[w] += delta[w] - delta_hat_[w];
-      ops_.writes += 1;
-    }
-  }
-  ops_.reads += 2 * n + static_cast<std::uint64_t>(g.num_arcs()) * 4;
-  ops_.writes += 3 * n;
-  record_source_update_metrics(outcome, n_);
-  return outcome;
-}
-
-VertexId DynamicCpuEngine::case2_removal(
-    const CSRGraph& g, VertexId s, std::span<Dist> dist,
-    std::span<Sigma> sigma, std::span<double> delta, std::span<double> bc,
-    VertexId u_high, VertexId u_low) {
-  init_scratch(sigma, /*case3=*/false, dist);
-  const auto lo = static_cast<std::size_t>(u_low);
-  const auto hi = static_cast<std::size_t>(u_high);
-
-  // Stage 1: the removed edge no longer routes s->u_high paths to u_low.
-  t_[lo] = Touch::kDown;
-  sigma_hat_[lo] = sigma[lo] - sigma[hi];
-  assert(sigma_hat_[lo] >= 1.0);
-  ops_.reads += 2;
-  ops_.writes += 2;
-  VertexId touched = 1;
-
-  // Stage 2: propagate the (negative) sigma increments down, exactly like
-  // the insertion's Case 2 BFS.
-  q_.clear();
-  q_.push_back(u_low);
-  qq_push(dist[lo], u_low);
-  for (std::size_t head = 0; head < q_.size(); ++head) {
-    const VertexId vv = q_[head];
-    const auto vi = static_cast<std::size_t>(vv);
-    const Dist dv = dist[vi];
-    const Sigma inc = sigma_hat_[vi] - sigma[vi];
-    ops_.reads += 3;
-    for (VertexId w : g.neighbors(vv)) {
-      const auto wi = static_cast<std::size_t>(w);
-      ops_.reads += 2;
-      ops_.instrs += 2;
-      if (dist[wi] != dv + 1) continue;
-      if (t_[wi] == Touch::kUntouched) {
-        t_[wi] = Touch::kDown;
-        q_.push_back(w);
-        qq_push(dist[wi], w);
-        ops_.writes += 2;
-        ++touched;
-      }
-      sigma_hat_[wi] += inc;
-      ops_.reads += 1;
-      ops_.writes += 1;
-    }
-  }
-
-  // Pre-pass: u_high lost u_low as a child, and the neighbor scans below
-  // can no longer see the removed edge - subtract the stale contribution
-  // explicitly (the decremental mirror of Algorithm 2's line 32 guard).
-  if (t_[hi] == Touch::kUntouched) {
-    t_[hi] = Touch::kUp;
-    delta_hat_[hi] = delta[hi];
-    qq_push(dist[hi], u_high);
-    ops_.reads += 1;
-    ops_.writes += 2;
-    ++touched;
-  }
-  delta_hat_[hi] -= sigma[hi] / sigma[lo] * (1.0 + delta[lo]);
-  ops_.reads += 4;
-  ops_.writes += 1;
-
-  // Stage 3: dependency repair, farthest level first. Identical to the
-  // insertion path except there is no new-edge exclusion pair: every edge
-  // seen existed before the removal.
-  for (Dist level = qq_max_; level >= 1; --level) {
-    auto& bucket = qq_[static_cast<std::size_t>(level)];
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      const VertexId w = bucket[i];
-      const auto wi = static_cast<std::size_t>(w);
-      const double coeff_new = (1.0 + delta_hat_[wi]) / sigma_hat_[wi];
-      const double coeff_old = (1.0 + delta[wi]) / sigma[wi];
-      ops_.reads += 4;
-      ops_.instrs += 4;
-      for (VertexId vv : g.neighbors(w)) {
-        const auto vi = static_cast<std::size_t>(vv);
-        ops_.reads += 2;
-        ops_.instrs += 2;
-        if (dist[vi] + 1 != dist[wi]) continue;
-        if (t_[vi] == Touch::kUntouched) {
-          t_[vi] = Touch::kUp;
-          delta_hat_[vi] = delta[vi];
-          qq_push(static_cast<Dist>(level - 1), vv);
-          ops_.reads += 1;
-          ops_.writes += 2;
-          ++touched;
-        }
-        delta_hat_[vi] += sigma_hat_[vi] * coeff_new;
-        ops_.reads += 2;
-        ops_.writes += 1;
-        if (t_[vi] == Touch::kUp) {
-          delta_hat_[vi] -= sigma[vi] * coeff_old;
-          ops_.reads += 1;
-          ops_.writes += 1;
-        }
-      }
-      if (w != s) {
-        bc[wi] += delta_hat_[wi] - delta[wi];
-        ops_.reads += 2;
+  if (info.update_case == UpdateCase::kAdjacent && !force_general) {
+    outcome.touched = case2_update(g, s, dist, sigma, delta, bc, info.u_high,
+                                   info.u_low, removal);
+  } else if (info.update_case == UpdateCase::kFar && removal) {
+    // A distance-growing removal recomputes the source from scratch: the
+    // GPU engines repair these incrementally, and Brandes stays their
+    // independent oracle. Old dependencies are saved so BC can be adjusted
+    // differentially.
+    outcome.touched = n_;
+    std::copy(delta.begin(), delta.end(), delta_hat_.begin());
+    brandes_source(g, s, dist, sigma, delta, {});
+    const auto n = static_cast<std::size_t>(n_);
+    for (std::size_t w = 0; w < n; ++w) {
+      if (w == static_cast<std::size_t>(s)) continue;
+      if (delta[w] != delta_hat_[w]) {
+        bc[w] += delta[w] - delta_hat_[w];
         ops_.writes += 1;
       }
     }
+    ops_.reads += 2 * n + static_cast<std::uint64_t>(g.num_arcs()) * 4;
+    ops_.writes += 3 * n;
+  } else if (info.update_case != UpdateCase::kNoWork) {
+    outcome.touched =
+        case3_update(g, s, dist, sigma, delta, bc, info.u_high, info.u_low);
   }
-
-  // Fold the hatted values back into the per-source state.
-  for (Dist level = qq_min_; level <= qq_max_; ++level) {
-    for (const VertexId w : qq_[static_cast<std::size_t>(level)]) {
-      const auto wi = static_cast<std::size_t>(w);
-      sigma[wi] = sigma_hat_[wi];
-      delta[wi] = delta_hat_[wi];
-      ops_.reads += 2;
-      ops_.writes += 2;
-    }
-  }
-  clear_qq();
-  return touched;
+  record_source_update_metrics(outcome, n_);
+  return outcome;
 }
 
 VertexId DynamicCpuEngine::case2_update(
     const CSRGraph& g, VertexId s, std::span<Dist> dist,
     std::span<Sigma> sigma, std::span<double> delta, std::span<double> bc,
-    VertexId u_high, VertexId u_low) {
+    VertexId u_high, VertexId u_low, bool removal) {
   init_scratch(sigma, /*case3=*/false, dist);
   const auto lo = static_cast<std::size_t>(u_low);
   const auto hi = static_cast<std::size_t>(u_high);
 
   // Stage 1: the inserted edge routes every s->u_high shortest path on to
-  // u_low (Algorithm 2 line 7).
+  // u_low (Algorithm 2 line 7); a removed edge takes them away.
   t_[lo] = Touch::kDown;
-  sigma_hat_[lo] = sigma[lo] + sigma[hi];
+  sigma_hat_[lo] = removal ? sigma[lo] - sigma[hi] : sigma[lo] + sigma[hi];
+  assert(sigma_hat_[lo] >= 1.0);
   ops_.reads += 2;
   ops_.writes += 2;
   VertexId touched = 1;
 
-  // Stage 2: BFS down from u_low propagating sigma-hat increments.
-  // Distances don't change in Case 2, so a FIFO queue is level ordered.
+  // Stage 2: BFS down from u_low propagating sigma-hat increments
+  // (negative for a removal). Distances don't change in Case 2, so a FIFO
+  // queue is level ordered.
   q_.clear();
   q_.push_back(u_low);
   qq_push(dist[lo], u_low);
@@ -324,6 +164,24 @@ VertexId DynamicCpuEngine::case2_update(
       ops_.reads += 1;
       ops_.writes += 1;
     }
+  }
+
+  // Removal pre-pass: u_high lost u_low as a child, and the neighbor scans
+  // below can no longer see the removed edge - subtract the stale
+  // contribution explicitly (the decremental mirror of Algorithm 2's line
+  // 32 guard).
+  if (removal) {
+    if (t_[hi] == Touch::kUntouched) {
+      t_[hi] = Touch::kUp;
+      delta_hat_[hi] = delta[hi];
+      qq_push(dist[hi], u_high);
+      ops_.reads += 1;
+      ops_.writes += 2;
+      ++touched;
+    }
+    delta_hat_[hi] -= sigma[hi] / sigma[lo] * (1.0 + delta[lo]);
+    ops_.reads += 4;
+    ops_.writes += 1;
   }
 
   // Stage 3: dependency accumulation, farthest level first. qq_ levels
@@ -354,10 +212,11 @@ VertexId DynamicCpuEngine::case2_update(
         delta_hat_[vi] += sigma_hat_[vi] * coeff_new;
         ops_.reads += 2;
         ops_.writes += 1;
-        // Remove the stale pre-insertion contribution of w to vv. Down
+        // Remove the stale pre-update contribution of w to vv. Down
         // vertices rebuild delta from scratch, so only "up" predecessors
-        // carry old contributions; the inserted edge itself never had one
-        // (Algorithm 2 line 32's (v != u_high or w != u_low) guard).
+        // carry old contributions; an inserted edge never had one
+        // (Algorithm 2 line 32's (v != u_high or w != u_low) guard). A
+        // removed edge is no longer in g, so the guard never fires then.
         if (t_[vi] == Touch::kUp && !(vv == u_high && w == u_low)) {
           delta_hat_[vi] -= sigma[vi] * coeff_old;
           ops_.reads += 1;

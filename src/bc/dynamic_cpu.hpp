@@ -1,10 +1,16 @@
 // Sequential dynamic betweenness centrality (the paper's CPU baseline,
 // after Green, McColl & Bader [10]).
 //
+// One per-source body serves both update directions: it classifies the
+// update once (bc/case_classify.hpp) and dispatches.
+//
 // Case 2 (endpoints on adjacent levels) follows the paper's Algorithm 2
 // verbatim: BFS down from u_low propagating sigma-hat increments, then a
 // multi-level-queue dependency accumulation applying +new/-old corrections
-// to brushed ("up") predecessors.
+// to brushed ("up") predecessors. A removal with a surviving parent runs
+// the same body with the sign of u_low's path-count change flipped, plus a
+// pre-pass that takes u_low's old contribution out of u_high (the removed
+// edge is invisible to the neighbor scans).
 //
 // Case 3 (endpoints more than one level apart, including the component-
 // attach sub-case) uses the generalized repair described in DESIGN.md §7:
@@ -17,7 +23,9 @@
 //            (moved or sigma changed) from scratch and applies +new/-old
 //            differentials to CARRY vertices (delta-only changes).
 // Case 2 is a special case of this framework; a dedicated test checks that
-// both paths produce identical state on Case 2 insertions.
+// both paths produce identical state on Case 2 insertions. A removal whose
+// u_low keeps no parent recomputes the source with Brandes instead: the
+// GPU engines repair those incrementally, and this engine is their oracle.
 #pragma once
 
 #include <cstdint>
@@ -100,14 +108,14 @@ class DynamicCpuEngine {
   std::vector<SourceUpdateOutcome> insert_edge_update(
       const CSRGraph& g, BcStore& store, VertexId u, VertexId v,
       std::span<CpuOpCounters> source_ops = {}) {
-    return store_update(/*insert=*/true, g, store, u, v, source_ops);
+    return store_update(/*removal=*/false, g, store, u, v, source_ops);
   }
 
   /// Decremental counterpart (`g` must no longer contain the edge).
   std::vector<SourceUpdateOutcome> remove_edge_update(
       const CSRGraph& g, BcStore& store, VertexId u, VertexId v,
       std::span<CpuOpCounters> source_ops = {}) {
-    return store_update(/*insert=*/false, g, store, u, v, source_ops);
+    return store_update(/*removal=*/true, g, store, u, v, source_ops);
   }
 
   /// Updates source s's rows (dist/sigma/delta, holding pre-insertion
@@ -119,28 +127,26 @@ class DynamicCpuEngine {
                                     std::span<Sigma> sigma,
                                     std::span<double> delta,
                                     std::span<double> bc, VertexId u,
-                                    VertexId v, bool force_general = false);
+                                    VertexId v, bool force_general = false) {
+    return source_update(/*removal=*/false, g, s, dist, sigma, delta, bc, u,
+                         v, force_general);
+  }
 
   /// Decremental counterpart: updates source s's rows and the BC scores for
   /// the *removal* of edge {u, v}. `g` must no longer contain the edge; the
-  /// rows hold pre-removal state. Because the edge existed, the stored
-  /// levels differ by at most one:
-  ///  - same level      -> Case 1, nothing to do;
-  ///  - adjacent levels -> if u_low keeps another parent, distances are
-  ///    unchanged and the Case 2 machinery runs with *negative* sigma
-  ///    increments (plus the explicit removal of u_low's old contribution
-  ///    to u_high, whose edge the neighbor scans can no longer see);
-  ///  - otherwise u_low's distance grows: the source row is recomputed
-  ///    from scratch (reported as UpdateCase::kFar with touched = n). The
-  ///    GPU engines repair these removals incrementally (Case 3 with a
-  ///    decremental Phase 0); this engine keeps Brandes as their
-  ///    independent oracle.
+  /// rows hold pre-removal state. Same-level removals are free; a removal
+  /// whose u_low keeps another parent runs Case 2 with negative sigma
+  /// increments; otherwise the source row is recomputed from scratch
+  /// (reported as UpdateCase::kFar with touched = n).
   SourceUpdateOutcome remove_update_source(const CSRGraph& g, VertexId s,
                                            std::span<Dist> dist,
                                            std::span<Sigma> sigma,
                                            std::span<double> delta,
                                            std::span<double> bc, VertexId u,
-                                           VertexId v);
+                                           VertexId v) {
+    return source_update(/*removal=*/true, g, s, dist, sigma, delta, bc, u,
+                         v);
+  }
 
   const CpuOpCounters& counters() const { return ops_; }
   void reset_counters() { ops_ = {}; }
@@ -149,8 +155,16 @@ class DynamicCpuEngine {
   enum class Touch : std::uint8_t { kUntouched = 0, kDown = 1, kUp = 2 };
 
   std::vector<SourceUpdateOutcome> store_update(
-      bool insert, const CSRGraph& g, BcStore& store, VertexId u, VertexId v,
+      bool removal, const CSRGraph& g, BcStore& store, VertexId u, VertexId v,
       std::span<CpuOpCounters> source_ops);
+  /// The one per-source body: classifies the update by direction and
+  /// dispatches to Case 2, Case 3 or (a distance-growing removal) Brandes.
+  SourceUpdateOutcome source_update(bool removal, const CSRGraph& g,
+                                    VertexId s, std::span<Dist> dist,
+                                    std::span<Sigma> sigma,
+                                    std::span<double> delta,
+                                    std::span<double> bc, VertexId u,
+                                    VertexId v, bool force_general = false);
 
   void init_scratch(std::span<const Sigma> sigma, bool case3,
                     std::span<const Dist> dist);
@@ -159,11 +173,8 @@ class DynamicCpuEngine {
 
   VertexId case2_update(const CSRGraph& g, VertexId s, std::span<Dist> dist,
                         std::span<Sigma> sigma, std::span<double> delta,
-                        std::span<double> bc, VertexId u_high, VertexId u_low);
-  VertexId case2_removal(const CSRGraph& g, VertexId s, std::span<Dist> dist,
-                         std::span<Sigma> sigma, std::span<double> delta,
-                         std::span<double> bc, VertexId u_high,
-                         VertexId u_low);
+                        std::span<double> bc, VertexId u_high, VertexId u_low,
+                        bool removal);
   VertexId case3_update(const CSRGraph& g, VertexId s, std::span<Dist> dist,
                         std::span<Sigma> sigma, std::span<double> delta,
                         std::span<double> bc, VertexId u_high, VertexId u_low);

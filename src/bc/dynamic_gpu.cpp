@@ -100,9 +100,15 @@ void arcs_into(const CSRGraph& g, std::span<const VertexId> heads,
 /// `case3` additionally snapshots distances and clears the moved/reset maps.
 /// `sign` is +1 for insertions (u_low gains u_high's paths) and -1 for
 /// removals (it loses them).
-void init_kernel(BlockContext& ctx, GpuWorkspace& ws, const Rows& rows,
-                 VertexId u_high, VertexId u_low, bool case3,
-                 double sign = 1.0) {
+///
+/// Kept out of line, like finalize_kernel: inlined into its one caller,
+/// the per-vertex body stops being inlined into parallel_for, and these
+/// O(n) passes - most of a node-parallel update's host time - then pay a
+/// call per vertex (measured 15-20% slower updates with GCC -O3).
+[[gnu::noinline]] void init_kernel(BlockContext& ctx, GpuWorkspace& ws,
+                                   const Rows& rows, VertexId u_high,
+                                   VertexId u_low, bool case3,
+                                   double sign = 1.0) {
   const std::size_t n = rows.sigma.size();
   ctx.parallel_for(n, [&](std::size_t v) {
     ctx.charge_instr(1);
@@ -138,9 +144,10 @@ void init_kernel(BlockContext& ctx, GpuWorkspace& ws, const Rows& rows,
 
 /// Algorithm 8: atomically fold BC deltas into the shared scores and copy
 /// the hatted values back into the per-source rows. Returns |touched|.
-VertexId finalize_kernel(BlockContext& ctx, GpuWorkspace& ws,
-                         const Rows& rows, std::span<double> bc, VertexId s,
-                         bool case3) {
+[[gnu::noinline]] VertexId finalize_kernel(BlockContext& ctx,
+                                           GpuWorkspace& ws, const Rows& rows,
+                                           std::span<double> bc, VertexId s,
+                                           bool case3) {
   const std::size_t n = rows.sigma.size();
   VertexId touched = 0;
   ctx.parallel_for(n, [&](std::size_t v) {
@@ -1300,105 +1307,55 @@ void removal_prepass(BlockContext& ctx, GpuWorkspace& ws, const Rows& rows,
 
 namespace detail {
 
-SourceUpdateOutcome gpu_insert_source_update(sim::BlockContext& ctx,
-                                             GpuWorkspace& ws,
-                                             Parallelism mode,
-                                             const CSRGraph& g, VertexId s,
-                                             std::span<Dist> d,
-                                             std::span<Sigma> sigma,
-                                             std::span<double> delta,
-                                             std::span<double> bc, VertexId u,
-                                             VertexId v) {
+SourceUpdateOutcome gpu_source_update(sim::BlockContext& ctx,
+                                      GpuWorkspace& ws, Parallelism mode,
+                                      bool removal, const CSRGraph& g,
+                                      VertexId s, std::span<Dist> d,
+                                      std::span<Sigma> sigma,
+                                      std::span<double> delta,
+                                      std::span<double> bc, VertexId u,
+                                      VertexId v) {
   Rows rows{d, sigma, delta};
   ctx.charge_read(rows.d, static_cast<std::size_t>(u));
   ctx.charge_read(rows.d, static_cast<std::size_t>(v));
   ctx.charge_instr(4);
-  const CaseInfo info = classify_insertion(rows.d, u, v);
+  const CaseInfo info =
+      removal ? classify_removal(g, rows.d, u, v,
+                                 [&](VertexId x) {
+                                   ctx.charge_read(1);  // adjacency entry
+                                   ctx.charge_read(
+                                       rows.d, static_cast<std::size_t>(x));
+                                   ctx.charge_instr(1);
+                                 })
+              : classify_insertion(rows.d, u, v);
   SourceUpdateOutcome outcome;
   outcome.update_case = info.update_case;
   if (info.update_case == UpdateCase::kNoWork) {
-    outcome.touched = 0;
     record_source_update_metrics(outcome, g.num_vertices());
     return outcome;
   }
+  // The surviving-parent scan's read of d[u_low]. Sequential charges
+  // commute, so charging it after the scan models the same cost.
+  if (removal) ctx.charge_read(rows.d, static_cast<std::size_t>(info.u_low));
   const bool case3 = info.update_case == UpdateCase::kFar;
-  init_kernel(ctx, ws, rows, info.u_high, info.u_low, case3);
+  init_kernel(ctx, ws, rows, info.u_high, info.u_low, case3,
+              removal ? -1.0 : 1.0);
   if (!case3) {
     if (mode == Parallelism::kEdge) {
-      edge_case2(ctx, g, rows, ws, info.u_high, info.u_low);
+      edge_case2(ctx, g, rows, ws, info.u_high, info.u_low, removal);
     } else {
-      node_case2(ctx, g, rows, ws, info.u_high, info.u_low);
+      node_case2(ctx, g, rows, ws, info.u_high, info.u_low, removal);
     }
   } else {
+    // A removal's Case 3 is the decremental repair: Phase 0 relevels the
+    // orphaned region, then the generalized repair runs.
     if (mode == Parallelism::kEdge) {
-      edge_case3(ctx, g, rows, ws, info.u_high, info.u_low);
+      edge_case3(ctx, g, rows, ws, info.u_high, info.u_low, removal);
     } else {
-      node_case3(ctx, g, rows, ws, info.u_high, info.u_low);
+      node_case3(ctx, g, rows, ws, info.u_high, info.u_low, removal);
     }
   }
   outcome.touched = finalize_kernel(ctx, ws, rows, bc, s, case3);
-  record_source_update_metrics(outcome, g.num_vertices());
-  return outcome;
-}
-
-SourceUpdateOutcome gpu_remove_source_update(
-    sim::BlockContext& ctx, GpuWorkspace& ws, Parallelism mode,
-    const CSRGraph& g, VertexId s, std::span<Dist> d, std::span<Sigma> sigma,
-    std::span<double> delta, std::span<double> bc, VertexId u, VertexId v) {
-  Rows rows{d, sigma, delta};
-  SourceUpdateOutcome outcome;
-  ctx.charge_read(rows.d, static_cast<std::size_t>(u));
-  ctx.charge_read(rows.d, static_cast<std::size_t>(v));
-  ctx.charge_instr(4);
-  const Dist du = rows.d[static_cast<std::size_t>(u)];
-  const Dist dv = rows.d[static_cast<std::size_t>(v)];
-  if (du == dv) {
-    // The edge was never on a shortest path from this source.
-    outcome.update_case = UpdateCase::kNoWork;
-    outcome.touched = 0;
-    record_source_update_metrics(outcome, g.num_vertices());
-    return outcome;
-  }
-  const VertexId u_high = du < dv ? u : v;
-  const VertexId u_low = du < dv ? v : u;
-  const auto lo = static_cast<std::size_t>(u_low);
-
-  // Does u_low keep another parent in the post-removal graph?
-  bool has_other_parent = false;
-  ctx.charge_read(rows.d, lo);
-  for (VertexId x : g.neighbors(u_low)) {
-    ctx.charge_read(1);  // adjacency entry (no span here)
-    ctx.charge_read(rows.d, static_cast<std::size_t>(x));
-    ctx.charge_instr(1);
-    if (rows.d[static_cast<std::size_t>(x)] + 1 == rows.d[lo]) {
-      has_other_parent = true;
-      break;
-    }
-  }
-
-  if (has_other_parent) {
-    outcome.update_case = UpdateCase::kAdjacent;
-    init_kernel(ctx, ws, rows, u_high, u_low, /*case3=*/false, /*sign=*/-1.0);
-    if (mode == Parallelism::kEdge) {
-      edge_case2(ctx, g, rows, ws, u_high, u_low, /*removal=*/true);
-    } else {
-      node_case2(ctx, g, rows, ws, u_high, u_low, /*removal=*/true);
-    }
-    outcome.touched = finalize_kernel(ctx, ws, rows, bc, s, /*case3=*/false);
-    record_source_update_metrics(outcome, g.num_vertices());
-    return outcome;
-  }
-
-  // Distance-growing removal: the decremental Case 3 repair (Phase 0
-  // relevels the orphaned region, then the generalized repair runs).
-  outcome.update_case = UpdateCase::kFar;
-  init_kernel(ctx, ws, rows, u_high, u_low, /*case3=*/true);
-  if (mode == Parallelism::kEdge) {
-    edge_case3(ctx, g, rows, ws, u_high, u_low, /*removal=*/true);
-  } else {
-    node_case3(ctx, g, rows, ws, u_high, u_low, /*removal=*/true);
-  }
-  outcome.touched = finalize_kernel(ctx, ws, rows, bc, s, /*case3=*/true);
   record_source_update_metrics(outcome, g.num_vertices());
   return outcome;
 }
@@ -1734,8 +1691,6 @@ GpuUpdateResult DynamicGpuBc::edge_update(SourceLaunchKind kind,
                                           const CSRGraph& g, BcStore& store,
                                           VertexId u, VertexId v) {
   const bool removal = kind == SourceLaunchKind::kRemove;
-  const auto source_update = removal ? &detail::gpu_remove_source_update
-                                     : &detail::gpu_insert_source_update;
   const int k = store.num_sources();
   GpuUpdateResult result;
   result.outcomes.resize(static_cast<std::size_t>(k));
@@ -1751,10 +1706,12 @@ GpuUpdateResult DynamicGpuBc::edge_update(SourceLaunchKind kind,
       },
       [&](BlockContext& ctx, int si) {
         plan.run(ctx, si, [&](Parallelism m) {
-          result.outcomes[static_cast<std::size_t>(si)] = source_update(
-              ctx, ws_, m, g, store.sources()[static_cast<std::size_t>(si)],
-              store.dist_row(si), store.sigma_row(si), store.delta_row(si),
-              store.bc(), u, v);
+          result.outcomes[static_cast<std::size_t>(si)] =
+              detail::gpu_source_update(
+                  ctx, ws_, m, removal, g,
+                  store.sources()[static_cast<std::size_t>(si)],
+                  store.dist_row(si), store.sigma_row(si),
+                  store.delta_row(si), store.bc(), u, v);
         });
       },
       result);

@@ -263,28 +263,22 @@ class DynamicGpuBc {
 
 namespace detail {
 
-/// One insertion applied to one source row inside an existing block:
-/// classify, run the matching case kernels, fold BC deltas. Shared by the
-/// per-edge launch loop and the batch path.
-SourceUpdateOutcome gpu_insert_source_update(sim::BlockContext& ctx,
-                                             GpuWorkspace& ws,
-                                             Parallelism mode,
-                                             const CSRGraph& g, VertexId s,
-                                             std::span<Dist> d,
-                                             std::span<Sigma> sigma,
-                                             std::span<double> delta,
-                                             std::span<double> bc, VertexId u,
-                                             VertexId v);
-
-/// One removal applied to one source row inside an existing block:
-/// classify (same-level removals are free), run the negative-increment
-/// Case 2 kernels when u_low keeps another parent, otherwise the
-/// decremental Case 3 repair (Phase 0 relevels the vertices whose every
-/// shortest path used the edge, then the generalized repair runs).
-SourceUpdateOutcome gpu_remove_source_update(
-    sim::BlockContext& ctx, GpuWorkspace& ws, Parallelism mode,
-    const CSRGraph& g, VertexId s, std::span<Dist> d, std::span<Sigma> sigma,
-    std::span<double> delta, std::span<double> bc, VertexId u, VertexId v);
+/// One update applied to one source row inside an existing block:
+/// classify by direction, run the matching case kernels, fold BC deltas.
+/// Shared by the per-edge launch loop and the batch path. A removal runs
+/// the insertion's kernels with `removal` set: same-level removals are
+/// free, the negative-increment Case 2 runs when u_low keeps another
+/// parent, otherwise the decremental Case 3 repair (Phase 0 relevels the
+/// vertices whose every shortest path used the edge, then the generalized
+/// repair runs).
+SourceUpdateOutcome gpu_source_update(sim::BlockContext& ctx,
+                                      GpuWorkspace& ws, Parallelism mode,
+                                      bool removal, const CSRGraph& g,
+                                      VertexId s, std::span<Dist> d,
+                                      std::span<Sigma> sigma,
+                                      std::span<double> delta,
+                                      std::span<double> bc, VertexId u,
+                                      VertexId v);
 
 /// Recomputes source s's row from scratch on the device and folds the
 /// dependency differences into `bc`: the batch path's touched-fraction

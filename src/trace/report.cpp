@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <map>
 #include <ostream>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -35,6 +36,41 @@ std::string fmt(const char* format, double v) {
 
 void rule(std::ostream& out) {
   out << "  " << std::string(66, '-') << "\n";
+}
+
+/// Summed wall time of the bc.structure spans and of the update spans
+/// (single-edge, batch and pipelined batch calls), Begin/End events
+/// matched per host track.
+struct StructureWall {
+  double structure_us = 0.0;
+  double update_us = 0.0;
+  int spans = 0;
+};
+
+StructureWall structure_wall(const std::vector<TraceEvent>& events) {
+  static const std::set<std::string, std::less<>> kUpdateSpans = {
+      "bc.insert_edge", "bc.remove_edge", "bc.insert_edge_batch",
+      "bc.insert_edge_batches"};
+  StructureWall wall;
+  std::map<int, std::vector<const TraceEvent*>> open;  // tid -> begins
+  for (const auto& ev : events) {
+    if (ev.pid != kHostPid) continue;
+    auto& stack = open[ev.tid];
+    if (ev.phase == TraceEvent::Phase::kBegin) {
+      stack.push_back(&ev);
+    } else if (ev.phase == TraceEvent::Phase::kEnd && !stack.empty()) {
+      const TraceEvent& begin = *stack.back();
+      stack.pop_back();
+      const double dur = ev.ts_us - begin.ts_us;
+      if (begin.name == "bc.structure") {
+        wall.structure_us += dur;
+        ++wall.spans;
+      } else if (kUpdateSpans.count(begin.name) > 0) {
+        wall.update_us += dur;
+      }
+    }
+  }
+  return wall;
 }
 
 }  // namespace
@@ -90,6 +126,19 @@ void write_report(const std::vector<TraceEvent>& events,
         << fmt("%.1f", 100.0 * static_cast<double>(host_items) /
                            static_cast<double>(items))
         << "%)\n";
+  }
+  // Graph maintenance against the whole update calls, in host wall time:
+  // attribution only, so it stays out of the metrics registry and every
+  // gate.
+  const StructureWall wall = structure_wall(events);
+  if (wall.spans > 0) {
+    out << "  structure: " << fmt("%.1f", wall.structure_us) << " of "
+        << fmt("%.1f", wall.update_us)
+        << " us update wall time patching the graph ("
+        << fmt("%.1f", wall.update_us > 0.0
+                           ? 100.0 * wall.structure_us / wall.update_us
+                           : 0.0)
+        << "%, " << wall.spans << " calls)\n";
   }
 
   // --- per-SM occupancy / imbalance per device -----------------------

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <ostream>
@@ -13,6 +14,23 @@ std::string fmt_double(double value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%g", value);
   return buf;
+}
+
+[[noreturn]] void reject_value(const std::string& key, const std::string& text,
+                               const char* want) {
+  std::fprintf(stderr, "error: --%s wants %s, got '%s'\n", key.c_str(), want,
+               text.c_str());
+  std::exit(2);
+}
+
+std::int64_t parse_int(const std::string& key, const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE) {
+    reject_value(key, text, "an integer");
+  }
+  return value;
 }
 
 }  // namespace
@@ -61,7 +79,7 @@ std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback,
   register_help(key, std::to_string(fallback), help);
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  return parse_int(key, it->second);
 }
 
 double Cli::get_double(const std::string& key, double fallback,
@@ -70,7 +88,14 @@ double Cli::get_double(const std::string& key, double fallback,
   register_help(key, fmt_double(fallback), help);
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  const std::string& text = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || errno == ERANGE) {
+    reject_value(key, text, "a number");
+  }
+  return value;
 }
 
 bool Cli::get_bool(const std::string& key, bool fallback,
@@ -102,7 +127,7 @@ std::vector<std::int64_t> Cli::get_int_list(const std::string& key,
   while (pos < s.size()) {
     auto comma = s.find(',', pos);
     if (comma == std::string::npos) comma = s.size();
-    out.push_back(std::strtoll(s.substr(pos, comma - pos).c_str(), nullptr, 10));
+    out.push_back(parse_int(key, s.substr(pos, comma - pos)));
     pos = comma + 1;
   }
   return out;

@@ -30,7 +30,10 @@ class Cli {
 
   /// Getters mark the key as read (for unused_keys) and, when `help` is
   /// non-empty, register the flag for print_help with the fallback shown
-  /// as its default.
+  /// as its default. A numeric value that does not parse completely (for
+  /// example --lanes=abc, or an empty list element) prints an error naming
+  /// the flag to stderr and exits the process with status 2: flags are read
+  /// once at startup, and a typo must not run as a silent 0.
   std::string get(const std::string& key, const std::string& fallback,
                   std::string_view help = {}) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback,

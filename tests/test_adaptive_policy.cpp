@@ -4,9 +4,9 @@
 // The load-bearing properties:
 //   * decisions are pure: identical configuration + identical call
 //     sequence => identical decision logs and identical scores;
-//   * forced-all-edge / forced-all-node runs are bit-identical to the
-//     fixed gpu-edge / gpu-node engines (same kernels, same float-fold
-//     order, same modeled cycles);
+//   * runs forced all-edge / all-node (a recorded log replayed with every
+//     mode rewritten) are bit-identical to the fixed gpu-edge / gpu-node
+//     engines (same kernels, same float-fold order, same modeled cycles);
 //   * a recorded decision log replays to a bit-identical run, and replay
 //     throws on any divergence from the recorded call sequence;
 //   * the estimator prefers node-parallel on the generator suite's
@@ -141,14 +141,26 @@ TEST(AdaptivePolicy, IdenticalRunsProduceIdenticalLogsAndScores) {
   }
 }
 
+/// Records an auto run's decision log, rewrites every record to `mode`
+/// (unexplored), and replays it: the run every decision forced to `mode`.
+RunResult run_forced(const CSRGraph& g, Parallelism mode) {
+  std::vector<DecisionRecord> log = run_workload(g, adaptive_options()).log;
+  for (DecisionRecord& rec : log) {
+    rec.mode = mode;
+    rec.explored = false;
+  }
+  return run_workload(g, adaptive_options(), 99, std::move(log),
+                      /*replay=*/true);
+}
+
 TEST(AdaptivePolicy, ForcedEdgeMatchesGpuEdgeBitIdentically) {
   const auto g = test::gnp_graph(60, 0.07, 33);
   const RunResult fixed = run_workload(
       g, {.engine = EngineKind::kGpuEdge, .approx = {.num_sources = 12,
                                                      .seed = 5}});
-  const RunResult forced = run_workload(
-      g, adaptive_options({.force = AdaptiveConfig::Force::kEdge}));
+  const RunResult forced = run_forced(g, Parallelism::kEdge);
   expect_bit_identical(fixed, forced, "forced edge vs gpu-edge");
+  ASSERT_GT(forced.log.size(), 0u);
   for (const auto& rec : forced.log) {
     EXPECT_EQ(rec.mode, Parallelism::kEdge);
     EXPECT_FALSE(rec.explored);
@@ -160,11 +172,12 @@ TEST(AdaptivePolicy, ForcedNodeMatchesGpuNodeBitIdentically) {
   const RunResult fixed = run_workload(
       g, {.engine = EngineKind::kGpuNode, .approx = {.num_sources = 12,
                                                      .seed = 5}});
-  const RunResult forced = run_workload(
-      g, adaptive_options({.force = AdaptiveConfig::Force::kNode}));
+  const RunResult forced = run_forced(g, Parallelism::kNode);
   expect_bit_identical(fixed, forced, "forced node vs gpu-node");
+  ASSERT_GT(forced.log.size(), 0u);
   for (const auto& rec : forced.log) {
     EXPECT_EQ(rec.mode, Parallelism::kNode);
+    EXPECT_FALSE(rec.explored);
   }
 }
 

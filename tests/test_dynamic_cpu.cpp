@@ -467,5 +467,113 @@ TEST(DynamicCpu, SourceChunkCountersSumToStoreUpdate) {
   EXPECT_GT(removals, 0);
 }
 
+/// One source's expected outcome of one update: its case and its
+/// CpuOpCounters delta.
+struct GoldenSource {
+  int update_case;
+  std::uint64_t instrs;
+  std::uint64_t reads;
+  std::uint64_t writes;
+};
+
+struct GoldenOp {
+  bool insert;
+  VertexId u;
+  VertexId v;
+  std::vector<GoldenSource> sources;  // by source index
+};
+
+void expect_golden_stream(CSRGraph g, const std::vector<GoldenOp>& ops,
+                          const std::vector<double>& scores) {
+  BcStore store(g.num_vertices(), {.num_sources = 5, .seed = 1});
+  brandes_all(g, store);
+  DynamicCpuEngine engine(g.num_vertices());
+  std::vector<CpuOpCounters> source_ops(5);
+  for (std::size_t op = 0; op < ops.size(); ++op) {
+    const GoldenOp& want = ops[op];
+    std::vector<SourceUpdateOutcome> out;
+    if (want.insert) {
+      ASSERT_TRUE(g.insert_edge(want.u, want.v));
+      out = engine.insert_edge_update(g, store, want.u, want.v, source_ops);
+    } else {
+      ASSERT_TRUE(g.remove_edge(want.u, want.v));
+      out = engine.remove_edge_update(g, store, want.u, want.v, source_ops);
+    }
+    ASSERT_EQ(out.size(), want.sources.size());
+    for (std::size_t si = 0; si < out.size(); ++si) {
+      const GoldenSource& w = want.sources[si];
+      EXPECT_EQ(static_cast<int>(out[si].update_case), w.update_case)
+          << "op " << op << " source " << si;
+      EXPECT_EQ(source_ops[si],
+                (CpuOpCounters{.instrs = w.instrs, .reads = w.reads,
+                               .writes = w.writes}))
+          << "op " << op << " source " << si;
+    }
+  }
+  ASSERT_EQ(store.bc().size(), scores.size());
+  for (std::size_t v = 0; v < scores.size(); ++v) {
+    EXPECT_EQ(store.bc()[v], scores[v]) << "vertex " << v;
+  }
+}
+
+// Absolute per-source counters and hex-float scores of a fixed mixed
+// stream, captured from the engine while it still kept separate Case 2
+// bodies for insertions and removals. Each stream hits Case 1, Case 2 and
+// Case 3 in both directions; a removal's Case 3 is the distance-growing
+// recompute. Any change here changes the modeled CPU baseline.
+TEST(DynamicCpu, MixedStreamCountersMatchGolden) {
+  expect_golden_stream(
+      gen::small_world(16, 2, 0.2, 5),
+      {{true, 0, 8,
+        {{3, 229, 406, 218}, {3, 267, 464, 237}, {3, 386, 632, 271},
+         {1, 4, 2, 0}, {3, 189, 347, 200}}},
+       {false, 4, 6,
+        {{2, 94, 183, 114}, {3, 4, 296, 55}, {3, 4, 296, 58},
+         {3, 4, 296, 60}, {3, 4, 296, 59}}},
+       {true, 5, 12,
+        {{2, 116, 205, 114}, {1, 4, 2, 0}, {1, 4, 2, 0},
+         {3, 298, 534, 265}, {3, 218, 390, 217}}},
+       {false, 0, 1,
+        {{3, 4, 298, 59}, {1, 4, 2, 0}, {3, 4, 298, 57},
+         {1, 4, 2, 0}, {1, 4, 2, 0}}},
+       {false, 10, 12,
+        {{3, 4, 288, 60}, {2, 68, 135, 94}, {3, 4, 288, 59},
+         {3, 4, 288, 60}, {3, 4, 288, 60}}},
+       {true, 3, 7,
+        {{3, 291, 514, 254}, {3, 173, 316, 189}, {3, 183, 341, 200},
+         {2, 204, 354, 168}, {3, 255, 490, 262}}},
+       {false, 2, 3,
+        {{1, 4, 2, 0}, {3, 4, 290, 55}, {1, 4, 2, 0},
+         {1, 4, 2, 0}, {1, 4, 2, 0}}},
+       {false, 13, 14,
+        {{1, 4, 2, 0}, {2, 76, 159, 106}, {2, 88, 177, 114},
+         {1, 4, 2, 0}, {1, 4, 2, 0}}}},
+      {0x1.f249249249247p+3, 0x1.caaaaaaaaaaa7p+1, 0x1.8cf3cf3cf3cf3p+2,
+       0x1.14f3cf3cf3cf4p+3, 0x1.4p+1, 0x1.1d55555555556p+3,
+       0x1.155555555555cp+1, 0x1.4249249249248p+3, 0x1.3e18618618616p+3,
+       0x1.cf3cf3cf3cf3cp+1, 0x1.aaaaaaaaaaaaap-1, 0x1.4c30c30c30c3p+2,
+       0x1.c492492492494p+1, 0x1.6924924924925p+1, 0x1.19e79e79e79e8p+1,
+       0x1.4c30c30c30c2fp+2});
+  expect_golden_stream(
+      gen::preferential_attachment(16, 1, 3),
+      {{true, 4, 12,
+        {{2, 32, 79, 78}, {2, 46, 101, 86}, {2, 56, 119, 94},
+         {3, 60, 134, 135}, {2, 82, 161, 110}}},
+       {false, 1, 11,
+        {{3, 4, 156, 51}, {3, 4, 156, 51}, {3, 4, 156, 51},
+         {2, 32, 83, 78}, {3, 4, 156, 51}}},
+       {false, 3, 9,
+        {{3, 4, 152, 51}, {3, 4, 152, 50}, {3, 4, 152, 51},
+         {3, 4, 152, 52}, {3, 4, 154, 54}}},
+       {true, 5, 6,
+        {{1, 4, 2, 0}, {1, 4, 2, 0}, {1, 4, 2, 0},
+         {1, 4, 2, 0}, {1, 4, 2, 0}}},
+       {false, 2, 8,
+        {{3, 4, 146, 49}, {3, 4, 146, 48}, {3, 4, 150, 53},
+         {3, 4, 146, 50}, {1, 4, 2, 0}}}},
+      {0x0p+0, 0x1.8p+3, 0x1p+3, 0x1.2p+3, 0x1p+2, 0x0p+0, 0x0p+0, 0x0p+0,
+       0x0p+0, 0x1p+1, 0x0p+0, 0x0p+0, 0x1.8p+1, 0x0p+0, 0x0p+0, 0x0p+0});
+}
+
 }  // namespace
 }  // namespace bcdyn

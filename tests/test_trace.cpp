@@ -8,6 +8,8 @@
 #include <sstream>
 #include <vector>
 
+#include "bc/session.hpp"
+#include "gen/generators.hpp"
 #include "gpusim/device.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/json.hpp"
@@ -398,6 +400,47 @@ TEST_F(TraceTest, ReportMentionsNamedLaunches) {
       trace::report_string(trace::tracer(), reg);
   EXPECT_NE(report.find("test.report_kernel"), std::string::npos);
   EXPECT_NE(report.find("case mix"), std::string::npos);
+}
+
+/// One insert, one remove and one batch through a traced Session; returns
+/// the metrics JSON the run leaves behind.
+std::string traced_structure_session_metrics() {
+  trace::metrics().reset();
+  trace::tracer().clear();
+  bc::Session session(gen::small_world(60, 2, 0.1, 3),
+                      {.engine = EngineKind::kGpuNode,
+                       .approx = {.num_sources = 6, .seed = 1},
+                       .runtime = {.tracing = true}});
+  session.compute();
+  EXPECT_EQ(session.insert_edge(0, 30).inserted, 1);
+  EXPECT_EQ(session.remove_edge(0, 30).inserted, 1);
+  const std::vector<std::pair<VertexId, VertexId>> batch = {{1, 40}, {2, 50}};
+  EXPECT_EQ(session.insert_edge_batch(batch).inserted, 2);
+  std::ostringstream json;
+  trace::metrics().write_json(json);
+  return json.str();
+}
+
+// Graph maintenance is a host span per update call, shown by the report in
+// wall time. It must stay out of the metrics registry: the bcdyn_trace
+// selftest compares two runs' metrics JSON byte for byte, and a wall-time
+// gauge would differ between them.
+TEST_F(TraceTest, StructureSpanPerUpdateCallStaysOutOfMetrics) {
+  const std::string first = traced_structure_session_metrics();
+  const std::string second = traced_structure_session_metrics();
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(second.find("structure"), std::string::npos);
+  const auto& events = trace::tracer().events();
+  const auto spans = std::count_if(
+      events.begin(), events.end(), [](const TraceEvent& ev) {
+        return ev.phase == TraceEvent::Phase::kBegin &&
+               ev.name == "bc.structure";
+      });
+  EXPECT_EQ(spans, 3);
+  const std::string report =
+      trace::report_string(trace::tracer(), trace::metrics());
+  EXPECT_NE(report.find("  structure: "), std::string::npos);
+  EXPECT_NE(report.find("3 calls"), std::string::npos);
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
-// util/: RNG distribution sanity, prefix sums, table printer, CLI parser.
+// util/: RNG distribution sanity, table printer, CLI parser.
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <sstream>
 
 #include "util/cli.hpp"
-#include "util/prefix_sum.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -79,23 +78,6 @@ TEST(Rng, SplitProducesIndependentStream) {
   EXPECT_TRUE(differs);
 }
 
-TEST(PrefixSum, ExclusiveAndInclusive) {
-  std::vector<int> v = {3, 1, 4, 1, 5};
-  auto ex = v;
-  EXPECT_EQ(exclusive_prefix_sum(std::span(ex)), 14);
-  EXPECT_EQ(ex, (std::vector<int>{0, 3, 4, 8, 9}));
-  auto in = v;
-  EXPECT_EQ(inclusive_prefix_sum(std::span(in)), 14);
-  EXPECT_EQ(in, (std::vector<int>{3, 4, 8, 9, 14}));
-}
-
-TEST(PrefixSum, OffsetsFromCounts) {
-  const std::vector<std::int64_t> counts = {2, 0, 3};
-  const auto offsets = offsets_from_counts(counts);
-  EXPECT_EQ(offsets, (std::vector<std::int64_t>{0, 2, 2, 5}));
-  EXPECT_EQ(offsets_from_counts({}).size(), 1u);
-}
-
 TEST(Table, AlignedAndCsvOutput) {
   Table t({"Graph", "Time"});
   t.add_row({"caida", Table::fmt(1.5, 2)});
@@ -136,6 +118,18 @@ TEST(Cli, RejectsMalformedAndTracksUnused) {
   const auto unused = cli.unused_keys();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "typo");
+}
+
+TEST(Cli, ValuesThatDoNotParseCompletelyExitNamingTheFlag) {
+  const char* argv[] = {"prog", "--lanes=abc", "--scale=0.5x",
+                        "--blocks=1,,4", "--seed=99999999999999999999"};
+  Cli cli(5, argv);
+  const auto exits_2 = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(cli.get_int("lanes", 1), exits_2, "--lanes wants an integer");
+  EXPECT_EXIT(cli.get_double("scale", 1.0), exits_2, "--scale wants a number");
+  EXPECT_EXIT(cli.get_int_list("blocks", {}), exits_2,
+              "--blocks wants an integer, got ''");
+  EXPECT_EXIT(cli.get_int("seed", 7), exits_2, "--seed wants an integer");
 }
 
 TEST(Stopwatch, MeasuresElapsed) {
