@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
       double total_cycles = 0.0;
       double conflict_cycles = 0.0;
       for (const auto& [u, v] : stream.insertions) {
-        g = g.with_edge(u, v);
+        g.insert_edge(u, v);
         const auto r = engine.insert_edge_update(g, store, u, v);
         atomics += r.stats.total.atomics;
         conflicts += r.stats.total.atomic_conflicts;

@@ -10,7 +10,7 @@
 //
 // Extra flags on top of bench_common's:
 //   --batch-size=K   edges per batch (default 16)
-//   --threshold=F    BatchConfig::recompute_threshold (default 0.25)
+//   --threshold=F    batch recompute-fallback threshold (default 0.25)
 #include <cmath>
 #include <iostream>
 
@@ -33,7 +33,7 @@ struct ModeResult {
 ModeResult run_mode(const analysis::EdgeStream& stream,
                     const BatchSnapshots& batch, const ApproxConfig& approx,
                     Parallelism mode, const sim::DeviceSpec& spec,
-                    const BatchConfig& config) {
+                    double threshold) {
   const VertexId n = stream.base.num_vertices();
   ModeResult out;
 
@@ -42,7 +42,7 @@ ModeResult run_mode(const analysis::EdgeStream& stream,
   DynamicGpuBc single(spec, mode);
   CSRGraph g = stream.base;
   for (const auto& [u, v] : stream.insertions) {
-    g = g.with_edge(u, v);
+    g.insert_edge(u, v);
     out.single_seconds +=
         single.insert_edge_update(g, single_store, u, v).stats.seconds;
   }
@@ -51,7 +51,7 @@ ModeResult run_mode(const analysis::EdgeStream& stream,
   brandes_all(stream.base, batch_store);
   DynamicGpuBc batched(spec, mode);
   const GpuBatchResult result =
-      batched.insert_edge_batch(batch, batch_store, config);
+      batched.insert_edge_batch(batch, batch_store, threshold);
   out.batch_seconds = result.stats.seconds;
   for (const auto& o : result.outcomes) {
     if (o.recomputed) ++out.recomputed;
@@ -67,8 +67,9 @@ ModeResult run_mode(const analysis::EdgeStream& stream,
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   bench::CommonConfig cfg = bench::parse_common(cli);
-  const int batch_size = static_cast<int>(cli.get_int("batch-size", 16));
-  const BatchConfig config{cli.get_double("threshold", 0.25)};
+  const int batch_size = cli.get_count("batch-size", 16);
+  const double threshold = cli.get_double("threshold", 0.25);
+  if (!(threshold >= 0.0)) cli.reject("threshold", "a number >= 0");
   bench::warn_unused(cli);
   const auto graphs = bench::build_graphs(cfg);
   bench::print_graph_summary(graphs);
@@ -76,9 +77,8 @@ int main(int argc, char** argv) {
   const ApproxConfig approx{.num_sources = cfg.sources, .seed = cfg.seed};
   const auto spec = sim::DeviceSpec::tesla_c2075();
   std::cout << "\nBatched vs single-edge updates: k = " << batch_size
-            << " insertions, recompute threshold = "
-            << config.recompute_threshold << ", " << cfg.sources
-            << " sources, " << spec.name << "\n";
+            << " insertions, recompute threshold = " << threshold << ", "
+            << cfg.sources << " sources, " << spec.name << "\n";
 
   util::Table table({"Graph", "Method", "k Singles (s)", "Batch (s)",
                      "Speedup", "Recomp", "MaxDiff"});
@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
       std::cerr << "  " << entry.name << " " << to_string(mode) << "..."
                 << std::flush;
       const ModeResult r =
-          run_mode(stream, batch, approx, mode, spec, config);
+          run_mode(stream, batch, approx, mode, spec, threshold);
       std::cerr << " done\n";
       const double speedup = r.single_seconds / r.batch_seconds;
       const std::string key = entry.name + "." + to_string(mode);

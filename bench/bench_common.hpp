@@ -56,11 +56,10 @@ inline CommonConfig parse_common(const util::Cli& cli) {
                              "suite size multiplier (1.0 = DESIGN.md §5)");
   cfg.graph_file =
       cli.get("graph-file", "", "real graph file (METIS/edge list)");
-  cfg.insertions = static_cast<int>(
-      cli.get_int("insertions", cfg.insertions,
-                  "edges removed + re-inserted (paper: 100)"));
-  cfg.sources = static_cast<int>(cli.get_int(
-      "sources", cfg.sources, "BC approximation sources (paper: 256)"));
+  cfg.insertions = cli.get_count("insertions", cfg.insertions,
+                                 "edges removed + re-inserted (paper: 100)");
+  cfg.sources = cli.get_count("sources", cfg.sources,
+                              "BC approximation sources (paper: 256)");
   cfg.seed =
       static_cast<std::uint64_t>(cli.get_int("seed", 7, "master RNG seed"));
   cfg.csv_dir = cli.get("csv", "", "also write CSV outputs into this dir");

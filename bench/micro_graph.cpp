@@ -119,7 +119,7 @@ void BM_DynamicCpuUpdate(benchmark::State& state) {
       v = static_cast<VertexId>(rng.next_below(
           static_cast<std::uint64_t>(g.num_vertices())));
     } while (u == v || g.has_edge(u, v));
-    g = g.with_edge(u, v);
+    g.insert_edge(u, v);
     state.ResumeTiming();
     engine.insert_edge_update(g, store, u, v);
   }

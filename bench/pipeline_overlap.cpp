@@ -23,14 +23,13 @@
 //   --batches=B       batches in the stream (default 32)
 //   --batch-size=K    edges per batch (default 1)
 //   --depth=D         pipeline staging depth to compare (default 2)
-//   --threshold=F     BatchConfig::recompute_threshold (default 0.25)
+//   --threshold=F     Options::batch_recompute_threshold (default 0.25)
 //   --min-speedup=X   geomean gate (default 1.2; 1.0 under --smoke)
 #include <cmath>
 #include <iostream>
 #include <utility>
 #include <vector>
 
-#include "bc/batch_update.hpp"
 #include "bc/dynamic_bc.hpp"
 #include "bc/pipeline.hpp"
 #include "bench_common.hpp"
@@ -66,15 +65,16 @@ PipelineResult run_depth(
     const gen::SuiteEntry& entry, const ApproxConfig& approx,
     EngineKind engine, int devices,
     std::span<const std::vector<std::pair<VertexId, VertexId>>> stream,
-    int depth, const BatchConfig& config, std::vector<double>* scores,
+    int depth, double threshold, std::vector<double>* scores,
     const RecoveryPolicy& recovery = {}) {
   DynamicBc analytic(entry.graph, {.engine = engine,
                                    .approx = approx,
                                    .num_devices = devices,
-                                   .recovery = recovery});
+                                   .batch_recompute_threshold = threshold,
+                                   .recovery = recovery,
+                                   .pipeline_depth = depth});
   analytic.compute();
-  const PipelineResult r = analytic.insert_edge_batches(
-      stream, {.depth = depth, .batch = config});
+  const PipelineResult r = analytic.insert_edge_batches(stream);
   if (scores) {
     scores->assign(analytic.scores().begin(), analytic.scores().end());
   }
@@ -89,20 +89,20 @@ int main(int argc, char** argv) {
   // small kernels keep the chain upload-bound, the regime pipelining
   // exists for. Registered before parse_common (first registration wins)
   // so --help shows this bench's real default.
-  const int sources = static_cast<int>(cli.get_int(
-      "sources", 8, "BC approximation sources (paper: 256)"));
+  const int sources =
+      cli.get_count("sources", 8, "BC approximation sources (paper: 256)");
   bench::CommonConfig cfg = bench::parse_common(cli);
   cfg.sources = sources;
-  int batches = static_cast<int>(
-      cli.get_int("batches", 32, "batches in the stream"));
-  int batch_size =
-      static_cast<int>(cli.get_int("batch-size", 1, "edges per batch"));
-  const int depth = static_cast<int>(cli.get_int(
-      "depth", 2, "pipeline staging depth to compare against depth 1"));
-  const BatchConfig config{cli.get_double(
-      "threshold", 0.25, "batch recompute-fallback threshold")};
-  const int devices = static_cast<int>(cli.get_int(
-      "devices", 1, "simulated devices to shard the kernels across"));
+  int batches = cli.get_count("batches", 32, "batches in the stream");
+  int batch_size = cli.get_count("batch-size", 1, "edges per batch");
+  const int depth = cli.get_count(
+      "depth", 2, "pipeline staging depth to compare against depth 1");
+  if (depth < 1) cli.reject("depth", "a depth >= 1");
+  const double threshold = cli.get_double(
+      "threshold", 0.25, "batch recompute-fallback threshold");
+  if (!(threshold >= 0.0)) cli.reject("threshold", "a number >= 0");
+  const int devices = cli.get_count(
+      "devices", 1, "simulated devices to shard the kernels across");
   const double min_speedup = cli.get_double(
       "min-speedup", cfg.smoke ? 1.0 : 1.2,
       "fail unless geomean modeled speedup reaches this");
@@ -138,10 +138,11 @@ int main(int argc, char** argv) {
         make_stream(entry.graph, batches, batch_size, cfg.seed);
     std::vector<double> serial_scores;
     std::vector<double> piped_scores;
-    const PipelineResult serial = run_depth(entry, approx, engine, devices,
-                                            stream, 1, config, &serial_scores);
+    const PipelineResult serial =
+        run_depth(entry, approx, engine, devices, stream, 1, threshold,
+                  &serial_scores);
     const PipelineResult piped = run_depth(entry, approx, engine, devices,
-                                           stream, depth, config,
+                                           stream, depth, threshold,
                                            &piped_scores);
     std::cerr << " done\n";
     const double speedup = serial.modeled_seconds / piped.modeled_seconds;
@@ -180,7 +181,7 @@ int main(int argc, char** argv) {
     std::vector<double> clean_scores;
     std::vector<double> faulted_scores;
     const PipelineResult clean = run_depth(entry, approx, engine, devices,
-                                           stream, depth, config,
+                                           stream, depth, threshold,
                                            &clean_scores);
     sim::FaultPlan plan;
     plan.seed = cfg.seed ^ 0xFA17ULL;
@@ -193,7 +194,7 @@ int main(int argc, char** argv) {
     sim::faults().configure(plan);
     sim::faults().set_enabled(true);
     const PipelineResult faulted = run_depth(
-        entry, approx, engine, devices, stream, depth, config,
+        entry, approx, engine, devices, stream, depth, threshold,
         &faulted_scores, {.max_retries = 8, .fallback_recompute = false});
     sim::faults().set_enabled(false);
     fault_match =

@@ -39,7 +39,7 @@ ShardedRunResult run_sharded(const analysis::EdgeStream& stream,
                   /*track_atomic_conflicts=*/false, policy);
   result.compute_seconds = bc.compute(g, store).seconds;
   for (const auto& [u, v] : stream.insertions) {
-    g = g.with_edge(u, v);
+    g.insert_edge(u, v);
     const GpuUpdateResult r = bc.insert_edge_update(g, store, u, v);
     result.update_seconds += r.stats.seconds;
     result.steals += r.group.steals;

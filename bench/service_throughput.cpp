@@ -155,13 +155,12 @@ int main(int argc, char** argv) {
   // per-update-overhead regime coalescing exists for. Registered before
   // parse_common (first registration wins) so --help shows the real
   // default.
-  const int sources = static_cast<int>(cli.get_int(
-      "sources", 16, "BC approximation sources (paper: 256)"));
+  const int sources = cli.get_count(
+      "sources", 16, "BC approximation sources (paper: 256)");
   bench::CommonConfig cfg = bench::parse_common(cli);
   cfg.sources = sources;
   const util::ServiceFlags service_flags = util::parse_service_flags(cli);
-  int requests = static_cast<int>(
-      cli.get_int("requests", 600, "requests per graph"));
+  int requests = cli.get_count("requests", 600, "requests per graph");
   const double read_frac = cli.get_double(
       "read-frac", 0.9, "fraction of requests that are reads");
   const double remove_frac = cli.get_double(
@@ -170,8 +169,8 @@ int main(int argc, char** argv) {
       "interarrival-us", 5.0, "virtual us between request arrivals");
   const std::string depths_spec = cli.get(
       "depths", "4,16", "coalescing depths to compare against depth 1");
-  const int devices = static_cast<int>(cli.get_int(
-      "devices", 1, "simulated devices to shard the kernels across"));
+  const int devices = cli.get_count(
+      "devices", 1, "simulated devices to shard the kernels across");
   const double min_speedup = cli.get_double(
       "min-speedup", cfg.smoke ? 1.0 : 1.3,
       "fail unless the deepest setting's geomean speedup reaches this");

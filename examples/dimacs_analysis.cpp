@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   using namespace bcdyn;
   util::Cli cli(argc, argv);
   std::string path = cli.get("file", "");
-  const int sources = static_cast<int>(cli.get_int("sources", 64));
+  const int sources = cli.get_count("sources", 64);
 
   if (path.empty()) {
     // No input file: generate a router-level topology and save it in METIS

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const auto rows = static_cast<VertexId>(cli.get_int("rows", 40));
   const auto cols = static_cast<VertexId>(cli.get_int("cols", 40));
-  const int failures = static_cast<int>(cli.get_int("failures", 3));
+  const int failures = cli.get_count("failures", 3);
 
   const CSRGraph grid = gen::triangulated_grid(rows, cols, 5);
   std::printf("grid: %dx%d = %d buses, %lld lines\n", rows, cols,

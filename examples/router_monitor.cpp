@@ -18,8 +18,8 @@ int main(int argc, char** argv) {
   using namespace bcdyn;
   util::Cli cli(argc, argv);
   const auto routers = static_cast<VertexId>(cli.get_int("routers", 3000));
-  const int links = static_cast<int>(cli.get_int("links", 8));
-  const int sources = static_cast<int>(cli.get_int("sources", 48));
+  const int links = cli.get_count("links", 8);
+  const int sources = cli.get_count("sources", 48);
 
   const CSRGraph topo = gen::router_level(routers, 23);
   std::printf("router topology: %d routers, %lld links\n",

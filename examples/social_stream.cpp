@@ -34,15 +34,17 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const auto users = static_cast<VertexId>(
       cli.get_int("users", 4000, "users (vertices) in the social graph"));
-  const int batches = static_cast<int>(
-      cli.get_int("batches", 6, "friendship batches to stream in"));
-  const int batch_size = static_cast<int>(
-      cli.get_int("batch-size", 20, "friendships per batch"));
+  const int batches =
+      cli.get_count("batches", 6, "friendship batches to stream in");
+  const int batch_size =
+      cli.get_count("batch-size", 20, "friendships per batch");
   const double threshold = cli.get_double(
       "threshold", 0.25, "batch recompute-fallback threshold");
+  if (!(threshold >= 0.0)) cli.reject("threshold", "a number >= 0");
   const util::StdFlags std_flags = util::parse_std_flags(cli);
-  const int pipeline = static_cast<int>(cli.get_int(
-      "pipeline", 1, "async ingest depth (1 = per-batch synchronous)"));
+  const int pipeline = cli.get_count(
+      "pipeline", 1, "async ingest depth (1 = per-batch synchronous)");
+  if (pipeline < 1) cli.reject("pipeline", "a depth >= 1");
   if (cli.help_requested()) {
     cli.print_help("social_stream",
                    "Stream preferential-attachment friendship batches "

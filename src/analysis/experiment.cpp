@@ -66,7 +66,7 @@ DynamicRunResult run_cpu_dynamic(const EdgeStream& stream,
   per_insertion.reserve(stream.insertions.size());
   util::Stopwatch clock;
   for (const auto& [u, v] : stream.insertions) {
-    g = g.with_edge(u, v);
+    g.insert_edge(u, v);
     const CpuOpCounters before = engine.counters();
     for (const auto& r : engine.insert_edge_update(g, store, u, v)) {
       result.scenarios.record(r.update_case);
@@ -98,7 +98,7 @@ DynamicRunResult run_gpu_dynamic(const EdgeStream& stream,
   per_insertion.reserve(stream.insertions.size());
   util::Stopwatch clock;
   for (const auto& [u, v] : stream.insertions) {
-    g = g.with_edge(u, v);
+    g.insert_edge(u, v);
     const GpuUpdateResult r = engine.insert_edge_update(g, store, u, v);
     for (const auto& o : r.outcomes) {
       result.scenarios.record(o.update_case);

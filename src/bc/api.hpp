@@ -14,11 +14,12 @@
 //                   epoch-versioned snapshot reads, admission control
 //                   (bc/service.hpp + bc/snapshot_store.hpp).
 //   bc::Options / bc::Runtime - everything configurable, declaratively
-//                   (bc/dynamic_bc.hpp; the one options aggregate).
+//                   (bc/dynamic_bc.hpp; the one options aggregate, batch
+//                   and pipeline settings included).
 //   UpdateOutcome - the one outcome type for every analytic update.
 //   EngineKind / parse_engine_flag / engine_from_string / to_string -
 //                   the engine vocabulary and its CLI spelling.
-//   PipelineResult / BatchConfig - the batched/pipelined ingest results.
+//   PipelineResult - the pipelined ingest result.
 //
 // DynamicBc (bc/dynamic_bc.hpp) is Session's analytic base and takes the
 // same bc::Options: constructing it bare is for engine-internal code and

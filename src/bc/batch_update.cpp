@@ -47,7 +47,7 @@ std::int64_t batch_job_weight(std::span<const Dist> dist,
 SourceBatchOutcome gpu_source_batch(sim::BlockContext& ctx, GpuWorkspace& ws,
                                     Parallelism mode,
                                     const BatchSnapshots& batch,
-                                    const BatchConfig& config, BcStore& store,
+                                    double recompute_threshold, BcStore& store,
                                     int si, std::vector<VertexId>& bfs_order,
                                     std::vector<std::size_t>& level_offsets) {
   const CSRGraph& final_g = batch.final_graph();
@@ -56,7 +56,7 @@ SourceBatchOutcome gpu_source_batch(sim::BlockContext& ctx, GpuWorkspace& ws,
   auto sigma = store.sigma_row(si);
   auto delta = store.delta_row(si);
   return run_source_batch(
-      batch.edges.size(), final_g.num_vertices(), config,
+      batch.edges.size(), final_g.num_vertices(), recompute_threshold,
       [&](std::size_t i) {
         const auto [u, v] = batch.edges[i];
         return gpu_source_update(ctx, ws, mode, /*removal=*/false,
@@ -95,7 +95,7 @@ BatchSnapshots build_batch_snapshots(
 
 CpuBatchResult batch_insert_update(DynamicCpuEngine& engine,
                                    const BatchSnapshots& batch, BcStore& store,
-                                   const BatchConfig& config) {
+                                   double recompute_threshold) {
   CpuBatchResult result;
   result.outcomes.resize(static_cast<std::size_t>(store.num_sources()));
   if (batch.empty()) return result;
@@ -110,7 +110,7 @@ CpuBatchResult batch_insert_update(DynamicCpuEngine& engine,
     auto sigma = store.sigma_row(si);
     auto delta = store.delta_row(si);
     result.outcomes[static_cast<std::size_t>(si)] = detail::run_source_batch(
-        batch.edges.size(), n, config,
+        batch.edges.size(), n, recompute_threshold,
         [&](std::size_t i) {
           const auto [u, v] = batch.edges[i];
           return engine.update_source(batch.graphs[i], s, d, sigma, delta,
@@ -149,7 +149,7 @@ BatchSnapshots DynamicBc::stage_batch(
 }
 
 void DynamicBc::run_batch_kernels(const BatchSnapshots& batch,
-                                  const BatchConfig& config,
+                                  double recompute_threshold,
                                   UpdateOutcome& outcome) {
   util::Stopwatch clock;
   const auto fold = [&outcome](std::span<const SourceBatchOutcome> per_source) {
@@ -164,7 +164,7 @@ void DynamicBc::run_batch_kernels(const BatchSnapshots& batch,
   if (engine() == EngineKind::kCpu) {
     cpu_engine_->reset_counters();
     const CpuBatchResult cpu_result =
-        batch_insert_update(*cpu_engine_, batch, store_, config);
+        batch_insert_update(*cpu_engine_, batch, store_, recompute_threshold);
     fold(cpu_result.outcomes);
     outcome.modeled_seconds =
         sim::cpu_seconds(cost_model_, cpu_result.ops.instrs,
@@ -177,7 +177,7 @@ void DynamicBc::run_batch_kernels(const BatchSnapshots& batch,
         "bc.batch",
         [&] {
           const GpuBatchResult r =
-              gpu_->insert_edge_batch(batch, store_, config);
+              gpu_->insert_edge_batch(batch, store_, recompute_threshold);
           fold(r.outcomes);
           outcome.modeled_seconds = r.stats.seconds;
         },
@@ -187,28 +187,21 @@ void DynamicBc::run_batch_kernels(const BatchSnapshots& batch,
 }
 
 UpdateOutcome DynamicBc::insert_edge_batch(
-    std::span<const std::pair<VertexId, VertexId>> edges,
-    const BatchConfig& config) {
+    std::span<const std::pair<VertexId, VertexId>> edges) {
   if (!computed_) {
     throw std::logic_error(
         "DynamicBc::compute() must run before insert_edge_batch");
   }
+  const double threshold = options_.batch_recompute_threshold;
   trace::Span span("bc.insert_edge_batch", "bc",
                    {{"edges", static_cast<double>(edges.size())},
-                    {"threshold", config.recompute_threshold}});
+                    {"threshold", threshold}});
   UpdateOutcome outcome;
   const BatchSnapshots batch = stage_batch(edges, outcome);
   if (batch.empty()) return outcome;
-  run_batch_kernels(batch, config, outcome);
+  run_batch_kernels(batch, threshold, outcome);
   record_telemetry(trace::UpdateKind::kBatch, outcome);
   return outcome;
-}
-
-UpdateOutcome DynamicBc::insert_edge_batch(
-    std::span<const std::pair<VertexId, VertexId>> edges) {
-  return insert_edge_batch(
-      edges,
-      BatchConfig{.recompute_threshold = options().batch_recompute_threshold});
 }
 
 }  // namespace bcdyn

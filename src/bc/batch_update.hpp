@@ -15,10 +15,10 @@
 //
 // Fallback (paper §V: recomputation wins once most of the graph is
 // touched): each job tracks its cumulative touched fraction; when it
-// exceeds BatchConfig::recompute_threshold with edges still pending, the
-// job abandons the incremental path and statically recomputes its row
-// against the batch's final graph - one Brandes iteration subsumes all
-// remaining insertions for that source.
+// exceeds the recompute threshold (Options::batch_recompute_threshold)
+// with edges still pending, the job abandons the incremental path and
+// statically recomputes its row against the batch's final graph - one
+// Brandes iteration subsumes all remaining insertions for that source.
 //
 // Batch semantics: the final state equals applying the batch's edges one
 // at a time, in any order. Every path is exact (it reproduces a fresh
@@ -39,14 +39,6 @@
 #include "util/types.hpp"
 
 namespace bcdyn {
-
-struct BatchConfig {
-  /// Cumulative touched fraction (summed per-edge |touched| over n) above
-  /// which a source's job falls back to one static recomputation against
-  /// the batch's final graph. >= 1.0 effectively disables the fallback for
-  /// small batches; 0.0 recomputes any source with non-case-1 work.
-  double recompute_threshold = 0.25;
-};
 
 /// A deduplicated batch of insertions plus the incremental snapshots the
 /// per-edge kernels run against: graphs[i] contains edges[0..i], so edge i
@@ -87,9 +79,11 @@ struct GpuBatchResult : GpuLaunch {
 
 /// Sequential-CPU batch update: every source row of `store` plus the BC
 /// scores are advanced from the batch's base graph to its final graph.
+/// `recompute_threshold` means what Options::batch_recompute_threshold
+/// means; every engine's batch entry takes it the same way.
 CpuBatchResult batch_insert_update(DynamicCpuEngine& engine,
                                    const BatchSnapshots& batch, BcStore& store,
-                                   const BatchConfig& config = {});
+                                   double recompute_threshold);
 
 // DynamicBc::insert_edge_batch reports its aggregate as an UpdateOutcome
 // (bc/update_outcome.hpp).
@@ -112,7 +106,7 @@ std::int64_t batch_job_weight(std::span<const Dist> dist,
 SourceBatchOutcome gpu_source_batch(sim::BlockContext& ctx, GpuWorkspace& ws,
                                     Parallelism mode,
                                     const BatchSnapshots& batch,
-                                    const BatchConfig& config, BcStore& store,
+                                    double recompute_threshold, BcStore& store,
                                     int si, std::vector<VertexId>& bfs_order,
                                     std::vector<std::size_t>& level_offsets);
 
@@ -125,12 +119,11 @@ SourceBatchOutcome gpu_source_batch(sim::BlockContext& ctx, GpuWorkspace& ws,
 /// edges, so samples above 1.0 are legitimate).
 template <typename UpdateFn, typename RecomputeFn>
 SourceBatchOutcome run_source_batch(std::size_t num_edges, VertexId n,
-                                    const BatchConfig& config,
+                                    double recompute_threshold,
                                     UpdateFn&& update,
                                     RecomputeFn&& recompute) {
   SourceBatchOutcome out;
-  const double limit =
-      config.recompute_threshold * static_cast<double>(n);
+  const double limit = recompute_threshold * static_cast<double>(n);
   for (std::size_t i = 0; i < num_edges; ++i) {
     const SourceUpdateOutcome r = update(i);
     ++out.edges_applied;

@@ -70,6 +70,13 @@ DynamicBc::DynamicBc(const CSRGraph& g, const bc::Options& options)
   if (options_.num_devices < 1) {
     throw std::invalid_argument("DynamicBc: num_devices must be >= 1");
   }
+  if (options_.pipeline_depth < 1) {
+    throw std::invalid_argument("DynamicBc: pipeline_depth must be >= 1");
+  }
+  if (!(options_.batch_recompute_threshold >= 0.0)) {
+    throw std::invalid_argument(
+        "DynamicBc: batch_recompute_threshold must be a number >= 0");
+  }
   switch (options_.engine) {
     case EngineKind::kCpu:
       cpu_engine_ = std::make_unique<DynamicCpuEngine>(g.num_vertices());
@@ -183,18 +190,6 @@ UpdateOutcome DynamicBc::insert_edge(VertexId u, VertexId v) {
 
 UpdateOutcome DynamicBc::remove_edge(VertexId u, VertexId v) {
   return run_update(trace::UpdateKind::kRemove, u, v);
-}
-
-UpdateOutcome DynamicBc::insert_edges(
-    std::span<const std::pair<VertexId, VertexId>> edges) {
-  UpdateOutcome total;
-  for (const auto& [u, v] : edges) {
-    const UpdateOutcome one = insert_edge(u, v);
-    total.absorb(one);
-    // The single-edge path reports no skips; count no-op inserts here.
-    if (!one.inserted) ++total.skipped;
-  }
-  return total;
 }
 
 double DynamicBc::verify_against_recompute() const {

@@ -43,11 +43,9 @@
 
 namespace bcdyn {
 
-// Batch-update config/snapshots (bc/batch_update.hpp).
-struct BatchConfig;
+// Batch-update snapshots (bc/batch_update.hpp).
 struct BatchSnapshots;
 // Pipelined batch driver (bc/pipeline.hpp).
-struct PipelineConfig;
 struct PipelineResult;
 
 enum class EngineKind { kCpu, kGpuEdge, kGpuNode, kGpuAdaptive };
@@ -103,8 +101,12 @@ struct Options {
   /// (observability only - it feeds the sim.atomic_conflicts.* metrics
   /// and the bcdyn_trace report, never the modeled results).
   bool track_atomic_conflicts = false;
-  /// Default BatchConfig::recompute_threshold for insert_edge_batch and
-  /// insert_edge_batches calls that do not pass an explicit config.
+  /// insert_edge_batch and insert_edge_batches: cumulative touched
+  /// fraction (summed per-edge |touched| over n) above which a source's
+  /// batch job falls back to one static recomputation against the batch's
+  /// final graph. >= 1.0 effectively disables the fallback for small
+  /// batches; 0.0 recomputes any source with non-case-1 work. Must be a
+  /// number >= 0.
   double batch_recompute_threshold = 0.25;
   /// kGpuAdaptive only: the parallelism policy's configuration (probe
   /// seed, forced-mode override, exploration rate). Ignored by the
@@ -117,12 +119,9 @@ struct Options {
   /// has no simulated runtime).
   RecoveryPolicy recovery;
 
-  /// Default insert_edge_batches staging depth (1 = synchronous chain;
-  /// 2 = double buffering).
+  /// insert_edge_batches staging buffers in flight: 1 = fully serialized
+  /// (the synchronous chain); 2 = classic double buffering. Must be >= 1.
   int pipeline_depth = 2;
-  /// Default for modeling the per-batch D2H score download in
-  /// insert_edge_batches.
-  bool download_scores = true;
 
   Runtime runtime;
 };
@@ -132,6 +131,9 @@ struct Options {
 class DynamicBc {
  public:
   /// Copies `g`; the analytic patches its own copy as edges change.
+  /// Throws std::invalid_argument naming the field when num_devices or
+  /// pipeline_depth is below 1, or batch_recompute_threshold is negative
+  /// or NaN.
   DynamicBc(const CSRGraph& g, const bc::Options& options);
 
   /// Initial static computation (fills the per-source store and scores).
@@ -143,36 +145,21 @@ class DynamicBc {
   /// Insert an undirected edge and incrementally update the analytic.
   UpdateOutcome insert_edge(VertexId u, VertexId v);
 
-  /// Insert a batch of edges one at a time; returns the aggregated outcome
-  /// (`inserted` and case counts summed, timings summed, max_touched
-  /// maxed). Each edge pays a full analytic update (and, on GPU engines, a
-  /// kernel launch); prefer insert_edge_batch for streams of insertions.
-  UpdateOutcome insert_edges(
-      std::span<const std::pair<VertexId, VertexId>> edges);
-
   /// Insert a batch of edges as ONE analytic update: the engine coalesces
   /// all of the batch's work per source (a single work-queue kernel launch
   /// on GPU engines) and falls back to static per-source recomputation when
-  /// a source's touched fraction crosses config.recompute_threshold. Final
-  /// scores equal applying the edges one at a time, in any order. Defined
-  /// in bc/batch_update.cpp.
-  UpdateOutcome insert_edge_batch(
-      std::span<const std::pair<VertexId, VertexId>> edges,
-      const BatchConfig& config);
-  /// Same, with Options::batch_recompute_threshold as the config.
+  /// a source's touched fraction crosses Options::batch_recompute_threshold.
+  /// Final scores equal applying the edges one at a time, in any order.
+  /// Defined in bc/batch_update.cpp.
   UpdateOutcome insert_edge_batch(
       std::span<const std::pair<VertexId, VertexId>> edges);
 
-  /// Pipelined stream of batches: applies every batch exactly like
-  /// insert_edge_batch (scores are bit-identical at every depth) while a
-  /// modeled double-buffered schedule overlaps batch k+1's host staging and
-  /// edge uploads with batch k's kernels on the simulated copy engine
-  /// (gpusim/stream.hpp). Defined in bc/pipeline.cpp.
-  PipelineResult insert_edge_batches(
-      std::span<const std::vector<std::pair<VertexId, VertexId>>> batches,
-      const PipelineConfig& config);
-  /// Same, with Options::pipeline_depth, download_scores and
-  /// batch_recompute_threshold as the config.
+  /// Pipelined stream of batches at Options::pipeline_depth: applies every
+  /// batch exactly like insert_edge_batch (scores are bit-identical at
+  /// every depth) while a modeled double-buffered schedule overlaps batch
+  /// k+1's host staging and edge uploads with batch k's kernels on the
+  /// simulated copy engine (gpusim/stream.hpp). Defined in
+  /// bc/pipeline.cpp.
   PipelineResult insert_edge_batches(
       std::span<const std::vector<std::pair<VertexId, VertexId>>> batches);
 
@@ -240,8 +227,8 @@ class DynamicBc {
   /// Engine phase of a batch insertion: runs the (source, batch) jobs on
   /// the configured engine and folds per-source outcomes, modeled seconds,
   /// and update_wall_seconds into `outcome`. Defined in bc/batch_update.cpp.
-  void run_batch_kernels(const BatchSnapshots& batch, const BatchConfig& config,
-                         UpdateOutcome& outcome);
+  void run_batch_kernels(const BatchSnapshots& batch,
+                         double recompute_threshold, UpdateOutcome& outcome);
   /// Folds a finished update into the opt-in stream telemetry
   /// (trace/telemetry.hpp). Every update path - single insert, removal,
   /// batch - reports through this one hook at the UpdateOutcome layer, so

@@ -1604,8 +1604,7 @@ void DynamicGpuBc::launch(SourceLaunchKind kind, const PlannedLaunch& plan,
     // classification-based weight schedules at least as well as the cycle
     // estimate.
     const std::vector<std::int64_t> weights = predicted();
-    auto& order = out.job_sources;
-    order.resize(static_cast<std::size_t>(k));
+    std::vector<int> order(static_cast<std::size_t>(k));
     std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
       return weights[static_cast<std::size_t>(a)] >
@@ -1616,7 +1615,7 @@ void DynamicGpuBc::launch(SourceLaunchKind kind, const PlannedLaunch& plan,
         [&](BlockContext& ctx, int j) {
           job(ctx, order[static_cast<std::size_t>(j)]);
         },
-        &out.job_stats, plan.name());
+        nullptr, plan.name());
     return;
   }
 
@@ -1639,12 +1638,7 @@ void DynamicGpuBc::launch(SourceLaunchKind kind, const PlannedLaunch& plan,
   }
   const std::vector<int> shard = lpt ? lpt_assign(weights, k, num_devices())
                                      : round_robin_assign(k, num_devices());
-  if (batch) {
-    out.job_sources.resize(static_cast<std::size_t>(k));
-    std::iota(out.job_sources.begin(), out.job_sources.end(), 0);
-  }
-  out.group = group_->launch_sharded(k, shard, weights, job,
-                                     batch ? &out.job_stats : nullptr,
+  out.group = group_->launch_sharded(k, shard, weights, job, nullptr,
                                      plan.name());
   out.stats = out.group.group;
   remember_weights(out.group);
@@ -1721,7 +1715,7 @@ GpuUpdateResult DynamicGpuBc::edge_update(SourceLaunchKind kind,
 
 GpuBatchResult DynamicGpuBc::insert_edge_batch(const BatchSnapshots& batch,
                                                BcStore& store,
-                                               const BatchConfig& config) {
+                                               double recompute_threshold) {
   const int k = store.num_sources();
   GpuBatchResult result;
   result.outcomes.resize(static_cast<std::size_t>(k));
@@ -1741,8 +1735,8 @@ GpuBatchResult DynamicGpuBc::insert_edge_batch(const BatchSnapshots& batch,
       [&](BlockContext& ctx, int si) {
         plan.run(ctx, si, [&](Parallelism m) {
           result.outcomes[static_cast<std::size_t>(si)] =
-              detail::gpu_source_batch(ctx, ws_, m, batch, config, store, si,
-                                       bfs_order, level_offsets);
+              detail::gpu_source_batch(ctx, ws_, m, batch, recompute_threshold,
+                                       store, si, bfs_order, level_offsets);
         });
       },
       result);

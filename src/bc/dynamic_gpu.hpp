@@ -138,10 +138,6 @@ struct GpuLaunch {
   /// Group launches only (empty on a single device): per-device stats,
   /// job placements, steals and fault reshards.
   sim::GroupLaunchResult group;
-  /// Batch launches only: job j ran source index job_sources[j] (a queue
-  /// position on a device, a job id on a group) and charged job_stats[j].
-  std::vector<int> job_sources;
-  std::vector<sim::BlockCounters> job_stats;
 };
 
 struct GpuUpdateResult : GpuLaunch {
@@ -153,7 +149,6 @@ class PlannedLaunch;          // bc/adaptive_policy.hpp
 enum class SourceLaunchKind;  // bc/adaptive_policy.hpp
 
 // Batch-update types (bc/batch_update.hpp).
-struct BatchConfig;
 struct BatchSnapshots;
 struct GpuBatchResult;
 
@@ -200,10 +195,10 @@ class DynamicGpuBc {
   /// Batched counterpart: one launch processes every (source, batch) job,
   /// applying the batch's insertions per source in sequence against the
   /// batch's incremental snapshots, with a static-recompute fallback for
-  /// sources whose touched fraction exceeds the configured threshold
+  /// sources whose touched fraction exceeds `recompute_threshold`
   /// (bc/batch_update.hpp).
   GpuBatchResult insert_edge_batch(const BatchSnapshots& batch, BcStore& store,
-                                   const BatchConfig& config);
+                                   double recompute_threshold);
 
   /// Home-queue assignment the shard policy would produce for k sources
   /// from the previous launch's cycles (the static pass's shard; exposed

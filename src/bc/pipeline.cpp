@@ -56,14 +56,14 @@ std::uint64_t pipeline_upload_bytes(const CSRGraph& g, int accepted_edges) {
 }
 
 PipelineResult DynamicBc::insert_edge_batches(
-    std::span<const std::vector<std::pair<VertexId, VertexId>>> batches,
-    const PipelineConfig& config) {
+    std::span<const std::vector<std::pair<VertexId, VertexId>>> batches) {
   if (!computed_) {
     throw std::logic_error(
         "DynamicBc::compute() must run before insert_edge_batches");
   }
+  const double threshold = options_.batch_recompute_threshold;
   PipelineResult res;
-  res.depth = std::max(1, config.depth);
+  res.depth = options_.pipeline_depth;
   res.batches = static_cast<int>(batches.size());
   res.per_batch.reserve(batches.size());
   trace::Span span("bc.insert_edge_batches", "bc",
@@ -77,7 +77,7 @@ PipelineResult DynamicBc::insert_edge_batches(
       UpdateOutcome o;
       const BatchSnapshots batch = stage_batch(edges, o);
       if (!batch.empty()) {
-        run_batch_kernels(batch, config.batch, o);
+        run_batch_kernels(batch, threshold, o);
         record_telemetry(trace::UpdateKind::kBatch, o);
       }
       res.serial_seconds += o.modeled_seconds;
@@ -158,26 +158,22 @@ PipelineResult DynamicBc::insert_edge_batches(
       devs[d]->wait_compute_until(t.end_cycles);
     }
 
-    run_batch_kernels(batch, config.batch, o);
+    run_batch_kernels(batch, threshold, o);
     record_telemetry(trace::UpdateKind::kBatch, o);
 
     const std::uint64_t down_bytes =
-        config.download_scores
-            ? static_cast<std::uint64_t>(csr_.num_vertices()) * sizeof(double)
-            : 0;
+        static_cast<std::uint64_t>(csr_.num_vertices()) * sizeof(double);
     double retire_cycles = 0.0;
     double download_duration = 0.0;
     for (std::size_t d = 0; d < devs.size(); ++d) {
       downloads[d].wait_event(sim::Event::at(devs[d]->compute_end_cycles()));
-      if (config.download_scores) {
-        sim::TransferStats t{};
-        detail::retry_faults(
-            "bc.pipeline.scores", options_.recovery, num_devices(),
-            [&] { t = downloads[d].memcpy_d2h(down_bytes, "pipeline.scores"); },
-            [&](double cycles) { devs[d]->charge_fault_backoff(cycles); });
-        download_duration = t.end_cycles - t.start_cycles;
-        res.d2h_bytes += down_bytes;
-      }
+      sim::TransferStats t{};
+      detail::retry_faults(
+          "bc.pipeline.scores", options_.recovery, num_devices(),
+          [&] { t = downloads[d].memcpy_d2h(down_bytes, "pipeline.scores"); },
+          [&](double cycles) { devs[d]->charge_fault_backoff(cycles); });
+      download_duration = t.end_cycles - t.start_cycles;
+      res.d2h_bytes += down_bytes;
       retire_cycles = std::max(retire_cycles, downloads[d].ready_cycles());
     }
     retired.push_back(sim::Event::at(retire_cycles));
@@ -198,16 +194,6 @@ PipelineResult DynamicBc::insert_edge_batches(
                                 : 1.0;
   record_pipeline_metrics(res);
   return res;
-}
-
-PipelineResult DynamicBc::insert_edge_batches(
-    std::span<const std::vector<std::pair<VertexId, VertexId>>> batches) {
-  return insert_edge_batches(
-      batches,
-      PipelineConfig{.depth = options().pipeline_depth,
-                     .batch = {.recompute_threshold =
-                                   options().batch_recompute_threshold},
-                     .download_scores = options().download_scores});
 }
 
 }  // namespace bcdyn

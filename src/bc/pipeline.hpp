@@ -10,10 +10,11 @@
 //
 //   classify_j -> H2D upload_j -> kernels_j -> D2H scores_j
 //
-// and runs it through `depth` staging buffers: batch j's host staging and
-// upload may start as soon as buffer slot (j mod depth) retires - i.e.
-// after batch j-depth's scores landed - so with depth >= 2 batch j+1's
-// staging and upload overlap batch j's kernels. depth == 1 is the fully
+// and runs it through `depth` = Options::pipeline_depth staging buffers:
+// batch j's host staging and upload may start as soon as buffer slot
+// (j mod depth) retires - i.e. after batch j-depth's scores landed - so
+// with depth >= 2 batch j+1's staging and upload overlap batch j's
+// kernels. depth == 1 is the fully
 // serialized chain; its modeled time is exactly the sum of every batch's
 // chain, which the tests assert.
 //
@@ -36,19 +37,6 @@
 #include "bc/update_outcome.hpp"
 
 namespace bcdyn {
-
-struct PipelineConfig {
-  /// Staging buffers in flight. 1 = fully serialized (the synchronous
-  /// chain); 2 = classic double buffering. Values < 1 are treated as 1.
-  int depth = 2;
-  /// Per-batch engine config, as insert_edge_batch's BatchConfig.
-  BatchConfig batch;
-  /// Model the per-batch D2H score download. On: every batch ships the
-  /// n-vertex score vector back (a monitoring deployment reading scores
-  /// after every batch). Off: scores stay device-resident and only the
-  /// uploads occupy the copy engine.
-  bool download_scores = true;
-};
 
 struct PipelineResult {
   /// Folded over batches exactly like UpdateOutcome aggregation elsewhere:

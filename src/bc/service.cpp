@@ -286,14 +286,21 @@ void Service::commit(double trigger) {
     if (writes == 1) {
       const Response& r = responses_[write_buffer_.front()];
       outcome = session_.insert_edge(r.u, r.v);
-    } else {
+    } else if (config_.fused_commits) {
       std::vector<std::pair<VertexId, VertexId>> edges;
       edges.reserve(write_buffer_.size());
       for (const std::size_t index : write_buffer_) {
         edges.emplace_back(responses_[index].u, responses_[index].v);
       }
-      outcome = config_.fused_commits ? session_.insert_edge_batch(edges)
-                                      : session_.insert_edges(edges);
+      outcome = session_.insert_edge_batch(edges);
+    } else {
+      for (const std::size_t index : write_buffer_) {
+        const Response& r = responses_[index];
+        const UpdateOutcome one = session_.insert_edge(r.u, r.v);
+        outcome.absorb(one);
+        // The single-edge path reports no skips; count no-op inserts here.
+        if (!one.inserted) ++outcome.skipped;
+      }
     }
   } else {
     for (const std::size_t index : write_buffer_) {

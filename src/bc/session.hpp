@@ -21,10 +21,11 @@
 // configuration and the fault plan are not restored: restoring them would
 // clear what a caller reads after the session - see ~RuntimeScope.)
 //
-// A Session is a DynamicBc: the whole analytic surface, including the
-// pipelined insert_edge_batches at Options::pipeline_depth, is the
-// analytic's own. The bare DynamicBc stays available for code that
-// manages observability itself.
+// A Session is a DynamicBc: the whole analytic surface, including
+// insert_edge_batch and the pipelined insert_edge_batches, is the
+// analytic's own, and both batch entries read their settings
+// (batch_recompute_threshold, pipeline_depth) from Options. The bare
+// DynamicBc stays available for code that manages observability itself.
 #pragma once
 
 #include <string>

@@ -16,8 +16,8 @@ namespace bcdyn {
 
 struct UpdateOutcome {
   /// Edges actually applied to the graph: 0 or 1 for single-edge
-  /// operations (usable as a bool), the applied count for insert_edges and
-  /// batch updates.
+  /// operations (usable as a bool), the applied count for multi-edge
+  /// commits and batch updates.
   int inserted = 0;
   int skipped = 0;  // batch only: rejected entries (dupes, self loops, ...)
 

@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <ostream>
@@ -80,6 +81,18 @@ std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback,
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   return parse_int(key, it->second);
+}
+
+int Cli::get_count(const std::string& key, int fallback,
+                   std::string_view help) const {
+  const std::int64_t value = get_int(key, fallback, help);
+  if (value < INT_MIN || value > INT_MAX) reject(key, "an int-sized count");
+  return static_cast<int>(value);
+}
+
+void Cli::reject(const std::string& key, const char* want) const {
+  const auto it = values_.find(key);
+  reject_value(key, it == values_.end() ? "" : it->second, want);
 }
 
 double Cli::get_double(const std::string& key, double fallback,
@@ -169,9 +182,9 @@ StdFlags parse_std_flags(const Cli& cli) {
   std_flags.engine =
       cli.get("engine", std_flags.engine,
               "update engine: cpu | gpu-edge | gpu-node | gpu-adaptive");
-  std_flags.devices = static_cast<int>(
-      cli.get_int("devices", std_flags.devices,
-                  "simulated devices to shard GPU engines across"));
+  std_flags.devices =
+      cli.get_count("devices", std_flags.devices,
+                    "simulated devices to shard GPU engines across");
   std_flags.metrics =
       cli.get("metrics", std_flags.metrics, "write the metrics JSON here");
   std_flags.telemetry =
@@ -188,11 +201,11 @@ ServiceFlags parse_service_flags(const Cli& cli) {
   flags.window_us = cli.get_double(
       "service-window-us", flags.window_us,
       "coalescing window in virtual us (0 = depth-only coalescing)");
-  flags.depth = static_cast<int>(
-      cli.get_int("service-depth", flags.depth,
-                  "max writes coalesced per commit (1 = uncoalesced)"));
-  flags.queue = static_cast<int>(cli.get_int(
-      "service-queue", flags.queue, "bounded read-queue depth"));
+  flags.depth =
+      cli.get_count("service-depth", flags.depth,
+                    "max writes coalesced per commit (1 = uncoalesced)");
+  flags.queue =
+      cli.get_count("service-queue", flags.queue, "bounded read-queue depth");
   flags.shed = cli.get("service-shed", flags.shed,
                        "read shed policy: oldest-read | reject-new");
   return flags;

@@ -38,6 +38,10 @@ class Cli {
                   std::string_view help = {}) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback,
                        std::string_view help = {}) const;
+  /// get_int for counts held in an int: a value outside int's range exits
+  /// 2 naming the flag instead of wrapping.
+  int get_count(const std::string& key, int fallback,
+                std::string_view help = {}) const;
   double get_double(const std::string& key, double fallback,
                     std::string_view help = {}) const;
   bool get_bool(const std::string& key, bool fallback,
@@ -47,6 +51,11 @@ class Cli {
   std::vector<std::int64_t> get_int_list(const std::string& key,
                                          std::vector<std::int64_t> fallback,
                                          std::string_view help = {}) const;
+
+  /// For a value that parses but fails the binary's own range check:
+  /// prints "error: --KEY wants WANT, got 'VALUE'" and exits 2, the same
+  /// path as a value that does not parse.
+  [[noreturn]] void reject(const std::string& key, const char* want) const;
 
   /// Keys the caller never read; useful to reject typos.
   std::vector<std::string> unused_keys() const;

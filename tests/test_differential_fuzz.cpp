@@ -154,8 +154,8 @@ TEST_P(DifferentialFuzz, AllPathsMatchFreshRecomputeAfterEveryStep) {
     if (static_cast<int>(pending.size()) == kBatchFlush || last) {
       const auto snapshots = build_batch_snapshots(batch_base, pending);
       ASSERT_EQ(snapshots.edges.size(), pending.size());
-      const BatchConfig flush_cfg{flushes % 2 == 0 ? 0.25 : 0.02};
-      batch_engine.insert_edge_batch(snapshots, batch.store, flush_cfg);
+      const double flush_threshold = flushes % 2 == 0 ? 0.25 : 0.02;
+      batch_engine.insert_edge_batch(snapshots, batch.store, flush_threshold);
       batch_base = g;
       pending.clear();
       ++flushes;

@@ -183,19 +183,44 @@ TEST(DynamicBcApi, AdaptiveEngineAgreesWithCpuAndExposesPolicy) {
                                 p.decisions(Parallelism::kNode));
 }
 
-TEST(DynamicBcApi, InsertEdgesCountsApplied) {
+TEST(DynamicBcApi, RejectsBadBatchSettingsNamingTheField) {
+  // The constructor is the one place the batch settings are checked: a
+  // bad value fails there, on every engine, with an error naming the
+  // field (a NaN threshold would otherwise switch the recompute fallback
+  // off without a word).
   const auto g = test::path_graph(6);
-  DynamicBc analytic(g, {.approx = {.num_sources = 0, .seed = 1}});
-  analytic.compute();
-  // Two new edges, one duplicate, one self loop.
-  const std::vector<std::pair<VertexId, VertexId>> edges = {
-      {0, 2}, {0, 1}, {3, 3}, {1, 5}};
-  const UpdateOutcome total = analytic.insert_edges(edges);
-  EXPECT_EQ(total.inserted, 2);
-  EXPECT_EQ(total.skipped, 2);
-  // Every applied edge classifies every source; skipped edges classify none.
-  EXPECT_EQ(total.case1 + total.case2 + total.case3, 2 * 6);
-  EXPECT_EQ(analytic.verify_against_recompute(), 0.0);
+  const struct {
+    const char* field;
+    void (*corrupt)(bc::Options&);
+  } cases[] = {
+      {"pipeline_depth", [](bc::Options& o) { o.pipeline_depth = 0; }},
+      {"pipeline_depth", [](bc::Options& o) { o.pipeline_depth = -2; }},
+      {"batch_recompute_threshold",
+       [](bc::Options& o) { o.batch_recompute_threshold = -0.1; }},
+      {"batch_recompute_threshold",
+       [](bc::Options& o) {
+         o.batch_recompute_threshold =
+             std::numeric_limits<double>::quiet_NaN();
+       }},
+  };
+  for (const EngineKind engine : {EngineKind::kCpu, EngineKind::kGpuEdge}) {
+    for (const auto& c : cases) {
+      bc::Options o{.engine = engine, .approx = {.num_sources = 2, .seed = 1}};
+      c.corrupt(o);
+      const std::string where =
+          std::string(c.field) + " engine=" + to_string(engine);
+      try {
+        DynamicBc analytic(g, o);
+        ADD_FAILURE() << where << ": no exception";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+            << where << ": " << e.what();
+      }
+    }
+  }
+  // The boundary values themselves are valid settings.
+  EXPECT_NO_THROW(DynamicBc(g, {.batch_recompute_threshold = 0.0,
+                                .pipeline_depth = 1}));
 }
 
 TEST(DynamicBcApi, UpdateOutcomeDefaultsAreEmpty) {

@@ -656,6 +656,7 @@ TEST(FaultSites, SessionPinsLaunchAndLossSiteNames) {
 TEST(ChaosPipeline, TransferFaultsRecoverBitIdentically) {
   const CSRGraph g = test::gnp_graph(64, 0.1, 13);
   bc::Options opt = gpu_options(2, {.max_retries = 8});
+  opt.pipeline_depth = 2;
   const auto make_batches = [&] {
     util::Rng rng(31);
     std::vector<std::vector<std::pair<VertexId, VertexId>>> batches(4);
@@ -668,13 +669,11 @@ TEST(ChaosPipeline, TransferFaultsRecoverBitIdentically) {
     }
     return batches;
   };
-  const PipelineConfig config{.depth = 2};
-
   sim::faults().set_enabled(false);
   DynamicBc reference(g, opt);
   reference.compute();
   const PipelineResult clean =
-      reference.insert_edge_batches(make_batches(), config);
+      reference.insert_edge_batches(make_batches());
   const std::vector<double> expected(reference.scores().begin(),
                                      reference.scores().end());
 
@@ -686,7 +685,7 @@ TEST(ChaosPipeline, TransferFaultsRecoverBitIdentically) {
   DynamicBc faulty(g, opt);
   faulty.compute();
   const PipelineResult result =
-      faulty.insert_edge_batches(make_batches(), config);
+      faulty.insert_edge_batches(make_batches());
   expect_bit_identical(faulty.scores(), expected, "pipelined scores");
   EXPECT_EQ(result.total.inserted, clean.total.inserted);
   EXPECT_GT(sim::faults().injected(sim::FaultKind::kStreamStall), 0u);

@@ -426,7 +426,7 @@ TEST_P(HazardCleanSweep, BatchPathRunsClean) {
     }
     ASSERT_FALSE(pending.empty());
     engine.insert_edge_batch(build_batch_snapshots(base, pending), store,
-                             BatchConfig{threshold});
+                             threshold);
   }
   EXPECT_EQ(sim::hazards().violations(), 0u);
 }

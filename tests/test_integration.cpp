@@ -60,7 +60,8 @@ TEST(Integration, BatchInsertAggregatesOutcomes) {
   }
   batch.push_back(batch.front());  // duplicate: ignored, not fatal
 
-  const auto outcome = analytic.insert_edges(batch);
+  UpdateOutcome outcome;
+  for (const auto& [u, v] : batch) outcome.absorb(analytic.insert_edge(u, v));
   EXPECT_TRUE(outcome.inserted);
   EXPECT_EQ(outcome.case1 + outcome.case2 + outcome.case3, 5 * 12);
   EXPECT_LT(analytic.verify_against_recompute(), 1e-8);

@@ -140,8 +140,8 @@ TEST(ParallelismParity, BatchPathKeepsParity) {
 
   DynamicGpuBc edge_engine(sim::DeviceSpec::tesla_c2075(), Parallelism::kEdge);
   DynamicGpuBc node_engine(sim::DeviceSpec::tesla_c2075(), Parallelism::kNode);
-  const auto re = edge_engine.insert_edge_batch(batch, edge_store, {});
-  const auto rn = node_engine.insert_edge_batch(batch, node_store, {});
+  const auto re = edge_engine.insert_edge_batch(batch, edge_store, 0.25);
+  const auto rn = node_engine.insert_edge_batch(batch, node_store, 0.25);
   for (std::size_t si = 0; si < re.outcomes.size(); ++si) {
     ASSERT_EQ(re.outcomes[si].case2, rn.outcomes[si].case2) << "si=" << si;
     ASSERT_EQ(re.outcomes[si].case3, rn.outcomes[si].case3) << "si=" << si;

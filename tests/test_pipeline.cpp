@@ -210,16 +210,17 @@ TEST(Pipeline, RequiresComputeFirst) {
   const auto g = test::gnp_graph(40, 0.06, 31);
   DynamicBc analytic(g, {.engine = EngineKind::kGpuEdge, .approx = kApprox});
   const auto batches = make_batches(g, 2, 3, 5);
-  EXPECT_THROW(analytic.insert_edge_batches(batches, {}), std::logic_error);
+  EXPECT_THROW(analytic.insert_edge_batches(batches), std::logic_error);
 }
 
 TEST(Pipeline, DepthOneModeledEqualsSerialChain) {
   const auto g = test::gnp_graph(80, 0.05, 41);
   const auto batches = make_batches(g, 4, 6, 7);
-  DynamicBc analytic(g, {.engine = EngineKind::kGpuEdge, .approx = kApprox});
+  DynamicBc analytic(g, {.engine = EngineKind::kGpuEdge,
+                         .approx = kApprox,
+                         .pipeline_depth = 1});
   analytic.compute();
-  const PipelineResult r =
-      analytic.insert_edge_batches(batches, {.depth = 1});
+  const PipelineResult r = analytic.insert_edge_batches(batches);
   EXPECT_EQ(r.depth, 1);
   EXPECT_EQ(r.batches, 4);
   // Depth 1 is the fully serialized chain by construction: the pipelined
@@ -238,14 +239,15 @@ TEST(Pipeline, ScoresBitIdenticalToSynchronousPathAtEveryDepth) {
   sync.compute();
   std::vector<UpdateOutcome> sync_outcomes;
   for (const auto& edges : batches) {
-    sync_outcomes.push_back(sync.insert_edge_batch(edges, BatchConfig{}));
+    sync_outcomes.push_back(sync.insert_edge_batch(edges));
   }
 
   for (const int depth : {1, 2, 4}) {
-    DynamicBc piped(g, {.engine = EngineKind::kGpuEdge, .approx = kApprox});
+    DynamicBc piped(g, {.engine = EngineKind::kGpuEdge,
+                        .approx = kApprox,
+                        .pipeline_depth = depth});
     piped.compute();
-    const PipelineResult r =
-        piped.insert_edge_batches(batches, {.depth = depth});
+    const PipelineResult r = piped.insert_edge_batches(batches);
     SCOPED_TRACE("depth " + std::to_string(depth));
     expect_scores_identical(sync.scores(), piped.scores());
     ASSERT_EQ(r.per_batch.size(), sync_outcomes.size());
@@ -262,10 +264,11 @@ TEST(Pipeline, DeeperPipelinesNeverModelSlower) {
   const auto batches = make_batches(g, 6, 8, 13);
   double depth1_modeled = 0.0;
   for (const int depth : {1, 2, 4}) {
-    DynamicBc analytic(g, {.engine = EngineKind::kGpuEdge, .approx = kApprox});
+    DynamicBc analytic(g, {.engine = EngineKind::kGpuEdge,
+                           .approx = kApprox,
+                           .pipeline_depth = depth});
     analytic.compute();
-    const PipelineResult r =
-        analytic.insert_edge_batches(batches, {.depth = depth});
+    const PipelineResult r = analytic.insert_edge_batches(batches);
     if (depth == 1) depth1_modeled = r.modeled_seconds;
     EXPECT_GE(r.overlap_efficiency, 1.0 - 1e-9) << "depth " << depth;
     EXPECT_LE(r.modeled_seconds, depth1_modeled * (1.0 + 1e-9))
@@ -286,7 +289,7 @@ TEST(Pipeline, ByteAccountingMatchesTheDocumentedFormula) {
   std::uint64_t expect_h2d = 0;
   std::uint64_t nonempty = 0;
   for (const auto& edges : batches) {
-    const UpdateOutcome o = sync.insert_edge_batch(edges, BatchConfig{});
+    const UpdateOutcome o = sync.insert_edge_batch(edges);
     if (o.inserted > 0) {
       expect_h2d += pipeline_upload_bytes(sync.graph(), o.inserted);
       ++nonempty;
@@ -295,17 +298,10 @@ TEST(Pipeline, ByteAccountingMatchesTheDocumentedFormula) {
 
   DynamicBc piped(g, {.engine = EngineKind::kGpuEdge, .approx = kApprox});
   piped.compute();
-  const PipelineResult r = piped.insert_edge_batches(batches, {.depth = 2});
+  const PipelineResult r = piped.insert_edge_batches(batches);
   EXPECT_EQ(r.h2d_bytes, expect_h2d);
   EXPECT_EQ(r.d2h_bytes, nonempty * static_cast<std::uint64_t>(
                                         g.num_vertices()) * sizeof(double));
-
-  DynamicBc no_dl(g, {.engine = EngineKind::kGpuEdge, .approx = kApprox});
-  no_dl.compute();
-  const PipelineResult r2 = no_dl.insert_edge_batches(
-      batches, {.depth = 2, .download_scores = false});
-  EXPECT_EQ(r2.d2h_bytes, 0u);
-  expect_scores_identical(piped.scores(), no_dl.scores());
 }
 
 TEST(Pipeline, EmptyAndDuplicateBatchesFlowThrough) {
@@ -320,11 +316,11 @@ TEST(Pipeline, EmptyAndDuplicateBatchesFlowThrough) {
   DynamicBc sync(g, {.engine = EngineKind::kGpuEdge, .approx = kApprox});
   sync.compute();
   for (const auto& edges : batches) {
-    sync.insert_edge_batch(edges, BatchConfig{});
+    sync.insert_edge_batch(edges);
   }
   DynamicBc piped(g, {.engine = EngineKind::kGpuEdge, .approx = kApprox});
   piped.compute();
-  const PipelineResult r = piped.insert_edge_batches(batches, {.depth = 2});
+  const PipelineResult r = piped.insert_edge_batches(batches);
   EXPECT_EQ(r.batches, static_cast<int>(batches.size()));
   EXPECT_EQ(r.per_batch[1].inserted, 0);
   expect_scores_identical(sync.scores(), piped.scores());
@@ -340,13 +336,13 @@ TEST(Pipeline, ShardedEngineScoreParity) {
                      .num_devices = 2});
   sync.compute();
   for (const auto& edges : batches) {
-    sync.insert_edge_batch(edges, BatchConfig{});
+    sync.insert_edge_batch(edges);
   }
   DynamicBc sharded(g, {.engine = EngineKind::kGpuEdge,
                         .approx = kApprox,
                         .num_devices = 2});
   sharded.compute();
-  const PipelineResult r = sharded.insert_edge_batches(batches, {.depth = 2});
+  const PipelineResult r = sharded.insert_edge_batches(batches);
   EXPECT_GE(r.overlap_efficiency, 1.0 - 1e-9);
   expect_scores_identical(sync.scores(), sharded.scores());
   // Against a single device only near-parity holds (cross-block atomic
@@ -355,7 +351,7 @@ TEST(Pipeline, ShardedEngineScoreParity) {
   DynamicBc single(g, {.engine = EngineKind::kGpuEdge, .approx = kApprox});
   single.compute();
   for (const auto& edges : batches) {
-    single.insert_edge_batch(edges, BatchConfig{});
+    single.insert_edge_batch(edges);
   }
   test::expect_near_spans(single.scores(), sharded.scores(), 1e-7, "bc");
 }
@@ -366,11 +362,13 @@ TEST(Pipeline, CpuEngineFallsBackToSerialChain) {
   DynamicBc sync(g, {.engine = EngineKind::kCpu, .approx = kApprox});
   sync.compute();
   for (const auto& edges : batches) {
-    sync.insert_edge_batch(edges, BatchConfig{});
+    sync.insert_edge_batch(edges);
   }
-  DynamicBc piped(g, {.engine = EngineKind::kCpu, .approx = kApprox});
+  DynamicBc piped(g, {.engine = EngineKind::kCpu,
+                      .approx = kApprox,
+                      .pipeline_depth = 3});
   piped.compute();
-  const PipelineResult r = piped.insert_edge_batches(batches, {.depth = 3});
+  const PipelineResult r = piped.insert_edge_batches(batches);
   // No simulated device, no copy engine: the CPU engine executes the
   // batches serially and reports no overlap.
   EXPECT_DOUBLE_EQ(r.overlap_efficiency, 1.0);
@@ -416,7 +414,7 @@ TEST(Session, PipelinedIngestMatchesBareAnalytic) {
   DynamicBc bare(g, {.engine = EngineKind::kGpuEdge, .approx = kApprox});
   bare.compute();
   for (const auto& edges : batches) {
-    bare.insert_edge_batch(edges, BatchConfig{});
+    bare.insert_edge_batch(edges);
   }
   bc::Session session(g, {.engine = EngineKind::kGpuEdge,
                           .approx = kApprox,

@@ -407,6 +407,36 @@ TEST(Service, DepthOneCommitsEveryWriteIndividually) {
   }
 }
 
+TEST(Service, UnfusedCommitCountsAppliedAndSkippedWrites) {
+  // One coalesced run of four inserts - two new edges, one duplicate, one
+  // self loop - applied one by one: the commit counts what it applied and
+  // what it skipped.
+  const auto g = test::path_graph(6);
+  ServiceConfig config;
+  config.coalesce_window_seconds = 1.0;  // all four writes coalesce
+  config.fused_commits = false;
+  Service service(g, {.approx = {.num_sources = 0, .seed = 1}}, config);
+  std::vector<Request> stream;
+  const std::pair<VertexId, VertexId> edges[] = {{0, 2}, {0, 1}, {3, 3},
+                                                 {1, 5}};
+  for (int i = 0; i < 4; ++i) {
+    stream.push_back({.arrival_time = 1e-6 * (i + 1),
+                      .kind = RequestKind::kInsert,
+                      .u = edges[i].first,
+                      .v = edges[i].second});
+  }
+  service.run(std::move(stream));
+
+  ASSERT_EQ(service.commits().size(), 1u);
+  const UpdateOutcome& total = service.commits().front();
+  EXPECT_EQ(total.coalesced_updates, 4);
+  EXPECT_EQ(total.inserted, 2);
+  EXPECT_EQ(total.skipped, 2);
+  // Every applied edge classifies every source; skipped edges classify none.
+  EXPECT_EQ(total.case1 + total.case2 + total.case3, 2 * 6);
+  EXPECT_EQ(service.session().verify_against_recompute(), 0.0);
+}
+
 // --- backpressure / shed accounting ---------------------------------------
 
 TEST(Service, ShedOldestReadFreesQueueForNewcomers) {

@@ -65,7 +65,7 @@ StreamEnd run_stream(int devices, Parallelism mode, ShardPolicy policy,
   }
   const auto batch = build_batch_snapshots(g, edges);
   if (!batch.empty()) {
-    last = bc.insert_edge_batch(batch, store, BatchConfig{0.3}).group;
+    last = bc.insert_edge_batch(batch, store, 0.3).group;
     g = batch.final_graph();
   }
   return {std::move(store), std::move(g), std::move(last)};

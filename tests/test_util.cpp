@@ -121,15 +121,22 @@ TEST(Cli, RejectsMalformedAndTracksUnused) {
 }
 
 TEST(Cli, ValuesThatDoNotParseCompletelyExitNamingTheFlag) {
-  const char* argv[] = {"prog", "--lanes=abc", "--scale=0.5x",
-                        "--blocks=1,,4", "--seed=99999999999999999999"};
-  Cli cli(5, argv);
+  const char* argv[] = {"prog",
+                        "--lanes=abc",
+                        "--scale=0.5x",
+                        "--blocks=1,,4",
+                        "--seed=99999999999999999999",
+                        "--sources=4294967297"};
+  Cli cli(6, argv);
   const auto exits_2 = ::testing::ExitedWithCode(2);
   EXPECT_EXIT(cli.get_int("lanes", 1), exits_2, "--lanes wants an integer");
   EXPECT_EXIT(cli.get_double("scale", 1.0), exits_2, "--scale wants a number");
   EXPECT_EXIT(cli.get_int_list("blocks", {}), exits_2,
               "--blocks wants an integer, got ''");
   EXPECT_EXIT(cli.get_int("seed", 7), exits_2, "--seed wants an integer");
+  // Parses as an int64 but would wrap to 1 as an int.
+  EXPECT_EXIT(cli.get_count("sources", 32), exits_2,
+              "--sources wants an int-sized count, got '4294967297'");
 }
 
 TEST(Stopwatch, MeasuresElapsed) {

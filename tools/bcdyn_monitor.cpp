@@ -115,29 +115,28 @@ int main(int argc, char** argv) {
     opt.scale = cli.get_double("scale", opt.scale, "suite size multiplier");
     opt.seed = static_cast<std::uint64_t>(cli.get_int(
         "seed", static_cast<std::int64_t>(opt.seed), "master RNG seed"));
-    opt.sources =
-        static_cast<int>(cli.get_int("sources", opt.sources,
-                                     "BC approximation sources (paper K)"));
+    opt.sources = cli.get_count("sources", opt.sources,
+                                "BC approximation sources (paper K)");
     opt.std_flags = util::parse_std_flags(cli);
-    opt.updates = static_cast<int>(cli.get_int(
-        "updates", opt.updates, "total update operations in the stream"));
-    opt.remove_every = static_cast<int>(
-        cli.get_int("remove-every", opt.remove_every,
-                    "every Kth op removes a prior insertion (0 = never)"));
-    opt.batch_every = static_cast<int>(
-        cli.get_int("batch-every", opt.batch_every,
-                    "every Kth op is a batched insert (0 = never)"));
-    opt.batch = static_cast<int>(
-        cli.get_int("batch", opt.batch, "edges per batched insert"));
+    opt.updates = cli.get_count(
+        "updates", opt.updates, "total update operations in the stream");
+    opt.remove_every =
+        cli.get_count("remove-every", opt.remove_every,
+                      "every Kth op removes a prior insertion (0 = never)");
+    opt.batch_every =
+        cli.get_count("batch-every", opt.batch_every,
+                      "every Kth op is a batched insert (0 = never)");
+    opt.batch = cli.get_count("batch", opt.batch, "edges per batched insert");
     opt.threshold = cli.get_double("threshold", opt.threshold,
                                    "batch recompute-fallback threshold");
+    if (!(opt.threshold >= 0.0)) cli.reject("threshold", "a number >= 0");
     opt.slo_p99 = cli.get_double("slo-p99", opt.slo_p99,
                                  "windowed-p99 SLO budget, seconds (0 = off)");
     opt.spike_factor = cli.get_double(
         "spike-factor", opt.spike_factor, "anomaly gate vs running median");
-    opt.interval = static_cast<int>(
-        cli.get_int("interval", opt.interval,
-                    "digest period in updates (0 = final digest only)"));
+    opt.interval =
+        cli.get_count("interval", opt.interval,
+                      "digest period in updates (0 = final digest only)");
     opt.events_out = cli.get("events", opt.events_out,
                              "JSONL stream of flagged updates");
     opt.prom_out =

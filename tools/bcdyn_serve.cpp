@@ -244,14 +244,14 @@ int main(int argc, char** argv) {
     opt.scale = cli.get_double("scale", opt.scale, "suite size multiplier");
     opt.seed = static_cast<std::uint64_t>(cli.get_int(
         "seed", static_cast<std::int64_t>(opt.seed), "master RNG seed"));
-    opt.sources = static_cast<int>(cli.get_int(
-        "sources", opt.sources, "BC approximation sources (paper K)"));
+    opt.sources = cli.get_count(
+        "sources", opt.sources, "BC approximation sources (paper K)");
     opt.std_flags = util::parse_std_flags(cli);
     opt.service_flags = util::parse_service_flags(cli);
-    opt.requests = static_cast<int>(cli.get_int(
-        "requests", opt.requests, "requests in the generated stream"));
-    opt.clients = static_cast<int>(cli.get_int(
-        "clients", opt.clients, "round-robin client count"));
+    opt.requests = cli.get_count(
+        "requests", opt.requests, "requests in the generated stream");
+    opt.clients =
+        cli.get_count("clients", opt.clients, "round-robin client count");
     opt.read_frac = cli.get_double("read-frac", opt.read_frac,
                                    "fraction of requests that are reads");
     opt.remove_frac = cli.get_double(

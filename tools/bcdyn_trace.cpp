@@ -485,19 +485,19 @@ int main(int argc, char** argv) {
     opt.scale = cli.get_double("scale", opt.scale, "suite size multiplier");
     opt.seed = static_cast<std::uint64_t>(cli.get_int(
         "seed", static_cast<std::int64_t>(opt.seed), "master RNG seed"));
-    opt.sources =
-        static_cast<int>(cli.get_int("sources", opt.sources,
-                                     "BC approximation sources (paper K)"));
+    opt.sources = cli.get_count("sources", opt.sources,
+                                "BC approximation sources (paper K)");
     opt.std_flags = util::parse_std_flags(cli);
-    opt.insertions = static_cast<int>(
-        cli.get_int("insertions", opt.insertions, "per-edge insertions"));
-    opt.batch = static_cast<int>(cli.get_int(
-        "batch", opt.batch, "batched insertions after the per-edge ones"));
-    opt.pipeline = static_cast<int>(cli.get_int(
+    opt.insertions =
+        cli.get_count("insertions", opt.insertions, "per-edge insertions");
+    opt.batch = cli.get_count(
+        "batch", opt.batch, "batched insertions after the per-edge ones");
+    opt.pipeline = cli.get_count(
         "pipeline", opt.pipeline,
-        "run the batch phase pipelined at this depth (0 = synchronous)"));
+        "run the batch phase pipelined at this depth (0 = synchronous)");
     opt.threshold = cli.get_double("threshold", opt.threshold,
                                    "batch recompute-fallback threshold");
+    if (!(opt.threshold >= 0.0)) cli.reject("threshold", "a number >= 0");
     opt.conflicts = cli.get_bool("conflicts", opt.conflicts,
                                  "track per-address atomic conflicts");
     opt.hazard = cli.get_bool("hazard", opt.hazard,
