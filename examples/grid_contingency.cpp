@@ -9,6 +9,7 @@
 // restore), and interpreting BC deltas as load shift.
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "bc/api.hpp"
@@ -19,8 +20,13 @@
 int main(int argc, char** argv) {
   using namespace bcdyn;
   util::Cli cli(argc, argv);
-  const auto rows = static_cast<VertexId>(cli.get_int("rows", 40));
-  const auto cols = static_cast<VertexId>(cli.get_int("cols", 40));
+  const VertexId rows = cli.get_count("rows", 40);
+  if (rows < 2) cli.reject("rows", "a count >= 2");
+  const VertexId cols = cli.get_count("cols", 40);
+  if (cols < 2) cli.reject("cols", "a count >= 2");
+  if (rows > std::numeric_limits<VertexId>::max() / cols) {
+    cli.reject("rows", "rows x cols to fit in a vertex id");
+  }
   const int failures = cli.get_count("failures", 3);
 
   const CSRGraph grid = gen::triangulated_grid(rows, cols, 5);

@@ -17,7 +17,8 @@
 int main(int argc, char** argv) {
   using namespace bcdyn;
   util::Cli cli(argc, argv);
-  const auto routers = static_cast<VertexId>(cli.get_int("routers", 3000));
+  const VertexId routers = cli.get_count("routers", 3000);
+  if (routers < 64) cli.reject("routers", "a count >= 64");
   const int links = cli.get_count("links", 8);
   const int sources = cli.get_count("sources", 48);
 

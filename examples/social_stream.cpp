@@ -32,8 +32,9 @@
 int main(int argc, char** argv) {
   using namespace bcdyn;
   util::Cli cli(argc, argv);
-  const auto users = static_cast<VertexId>(
-      cli.get_int("users", 4000, "users (vertices) in the social graph"));
+  const VertexId users =
+      cli.get_count("users", 4000, "users (vertices) in the social graph");
+  if (users <= 4) cli.reject("users", "a count > 4");
   const int batches =
       cli.get_count("batches", 6, "friendship batches to stream in");
   const int batch_size =

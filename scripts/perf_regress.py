@@ -19,9 +19,10 @@ Improvements (ratio < 1) never fail; they are listed so an expected
 speedup reminds you to refresh the baseline. Exit 0 = no regression,
 1 = regression or contract violation, 2 = usage/environment error.
 
-Registered as a tier-1 ctest (perf_regress, label perf). A paired
-WILL_FAIL test injects a synthetic 20% latency regression via --inject
-to prove the gate actually fires:
+Registered as a tier-1 ctest (perf_regress, label perf). Paired
+perf_regress_detects_* tests inject a synthetic 20% latency regression
+via --inject and require exit 1 with "regressed 1.2000x" in the output
+(scripts/expect_exit.py), proving the gate actually fires:
 
     python3 scripts/perf_regress.py --bindir build/bench \
         --baseline bench/baselines/smoke.json \

@@ -15,7 +15,7 @@ void print_header(const std::string& title);
 /// as CSV (creating/overwriting the file). Returns false on I/O failure.
 bool emit_table(const util::Table& table, const std::string& csv_path = "");
 
-/// Writes the process-wide metrics registry (trace/metrics.hpp) as one
+/// Writes the thread's metrics registry (trace/metrics.hpp) as one
 /// JSON object with sorted keys - the machine-readable companion to the
 /// stdout tables. Benches record their headline numbers as gauges
 /// (`<bench>.<graph>.<key>`) before calling this, so the file carries both

@@ -9,7 +9,7 @@
 // The supported public surface is:
 //
 //   bc::Session   - the single-caller front door: a DynamicBc plus the
-//                   process-wide observability wiring (bc/session.hpp).
+//                   per-thread observability wiring (bc/session.hpp).
 //   bc::Service   - the multi-client serving layer: update coalescing,
 //                   epoch-versioned snapshot reads, admission control
 //                   (bc/service.hpp + bc/snapshot_store.hpp).

@@ -12,7 +12,6 @@
 #include "gpusim/primitives.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
-#include "util/atomic_double.hpp"
 
 namespace bcdyn {
 
@@ -167,7 +166,7 @@ void arcs_into(const CSRGraph& g, std::span<const VertexId> heads,
       ctx.charge_read(ws.delta_hat, v);
       ctx.charge_read(rows.delta, v);
       ctx.charge_atomic(bc, v);
-      util::atomic_add(bc, v, ws.delta_hat[v] - rows.delta[v]);
+      bc[v] += ws.delta_hat[v] - rows.delta[v];
     }
     ctx.charge_read(ws.delta_hat, v);
     ctx.charge_write(rows.delta, v);
@@ -1380,7 +1379,7 @@ void gpu_recompute_source(sim::BlockContext& ctx, GpuWorkspace& ws,
     if (w == static_cast<std::size_t>(s)) return;
     if (delta[w] != ws.delta_hat[w]) {
       ctx.charge_atomic(bc, w);
-      util::atomic_add(bc, w, delta[w] - ws.delta_hat[w]);
+      bc[w] += delta[w] - ws.delta_hat[w];
     }
   });
 }

@@ -1,5 +1,5 @@
 // The consolidated front door: one Session object instead of a DynamicBc
-// plus four process-wide toggles.
+// plus four per-thread toggles.
 //
 //   bcdyn::bc::Session session(graph, {.engine = bcdyn::EngineKind::kGpuNode,
 //                                      .num_devices = 2,
@@ -11,7 +11,11 @@
 //
 // Without Session, callers wire the analytic and then separately flip
 // trace::tracer(), sim::hazards(), trace::telemetry() and sim::faults() -
-// singletons whose state silently leaks across phases of a tool. Session
+// per-thread singletons whose state silently leaks across phases of a
+// tool. The library is single-threaded by contract: one Session (or
+// Service) per thread, and each thread that runs one gets its own
+// registries, so a second thread never sees the first one's counters,
+// traces or toggles. Session
 // owns that wiring: Runtime (bc/dynamic_bc.hpp, beside Options) names the
 // observability surface declaratively, and Session's RuntimeScope base
 // applies it before the analytic is built and restores every enable
@@ -35,7 +39,7 @@
 
 namespace bcdyn::bc {
 
-/// Applies a Runtime to the process-wide registries for its lifetime:
+/// Applies a Runtime to the calling thread's registries for its lifetime:
 /// construction saves every enable toggle and applies `runtime`,
 /// destruction puts the saved toggles back.
 class RuntimeScope {

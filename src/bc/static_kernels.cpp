@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/atomic_double.hpp"
-
 namespace bcdyn::detail {
 
 namespace {
@@ -27,7 +25,7 @@ void init_source(BlockContext& ctx, std::span<Dist> d, std::span<Sigma> sigma,
 }
 
 /// Final BC accumulation: every reachable non-source vertex adds its
-/// dependency into the global array atomically.
+/// dependency into the global array (modeled as the paper's atomicAdd).
 void accumulate_bc(BlockContext& ctx, std::span<const Dist> d,
                    std::span<const double> delta, std::span<double> bc,
                    VertexId s) {
@@ -38,7 +36,7 @@ void accumulate_bc(BlockContext& ctx, std::span<const Dist> d,
     if (v == static_cast<std::size_t>(s) || d[v] == kInfDist) return;
     ctx.charge_read(delta, v);
     ctx.charge_atomic(bc, v);
-    util::atomic_add(bc, v, delta[v]);
+    bc[v] += delta[v];
   });
 }
 

@@ -4,7 +4,7 @@
 
 namespace bcdyn::sim {
 
-// Shadow-memory state for one block, allocated only while the process-wide
+// Shadow-memory state for one block, allocated only while the thread's
 // hazard detector is enabled. `window` maps each address touched in the
 // current round to the items that touched it; `state` is the journal the
 // Device folds into sim::hazards() after the launch.

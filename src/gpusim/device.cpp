@@ -1,7 +1,6 @@
 #include "gpusim/device.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <queue>
 #include <stdexcept>
@@ -18,8 +17,8 @@ namespace bcdyn::sim {
 namespace {
 
 int next_trace_pid() {
-  static std::atomic<int> counter{trace::kDevicePidBase};
-  return counter.fetch_add(1, std::memory_order_relaxed);
+  thread_local int counter = trace::kDevicePidBase;
+  return counter++;
 }
 
 /// Rejects specs the scheduler and cost model cannot run: no SMs (empty

@@ -101,52 +101,39 @@ FaultError::FaultError(FaultRecord record)
     : std::runtime_error(record.to_string()), record_(std::move(record)) {}
 
 void FaultInjector::configure(const FaultPlan& plan) {
-  std::lock_guard<std::mutex> lock(mu_);
   plan_ = plan;
-  seq_.clear();
-  injected_total_ = 0;
-  for (auto& k : injected_by_kind_) k = 0;
-  records_.clear();
-}
-
-FaultPlan FaultInjector::plan() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return plan_;
+  clear();
 }
 
 bool FaultInjector::decide(FaultKind kind, std::string_view site,
                            FaultRecord* fired) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    double rate = 0.0;
-    switch (kind) {
-      case FaultKind::kTransferFail: rate = plan_.transfer_fail_rate; break;
-      case FaultKind::kStreamStall: rate = plan_.stall_rate; break;
-      case FaultKind::kKernelAbort: rate = plan_.kernel_abort_rate; break;
-      case FaultKind::kDeviceLoss: rate = plan_.device_loss_rate; break;
-    }
-    std::string key(to_string(kind));
-    key += '|';
-    key += site;
-    // The sequence advances on every poll, fired or not and filtered or
-    // not, so a site's decision stream depends only on how many times the
-    // plan has polled it - never on the filter or other sites.
-    const std::uint64_t seq = seq_[key]++;
-    if (rate <= 0.0) return false;
-    if (!plan_.site_filter.empty() &&
-        site.find(plan_.site_filter) == std::string_view::npos) {
-      return false;
-    }
-    const std::uint64_t h =
-        splitmix64(plan_.seed ^ fnv1a(key) ^ (seq * 0x2545f4914f6cdd1dULL));
-    if (to_unit(h) >= rate) return false;
-    ++injected_total_;
-    ++injected_by_kind_[static_cast<std::size_t>(kind)];
-    FaultRecord record{kind, std::string(site), seq};
-    if (fired) *fired = record;
-    if (records_.size() < kMaxRecords) records_.push_back(std::move(record));
+  double rate = 0.0;
+  switch (kind) {
+    case FaultKind::kTransferFail: rate = plan_.transfer_fail_rate; break;
+    case FaultKind::kStreamStall: rate = plan_.stall_rate; break;
+    case FaultKind::kKernelAbort: rate = plan_.kernel_abort_rate; break;
+    case FaultKind::kDeviceLoss: rate = plan_.device_loss_rate; break;
   }
-  // Metrics outside the lock, mirroring HazardDetector::collect.
+  std::string key(to_string(kind));
+  key += '|';
+  key += site;
+  // The sequence advances on every poll, fired or not and filtered or
+  // not, so a site's decision stream depends only on how many times the
+  // plan has polled it - never on the filter or other sites.
+  const std::uint64_t seq = seq_[key]++;
+  if (rate <= 0.0) return false;
+  if (!plan_.site_filter.empty() &&
+      site.find(plan_.site_filter) == std::string_view::npos) {
+    return false;
+  }
+  const std::uint64_t h =
+      splitmix64(plan_.seed ^ fnv1a(key) ^ (seq * 0x2545f4914f6cdd1dULL));
+  if (to_unit(h) >= rate) return false;
+  ++injected_total_;
+  ++injected_by_kind_[static_cast<std::size_t>(kind)];
+  FaultRecord record{kind, std::string(site), seq};
+  if (fired) *fired = record;
+  if (records_.size() < kMaxRecords) records_.push_back(std::move(record));
   auto& reg = trace::metrics();
   reg.add("sim.fault.injected.count");
   reg.add(std::string("sim.fault.injected.") +
@@ -163,7 +150,6 @@ bool FaultInjector::should_fail_transfer(std::string_view site,
 double FaultInjector::stall_cycles(std::string_view site) {
   if (!enabled()) return 0.0;
   if (!decide(FaultKind::kStreamStall, site, nullptr)) return 0.0;
-  std::lock_guard<std::mutex> lock(mu_);
   return plan_.stall_cycles;
 }
 
@@ -179,23 +165,7 @@ bool FaultInjector::should_lose_device(std::string_view site,
   return decide(FaultKind::kDeviceLoss, site, fired);
 }
 
-std::uint64_t FaultInjector::injected() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return injected_total_;
-}
-
-std::uint64_t FaultInjector::injected(FaultKind kind) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return injected_by_kind_[static_cast<std::size_t>(kind)];
-}
-
-std::vector<FaultRecord> FaultInjector::records() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return records_;
-}
-
 void FaultInjector::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
   seq_.clear();
   injected_total_ = 0;
   for (auto& k : injected_by_kind_) k = 0;
@@ -203,7 +173,7 @@ void FaultInjector::clear() {
 }
 
 FaultInjector& faults() {
-  static FaultInjector injector;
+  static thread_local FaultInjector injector;
   return injector;
 }
 

@@ -1,6 +1,6 @@
 // Deterministic fault injection for the simulated runtime.
 //
-// A process-wide opt-in singleton (like trace::tracer() and sim::hazards())
+// A per-thread opt-in singleton (like trace::tracer() and sim::hazards())
 // that the simulator polls at well-known *fault sites*: copy-engine
 // transfers (H2D/D2H failure or added stall latency), kernel launches
 // (abort before any host execution mutates analytic state), and per-device
@@ -8,12 +8,12 @@
 // of (plan seed, site string, per-site sequence index) mapped to [0, 1) and
 // compared against the plan's rate for that fault kind - never wall clock,
 // never an RNG stream shared across sites - so the same plan replays a
-// byte-identical fault sequence regardless of timing, thread interleaving
-// of *other* sites, or how many unrelated launches ran in between.
+// byte-identical fault sequence regardless of timing, polls of *other*
+// sites, or how many unrelated launches ran in between.
 //
 // Site strings are stable run-to-run: devices carry a settable fault
 // domain ("dev" standalone, "dev0".."devN-1" inside a group) rather than
-// their trace pid (which comes from a process-lifetime counter and would
+// their trace pid (which comes from a thread-lifetime counter and would
 // break replay). Sites look like "dev0.h2d", "dev.launch.insert.edge",
 // "group.launch.batch.node", "dev1.loss". FaultPlan::site_filter restricts
 // injection to sites containing a substring, which tests use to aim faults
@@ -25,13 +25,11 @@
 // observes completion), so a whole-launch retry by the bc recovery layer
 // reproduces the exact fold order of a fault-free run - recovered scores
 // are bit-identical, not merely close. When disabled the injector costs
-// one relaxed atomic load per site and modeled results are untouched.
+// one flag test per site and modeled results are untouched.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -95,9 +93,8 @@ class FaultError : public std::runtime_error {
   FaultRecord record_;
 };
 
-/// Process-wide fault injector (see file comment). Decision methods are
-/// cheap no-ops while disabled; enabling costs one mutex acquisition per
-/// polled site.
+/// Per-thread fault injector (see file comment). Decision methods are
+/// cheap no-ops while disabled.
 class FaultInjector {
  public:
   /// Keep the first kMaxRecords fired decisions; counts are unbounded.
@@ -110,7 +107,7 @@ class FaultInjector {
   /// drops records/counts), so a freshly configured injector always
   /// replays from decision 0.
   void configure(const FaultPlan& plan);
-  FaultPlan plan() const;
+  const FaultPlan& plan() const { return plan_; }
 
   // --- decision points (called by the simulator) ------------------------
   // Each fills `*fired` (when non-null and the decision fired) with the
@@ -131,9 +128,12 @@ class FaultInjector {
   bool should_lose_device(std::string_view site,
                           FaultRecord* fired = nullptr);
 
-  std::uint64_t injected() const;
-  std::uint64_t injected(FaultKind kind) const;
-  std::vector<FaultRecord> records() const;  // first kMaxRecords, in order
+  std::uint64_t injected() const { return injected_total_; }
+  std::uint64_t injected(FaultKind kind) const {
+    return injected_by_kind_[static_cast<std::size_t>(kind)];
+  }
+  /// The first kMaxRecords fired decisions, in order.
+  const std::vector<FaultRecord>& records() const { return records_; }
 
   /// Drops counts, records, and per-site sequences; keeps the enabled
   /// flag and the installed plan.
@@ -145,8 +145,7 @@ class FaultInjector {
   /// metrics.
   bool decide(FaultKind kind, std::string_view site, FaultRecord* fired);
 
-  mutable std::mutex mu_;
-  std::atomic<bool> enabled_{false};
+  bool enabled_ = false;
   FaultPlan plan_;
   std::map<std::string, std::uint64_t> seq_;  // keyed "<kind>|<site>"
   std::uint64_t injected_total_ = 0;
@@ -154,7 +153,7 @@ class FaultInjector {
   std::vector<FaultRecord> records_;
 };
 
-/// The process-wide injector the simulator polls.
+/// The calling thread's injector, which the simulator polls.
 FaultInjector& faults();
 
 }  // namespace bcdyn::sim

@@ -49,30 +49,27 @@ std::uint64_t HazardDetector::collect(
   std::uint64_t new_untracked = 0;
   HazardRecord first;
   bool have_first = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const std::int64_t launch = static_cast<std::int64_t>(launches_checked_);
-    ++launches_checked_;
-    for (const auto* s : states) {
-      if (s == nullptr) continue;
-      new_violations += s->violations;
-      new_tracked += s->tracked;
-      new_untracked += s->untracked;
-      for (const auto& r : s->records) {
-        HazardRecord stamped = r;
-        stamped.kernel = kernel;
-        stamped.launch = launch;
-        if (!have_first) {
-          first = stamped;
-          have_first = true;
-        }
-        if (records_.size() < kMaxRecords) records_.push_back(std::move(stamped));
+  const std::int64_t launch = static_cast<std::int64_t>(launches_checked_);
+  ++launches_checked_;
+  for (const auto* s : states) {
+    if (s == nullptr) continue;
+    new_violations += s->violations;
+    new_tracked += s->tracked;
+    new_untracked += s->untracked;
+    for (const auto& r : s->records) {
+      HazardRecord stamped = r;
+      stamped.kernel = kernel;
+      stamped.launch = launch;
+      if (!have_first) {
+        first = stamped;
+        have_first = true;
       }
+      if (records_.size() < kMaxRecords) records_.push_back(std::move(stamped));
     }
-    violations_ += new_violations;
-    tracked_ += new_tracked;
-    untracked_ += new_untracked;
   }
+  violations_ += new_violations;
+  tracked_ += new_tracked;
+  untracked_ += new_untracked;
 
   auto& reg = trace::metrics();
   reg.add("sim.hazard.launches");
@@ -92,33 +89,7 @@ std::uint64_t HazardDetector::collect(
   return new_violations;
 }
 
-std::uint64_t HazardDetector::launches_checked() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return launches_checked_;
-}
-
-std::uint64_t HazardDetector::violations() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return violations_;
-}
-
-std::uint64_t HazardDetector::tracked_accesses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return tracked_;
-}
-
-std::uint64_t HazardDetector::untracked_accesses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return untracked_;
-}
-
-std::vector<HazardRecord> HazardDetector::records() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return records_;
-}
-
 void HazardDetector::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
   launches_checked_ = 0;
   violations_ = 0;
   tracked_ = 0;
@@ -127,7 +98,7 @@ void HazardDetector::clear() {
 }
 
 HazardDetector& hazards() {
-  static HazardDetector detector;
+  static thread_local HazardDetector detector;
   return detector;
 }
 

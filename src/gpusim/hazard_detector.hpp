@@ -30,9 +30,7 @@
 // charge; modeled cycles and counters are identical either way.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -74,7 +72,7 @@ class HazardError : public std::runtime_error {
 };
 
 /// Per-block shadow journal, filled by BlockContext while a kernel runs and
-/// folded into the process detector when the launch finishes. `violations`
+/// folded into the thread's detector when the launch finishes. `violations`
 /// counts flagged (address, round) conflict sites; `records` keeps the
 /// first few with full context.
 struct BlockHazardState {
@@ -84,7 +82,7 @@ struct BlockHazardState {
   std::uint64_t untracked = 0;  // unaddressed accesses (invisible)
 };
 
-/// Process-wide hazard detector (like trace::tracer(): the simulator has
+/// Per-thread hazard detector (like trace::tracer(): the simulator has
 /// one, the engines never construct it). BlockContext samples enabled() at
 /// construction; Device and DeviceGroup call collect() once per launch.
 class HazardDetector {
@@ -108,19 +106,19 @@ class HazardDetector {
   std::uint64_t collect(std::string_view label,
                         std::span<const BlockHazardState* const> states);
 
-  std::uint64_t launches_checked() const;
-  std::uint64_t violations() const;
-  std::uint64_t tracked_accesses() const;
-  std::uint64_t untracked_accesses() const;
-  std::vector<HazardRecord> records() const;  // first kMaxRecords, stamped
+  std::uint64_t launches_checked() const { return launches_checked_; }
+  std::uint64_t violations() const { return violations_; }
+  std::uint64_t tracked_accesses() const { return tracked_; }
+  std::uint64_t untracked_accesses() const { return untracked_; }
+  /// The first kMaxRecords violations, stamped.
+  const std::vector<HazardRecord>& records() const { return records_; }
 
   /// Drops accumulated state; leaves enabled/strict flags alone.
   void clear();
 
  private:
-  mutable std::mutex mu_;
-  std::atomic<bool> enabled_{false};
-  std::atomic<bool> strict_{false};
+  bool enabled_ = false;
+  bool strict_ = false;
   std::uint64_t launches_checked_ = 0;
   std::uint64_t violations_ = 0;
   std::uint64_t tracked_ = 0;
@@ -128,7 +126,7 @@ class HazardDetector {
   std::vector<HazardRecord> records_;
 };
 
-/// The process-wide detector the simulator records into.
+/// The calling thread's detector, which the simulator records into.
 HazardDetector& hazards();
 
 }  // namespace bcdyn::sim

@@ -88,7 +88,7 @@ void write_metadata(std::ostream& out, int pid, int tid, const char* kind,
 }  // namespace
 
 void write_chrome_trace(const Tracer& tracer, std::ostream& out) {
-  const auto events = tracer.events();
+  const auto& events = tracer.events();
   auto process_names = tracer.process_names();
   auto thread_names = tracer.thread_names();
 

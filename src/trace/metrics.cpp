@@ -84,22 +84,19 @@ double HistogramSnapshot::quantile(double q) const {
 }
 
 MetricsRegistry& metrics() {
-  static MetricsRegistry m;
+  static thread_local MetricsRegistry m;
   return m;
 }
 
 void MetricsRegistry::add(std::string_view name, std::uint64_t delta) {
-  std::lock_guard lock(mu_);
   counters_[std::string(name)] += delta;
 }
 
 void MetricsRegistry::set_gauge(std::string_view name, double value) {
-  std::lock_guard lock(mu_);
   gauges_[std::string(name)] = value;
 }
 
 void MetricsRegistry::observe(std::string_view name, double value) {
-  std::lock_guard lock(mu_);
   HistogramSnapshot& h = histograms_[std::string(name)];
   if (h.count == 0) {
     h.min = value;
@@ -114,75 +111,45 @@ void MetricsRegistry::observe(std::string_view name, double value) {
 }
 
 std::uint64_t MetricsRegistry::counter_value(std::string_view name) const {
-  std::lock_guard lock(mu_);
   const auto it = counters_.find(std::string(name));
   return it == counters_.end() ? 0 : it->second;
 }
 
 double MetricsRegistry::gauge_value(std::string_view name,
                                     double fallback) const {
-  std::lock_guard lock(mu_);
   const auto it = gauges_.find(std::string(name));
   return it == gauges_.end() ? fallback : it->second;
 }
 
 HistogramSnapshot MetricsRegistry::histogram(std::string_view name) const {
-  std::lock_guard lock(mu_);
   const auto it = histograms_.find(std::string(name));
   return it == histograms_.end() ? HistogramSnapshot{} : it->second;
 }
 
-std::map<std::string, std::uint64_t> MetricsRegistry::counters() const {
-  std::lock_guard lock(mu_);
-  return counters_;
-}
-
-std::map<std::string, double> MetricsRegistry::gauges() const {
-  std::lock_guard lock(mu_);
-  return gauges_;
-}
-
-std::map<std::string, HistogramSnapshot> MetricsRegistry::histograms() const {
-  std::lock_guard lock(mu_);
-  return histograms_;
-}
-
 void MetricsRegistry::reset() {
-  std::lock_guard lock(mu_);
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
 }
 
 void MetricsRegistry::write_json(std::ostream& out) const {
-  // Copy under the lock, format outside it.
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
-  std::map<std::string, HistogramSnapshot> histograms;
-  {
-    std::lock_guard lock(mu_);
-    counters = counters_;
-    gauges = gauges_;
-    histograms = histograms_;
-  }
-
   out << "{\n  \"counters\": {";
   bool first = true;
-  for (const auto& [name, value] : counters) {
+  for (const auto& [name, value] : counters_) {
     out << (first ? "\n" : ",\n") << "    " << json_quote(name) << ": "
         << value;
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
   first = true;
-  for (const auto& [name, value] : gauges) {
+  for (const auto& [name, value] : gauges_) {
     out << (first ? "\n" : ",\n") << "    " << json_quote(name) << ": "
         << fmt_double(value);
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
   first = true;
-  for (const auto& [name, h] : histograms) {
+  for (const auto& [name, h] : histograms_) {
     out << (first ? "\n" : ",\n") << "    " << json_quote(name) << ": {"
         << "\"count\": " << h.count << ", \"sum\": " << fmt_double(h.sum)
         << ", \"min\": " << fmt_double(h.count ? h.min : 0.0)

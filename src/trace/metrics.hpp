@@ -1,7 +1,7 @@
-// Process-wide metrics: named counters, gauges, and summary histograms.
+// Per-thread metrics: named counters, gauges, and summary histograms.
 //
-// Unlike the tracer, the registry is always on - a bump is one mutex-guarded
-// map update, cheap at the rates the engines emit (per source x insertion,
+// Unlike the tracer, the registry is always on - a bump is one map update,
+// cheap at the rates the engines emit (per source x insertion,
 // per kernel launch), and keeping it unconditional lets the test suite
 // assert accounting invariants (e.g. case1+case2+case3 == sources) without
 // a mode switch. Metrics never feed back into modeled results.
@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
 
@@ -65,9 +64,13 @@ class MetricsRegistry {
   double gauge_value(std::string_view name, double fallback = 0.0) const;
   HistogramSnapshot histogram(std::string_view name) const;  // empty if absent
 
-  std::map<std::string, std::uint64_t> counters() const;
-  std::map<std::string, double> gauges() const;
-  std::map<std::string, HistogramSnapshot> histograms() const;
+  const std::map<std::string, std::uint64_t>& counters() const {
+    return counters_;
+  }
+  const std::map<std::string, double>& gauges() const { return gauges_; }
+  const std::map<std::string, HistogramSnapshot>& histograms() const {
+    return histograms_;
+  }
 
   void reset();
 
@@ -76,13 +79,13 @@ class MetricsRegistry {
   void write_json(std::ostream& out) const;
 
  private:
-  mutable std::mutex mu_;
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, double> gauges_;
   std::map<std::string, HistogramSnapshot> histograms_;
 };
 
-/// The process-wide registry the engines and simulator record into.
+/// The calling thread's registry, which the engines and simulator record
+/// into.
 MetricsRegistry& metrics();
 
 }  // namespace bcdyn::trace

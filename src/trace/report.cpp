@@ -77,7 +77,7 @@ StructureWall structure_wall(const std::vector<TraceEvent>& events) {
 
 void write_report(const std::vector<TraceEvent>& events,
                   const MetricsRegistry& registry, std::ostream& out) {
-  const auto counters = registry.counters();
+  const auto& counters = registry.counters();
 
   // --- top kernels by modeled time -----------------------------------
   std::map<std::string, KernelAgg> kernels;
@@ -430,7 +430,7 @@ void write_report(const std::vector<TraceEvent>& events,
   }
 
   // --- stream telemetry (opt-in windowed latency monitor) ------------
-  // Reads the process-wide trace::telemetry() singleton (like the hazard
+  // Reads the thread's trace::telemetry() singleton (like the hazard
   // section, absent unless the layer ran: a disabled run has zero updates
   // and the report is byte-identical to a plain one).
   const TelemetrySnapshot tel = telemetry().snapshot();

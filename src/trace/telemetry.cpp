@@ -82,7 +82,7 @@ const char* to_string(UpdateKind kind) {
 }
 
 StreamTelemetry& telemetry() {
-  static StreamTelemetry t;
+  static thread_local StreamTelemetry t;
   return t;
 }
 
@@ -126,39 +126,12 @@ double StreamTelemetry::exact_quantile(const std::vector<double>& sorted,
 }
 
 void StreamTelemetry::configure(const TelemetryConfig& config) {
-  std::lock_guard lock(mu_);
   config_ = config;
   if (config_.window == 0) config_.window = 1;
-  seq_ = 0;
-  spikes_ = 0;
-  slo_breaches_ = 0;
-  faults_ = 0;
-  slo_violated_ = false;
-  have_ewma_ = false;
-  ewma_seconds_ = 0.0;
-  all_ = Window{};
-  by_kind_.clear();
-  by_engine_.clear();
-  events_.clear();
-}
-
-TelemetryConfig StreamTelemetry::config() const {
-  std::lock_guard lock(mu_);
-  return config_;
-}
-
-void StreamTelemetry::set_enabled(bool enabled) {
-  std::lock_guard lock(mu_);
-  enabled_ = enabled;
-}
-
-bool StreamTelemetry::enabled() const {
-  std::lock_guard lock(mu_);
-  return enabled_;
+  clear();
 }
 
 void StreamTelemetry::clear() {
-  std::lock_guard lock(mu_);
   seq_ = 0;
   spikes_ = 0;
   slo_breaches_ = 0;
@@ -172,12 +145,7 @@ void StreamTelemetry::clear() {
   events_.clear();
 }
 
-void StreamTelemetry::set_event_sink(std::ostream* sink) {
-  std::lock_guard lock(mu_);
-  sink_ = sink;
-}
-
-void StreamTelemetry::push_locked(Window& w, double seconds) {
+void StreamTelemetry::push(Window& w, double seconds) {
   w.ring.push_back(seconds);
   w.sum_window += seconds;
   if (w.ring.size() > config_.window) {
@@ -188,7 +156,7 @@ void StreamTelemetry::push_locked(Window& w, double seconds) {
   observe_us(w.cumulative_us, seconds);
 }
 
-void StreamTelemetry::flag_locked(AnomalyEvent event) {
+void StreamTelemetry::flag(AnomalyEvent event) {
   if (event.type == AnomalyEvent::Type::kSpike) {
     ++spikes_;
     metrics().add("bc.telemetry.spikes.count");
@@ -209,7 +177,6 @@ void StreamTelemetry::flag_locked(AnomalyEvent event) {
 }
 
 void StreamTelemetry::record(const UpdateSample& sample) {
-  std::lock_guard lock(mu_);
   if (!enabled_) return;
   const std::uint64_t seq = ++seq_;
   const double x = sample.modeled_seconds;
@@ -234,9 +201,9 @@ void StreamTelemetry::record(const UpdateSample& sample) {
         config_.ewma_alpha * x + (1.0 - config_.ewma_alpha) * ewma_seconds_;
   }
 
-  push_locked(all_, x);
-  push_locked(by_kind_[to_string(sample.kind)], x);
-  push_locked(by_engine_[sample.engine], x);
+  push(all_, x);
+  push(by_kind_[to_string(sample.kind)], x);
+  push(by_engine_[sample.engine], x);
 
   auto& registry = metrics();
   registry.add("bc.telemetry.updates.count");
@@ -252,7 +219,7 @@ void StreamTelemetry::record(const UpdateSample& sample) {
     ev.median_seconds = median;
     ev.ewma_seconds = prev_ewma;
     ev.threshold_seconds = config_.spike_factor * median;
-    flag_locked(std::move(ev));
+    flag(std::move(ev));
   }
 
   // SLO: windowed p99 (including this sample) against the budget.
@@ -272,45 +239,18 @@ void StreamTelemetry::record(const UpdateSample& sample) {
       ev.ewma_seconds = ewma_seconds_;
       ev.window_p99 = p99;
       ev.threshold_seconds = config_.slo_p99_seconds;
-      flag_locked(std::move(ev));
+      flag(std::move(ev));
     }
   }
 }
 
-std::uint64_t StreamTelemetry::total_updates() const {
-  std::lock_guard lock(mu_);
-  return all_.total;
-}
-
-std::uint64_t StreamTelemetry::spike_count() const {
-  std::lock_guard lock(mu_);
-  return spikes_;
-}
-
-std::uint64_t StreamTelemetry::slo_breach_count() const {
-  std::lock_guard lock(mu_);
-  return slo_breaches_;
-}
-
-std::uint64_t StreamTelemetry::fault_count() const {
-  std::lock_guard lock(mu_);
-  return faults_;
-}
-
 void StreamTelemetry::flag_fault(AnomalyEvent event) {
-  std::lock_guard lock(mu_);
   if (!enabled_) return;
   event.type = AnomalyEvent::Type::kFault;
-  flag_locked(std::move(event));
+  flag(std::move(event));
 }
 
-std::vector<AnomalyEvent> StreamTelemetry::events() const {
-  std::lock_guard lock(mu_);
-  return events_;
-}
-
-SeriesSnapshot StreamTelemetry::series_snapshot_locked(
-    const Window& w) const {
+SeriesSnapshot StreamTelemetry::series_snapshot(const Window& w) const {
   SeriesSnapshot s;
   s.total = w.total;
   s.window_count = w.ring.size();
@@ -327,7 +267,6 @@ SeriesSnapshot StreamTelemetry::series_snapshot_locked(
 }
 
 TelemetrySnapshot StreamTelemetry::snapshot() const {
-  std::lock_guard lock(mu_);
   TelemetrySnapshot snap;
   snap.config = config_;
   snap.updates = all_.total;
@@ -335,12 +274,12 @@ TelemetrySnapshot StreamTelemetry::snapshot() const {
   snap.slo_breaches = slo_breaches_;
   snap.slo_violated = slo_violated_;
   snap.ewma_seconds = ewma_seconds_;
-  snap.series["all"] = series_snapshot_locked(all_);
+  snap.series["all"] = series_snapshot(all_);
   for (const auto& [name, w] : by_kind_) {
-    snap.series["kind:" + name] = series_snapshot_locked(w);
+    snap.series["kind:" + name] = series_snapshot(w);
   }
   for (const auto& [name, w] : by_engine_) {
-    snap.series["engine:" + name] = series_snapshot_locked(w);
+    snap.series["engine:" + name] = series_snapshot(w);
   }
   return snap;
 }

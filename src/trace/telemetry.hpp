@@ -19,7 +19,7 @@
 // attribution only; it never gates an anomaly.
 //
 // Like the tracer (and unlike the always-on metrics registry), telemetry
-// is an opt-in process-wide singleton: with it disabled, record() returns
+// is an opt-in per-thread singleton: with it disabled, record() returns
 // immediately, no bc.telemetry.* metric exists, and reports are
 // bit-identical to a build without this layer.
 #pragma once
@@ -29,7 +29,6 @@
 #include <deque>
 #include <iosfwd>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -127,17 +126,17 @@ class StreamTelemetry {
   /// Replaces the configuration and clears all windows/counters (a window
   /// resize invalidates the rings, so reconfiguring implies clear()).
   void configure(const TelemetryConfig& config);
-  TelemetryConfig config() const;
+  const TelemetryConfig& config() const { return config_; }
 
-  void set_enabled(bool enabled);
-  bool enabled() const;
+  void set_enabled(bool enabled) { enabled_ = enabled; }
+  bool enabled() const { return enabled_; }
 
   /// Drops every sample, event, and counter; keeps config and sink.
   void clear();
 
-  /// Folds one update into the stream. No-op (no lock taken on the fast
-  /// path) when disabled. Bumps bc.telemetry.* counters in the global
-  /// metrics registry and writes flagged updates to the JSONL sink.
+  /// Folds one update into the stream. No-op when disabled. Bumps
+  /// bc.telemetry.* counters in the thread's metrics registry and writes
+  /// flagged updates to the JSONL sink.
   void record(const UpdateSample& sample);
 
   /// Folds one handled-fault event (type forced to kFault) into the event
@@ -146,16 +145,16 @@ class StreamTelemetry {
   /// the latency windows or the spike/SLO state.
   void flag_fault(AnomalyEvent event);
 
-  std::uint64_t total_updates() const;
-  std::uint64_t spike_count() const;
-  std::uint64_t slo_breach_count() const;
-  std::uint64_t fault_count() const;
-  std::vector<AnomalyEvent> events() const;
+  std::uint64_t total_updates() const { return all_.total; }
+  std::uint64_t spike_count() const { return spikes_; }
+  std::uint64_t slo_breach_count() const { return slo_breaches_; }
+  std::uint64_t fault_count() const { return faults_; }
+  const std::vector<AnomalyEvent>& events() const { return events_; }
 
   /// Streaming sink for flagged updates (one JSONL line each, written as
   /// they happen). Not owned; pass nullptr to detach. The caller keeps the
   /// stream alive across record() calls.
-  void set_event_sink(std::ostream* sink);
+  void set_event_sink(std::ostream* sink) { sink_ = sink; }
 
   TelemetrySnapshot snapshot() const;
 
@@ -184,11 +183,10 @@ class StreamTelemetry {
     HistogramSnapshot cumulative_us;
   };
 
-  void push_locked(Window& w, double seconds);
-  SeriesSnapshot series_snapshot_locked(const Window& w) const;
-  void flag_locked(AnomalyEvent event);
+  void push(Window& w, double seconds);
+  SeriesSnapshot series_snapshot(const Window& w) const;
+  void flag(AnomalyEvent event);
 
-  mutable std::mutex mu_;
   bool enabled_ = false;
   TelemetryConfig config_;
   std::uint64_t seq_ = 0;
@@ -205,7 +203,7 @@ class StreamTelemetry {
   std::ostream* sink_ = nullptr;
 };
 
-/// The process-wide stream-telemetry singleton the DynamicBc hook records
+/// The calling thread's stream telemetry, which the DynamicBc hook records
 /// into (mirrors trace::tracer() / trace::metrics()).
 StreamTelemetry& telemetry();
 

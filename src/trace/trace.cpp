@@ -1,6 +1,5 @@
 #include "trace/trace.hpp"
 
-#include <atomic>
 #include <chrono>
 
 namespace bcdyn::trace {
@@ -13,41 +12,25 @@ std::int64_t steady_ns() {
       .count();
 }
 
-/// Stable per-thread track id (tid) for host spans, assigned on first use.
-int host_tid() {
-  static std::atomic<int> next{0};
-  thread_local int tid = next.fetch_add(1, std::memory_order_relaxed);
-  return tid;
-}
-
 }  // namespace
 
 Tracer& tracer() {
-  static Tracer t;
+  static thread_local Tracer t;
   return t;
 }
 
 void Tracer::set_enabled(bool on) {
-  std::lock_guard lock(mu_);
   if (on && !enabled_ && epoch_ns_ == 0) epoch_ns_ = steady_ns();
   enabled_ = on;
 }
 
 void Tracer::clear() {
-  std::lock_guard lock(mu_);
   events_.clear();
   epoch_ns_ = steady_ns();
 }
 
 double Tracer::now_us() const {
-  std::lock_guard lock(mu_);
   return static_cast<double>(steady_ns() - epoch_ns_) * 1e-3;
-}
-
-void Tracer::push(TraceEvent ev) {
-  std::lock_guard lock(mu_);
-  if (!enabled_) return;
-  events_.push_back(std::move(ev));
 }
 
 void Tracer::begin(std::string_view name, std::string_view cat,
@@ -58,9 +41,8 @@ void Tracer::begin(std::string_view name, std::string_view cat,
   ev.name = name;
   ev.cat = cat;
   ev.ts_us = now_us();
-  ev.tid = host_tid();
   ev.args.assign(args.begin(), args.end());
-  push(std::move(ev));
+  events_.push_back(std::move(ev));
 }
 
 void Tracer::end() {
@@ -68,8 +50,7 @@ void Tracer::end() {
   TraceEvent ev;
   ev.phase = TraceEvent::Phase::kEnd;
   ev.ts_us = now_us();
-  ev.tid = host_tid();
-  push(std::move(ev));
+  events_.push_back(std::move(ev));
 }
 
 void Tracer::complete(int pid, int tid, double ts_us, double dur_us,
@@ -85,7 +66,7 @@ void Tracer::complete(int pid, int tid, double ts_us, double dur_us,
   ev.pid = pid;
   ev.tid = tid;
   ev.args = std::move(args);
-  push(std::move(ev));
+  events_.push_back(std::move(ev));
 }
 
 void Tracer::instant(std::string_view name, std::string_view cat,
@@ -96,9 +77,8 @@ void Tracer::instant(std::string_view name, std::string_view cat,
   ev.name = name;
   ev.cat = cat;
   ev.ts_us = now_us();
-  ev.tid = host_tid();
   ev.args.assign(args.begin(), args.end());
-  push(std::move(ev));
+  events_.push_back(std::move(ev));
 }
 
 void Tracer::counter(std::string_view name, double value) {
@@ -107,39 +87,16 @@ void Tracer::counter(std::string_view name, double value) {
   ev.phase = TraceEvent::Phase::kCounter;
   ev.name = name;
   ev.ts_us = now_us();
-  ev.tid = host_tid();
   ev.args.push_back({"value", value});
-  push(std::move(ev));
+  events_.push_back(std::move(ev));
 }
 
 void Tracer::set_process_name(int pid, std::string name) {
-  std::lock_guard lock(mu_);
   process_names_[pid] = std::move(name);
 }
 
 void Tracer::set_thread_name(int pid, int tid, std::string name) {
-  std::lock_guard lock(mu_);
   thread_names_[{pid, tid}] = std::move(name);
-}
-
-std::vector<TraceEvent> Tracer::events() const {
-  std::lock_guard lock(mu_);
-  return events_;
-}
-
-std::size_t Tracer::event_count() const {
-  std::lock_guard lock(mu_);
-  return events_.size();
-}
-
-std::map<int, std::string> Tracer::process_names() const {
-  std::lock_guard lock(mu_);
-  return process_names_;
-}
-
-std::map<std::pair<int, int>, std::string> Tracer::thread_names() const {
-  std::lock_guard lock(mu_);
-  return thread_names_;
 }
 
 Span::Span(std::string_view name, std::string_view cat,

@@ -1,11 +1,11 @@
-// The system's flight recorder: a process-wide tracer with nestable spans
+// The system's flight recorder: a per-thread tracer with nestable spans
 // and typed timeline events, designed to be zero-overhead when disabled.
 //
 // Two timelines coexist in one trace, distinguished by pid:
 //
-//   pid 0 ("host")        B/E span events stamped with host wall time.
-//                         One track (tid) per host thread; spans strictly
-//                         nest per track.
+//   pid 0 ("host")        B/E span events stamped with host wall time on
+//                         the single host track (tid 0); spans strictly
+//                         nest.
 //   pid 1+ ("device N")   X complete events on the *modeled-cycles* axis,
 //                         one pid per sim::Device instance. Track (tid) s
 //                         is SM s carrying the block/job placement
@@ -16,15 +16,13 @@
 //                         trace shows the whole run, not just one launch.
 //
 // Every recording method early-returns when the tracer is disabled, so an
-// untraced run pays one relaxed atomic load per call site and allocates
-// nothing; modeled results never depend on the tracer state.
+// untraced run pays one flag test per call site and allocates nothing;
+// modeled results never depend on the tracer state.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <initializer_list>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,16 +63,13 @@ struct TraceEvent {
   double ts_us = 0.0;   // host: wall us since tracer epoch; device: modeled us
   double dur_us = 0.0;  // kComplete only
   int pid = kHostPid;
-  int tid = 0;
+  int tid = 0;  // host events stay on track 0: one tracer per thread
   std::vector<TraceArg> args;
 };
 
 class Tracer {
  public:
-  bool enabled() const {
-    // Relaxed fast path; recording methods re-check under the lock.
-    return enabled_.load(std::memory_order_relaxed);
-  }
+  bool enabled() const { return enabled_; }
   void set_enabled(bool on);
 
   /// Drops all recorded events and restarts the host-time epoch. Track
@@ -84,7 +79,7 @@ class Tracer {
   /// Host wall time in microseconds since the tracer epoch.
   double now_us() const;
 
-  // --- host spans (B/E on the calling thread's track) -------------------
+  // --- host spans (B/E on the host track) -------------------------------
   void begin(std::string_view name, std::string_view cat,
              std::initializer_list<TraceArg> args = {});
   void end();
@@ -102,23 +97,24 @@ class Tracer {
   void set_process_name(int pid, std::string name);
   void set_thread_name(int pid, int tid, std::string name);
 
-  std::vector<TraceEvent> events() const;
-  std::size_t event_count() const;
-  std::map<int, std::string> process_names() const;
-  std::map<std::pair<int, int>, std::string> thread_names() const;
+  const std::vector<TraceEvent>& events() const { return events_; }
+  std::size_t event_count() const { return events_.size(); }
+  const std::map<int, std::string>& process_names() const {
+    return process_names_;
+  }
+  const std::map<std::pair<int, int>, std::string>& thread_names() const {
+    return thread_names_;
+  }
 
  private:
-  void push(TraceEvent ev);
-
-  mutable std::mutex mu_;
-  std::atomic<bool> enabled_{false};
+  bool enabled_ = false;
   std::int64_t epoch_ns_ = 0;
   std::vector<TraceEvent> events_;
   std::map<int, std::string> process_names_;
   std::map<std::pair<int, int>, std::string> thread_names_;
 };
 
-/// The process-wide tracer every subsystem records into.
+/// The calling thread's tracer, which every subsystem records into.
 Tracer& tracer();
 
 /// RAII host span: opens on construction (if tracing is enabled at that

@@ -34,7 +34,7 @@ namespace bcdyn {
 namespace {
 
 /// Sum of the per-source scenario counters the engines bump on every
-/// analytic update (the registry is process-wide, so invariants are
+/// analytic update (the registry is per-thread, so invariants are
 /// asserted on deltas).
 std::uint64_t case_counter_total() {
   auto& m = trace::metrics();

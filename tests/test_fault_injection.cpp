@@ -40,7 +40,7 @@
 namespace bcdyn {
 namespace {
 
-/// RAII: installs a plan on the process-wide injector and enables it for
+/// RAII: installs a plan on the per-thread injector and enables it for
 /// the scope; restores the previous enabled flag on exit. configure()
 /// restarts every per-site decision sequence, so each scope replays its
 /// plan from decision 0.

@@ -2,7 +2,6 @@
 // accounting, scheduling makespan, and device launch semantics.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <stdexcept>
 #include <string>
 #include <vector>

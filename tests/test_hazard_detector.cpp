@@ -7,7 +7,7 @@
 // static, dynamic, batch, and sharded multi-device paths.
 //
 // Built as its own executable (bcdyn_hazard_tests, ctest label "hazard")
-// because the detector is process-wide state that must never be enabled
+// because the detector is per-thread state that must never be enabled
 // under the main suite's timing assertions.
 #include <gtest/gtest.h>
 

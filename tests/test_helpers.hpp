@@ -26,7 +26,7 @@
 
 namespace bcdyn::test {
 
-/// RAII: turns the process-wide shadow-memory hazard detector on for a
+/// RAII: turns the per-thread shadow-memory hazard detector on for a
 /// scope (optionally strict, where any flagged race throws HazardError),
 /// then restores the previous flags. Captured state is cleared on entry so
 /// violation counts read inside the scope belong to this scope.

@@ -4,7 +4,7 @@
 // with the synchronous chain, and bit-identical scores at every depth.
 //
 // A separate binary (ctest -L pipeline) because the Session tests flip the
-// process-wide tracer/hazard/telemetry singletons and the report test
+// per-thread tracer/hazard/telemetry singletons and the report test
 // resets the global metrics registry.
 #include <gtest/gtest.h>
 

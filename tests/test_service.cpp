@@ -10,7 +10,7 @@
 // the reads the policy names; (5) a mid-batch device loss under the
 // recovery policy still publishes a correct epoch.
 //
-// This binary owns the process-wide telemetry/fault singletons for some
+// This binary owns the per-thread telemetry/fault singletons for some
 // cases (like the pipeline/chaos suites), so it runs under its own ctest
 // label (`service`).
 #include <gtest/gtest.h>

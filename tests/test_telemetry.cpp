@@ -2,7 +2,7 @@
 // reference (bit-equal, per the determinism rule), anomaly/SLO flagging,
 // exporter round-trips, replay determinism, and the disabled layer's
 // zero-footprint contract. A separate binary because these tests flip the
-// process-wide telemetry singleton (and reset the global metrics
+// per-thread telemetry singleton (and reset the global metrics
 // registry), which must never happen under the main suite.
 #include <gtest/gtest.h>
 

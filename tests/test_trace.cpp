@@ -1,16 +1,21 @@
 // Trace-correctness tests for the observability layer: span nesting, the
 // launch-timeline accounting contract (every queue job placed exactly
-// once), zero-overhead disabled mode, and exporter round-trips through the
-// strict JSON parser.
+// once), zero-overhead disabled mode, exporter round-trips through the
+// strict JSON parser, and per-thread registries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <exception>
+#include <map>
 #include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "bc/session.hpp"
 #include "gen/generators.hpp"
 #include "gpusim/device.hpp"
+#include "gpusim/fault_injector.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/json.hpp"
 #include "trace/metrics.hpp"
@@ -23,7 +28,7 @@ namespace {
 
 using trace::TraceEvent;
 
-/// Every test runs against the process-wide tracer, so reset it around
+/// Every test runs against the thread's tracer, so reset it around
 /// each test and leave it disabled (the default) afterwards.
 class TraceTest : public ::testing::Test {
  protected:
@@ -441,6 +446,64 @@ TEST_F(TraceTest, StructureSpanPerUpdateCallStaysOutOfMetrics) {
       trace::report_string(trace::tracer(), trace::metrics());
   EXPECT_NE(report.find("  structure: "), std::string::npos);
   EXPECT_NE(report.find("3 calls"), std::string::npos);
+}
+
+// The library is single-threaded by contract: every thread gets its own
+// metrics registry, tracer and fault injector. A traced, fault-injected
+// Session on a second thread therefore starts from empty registries and
+// leaves the main thread's untouched.
+TEST_F(TraceTest, SecondThreadHasItsOwnRegistries) {
+  trace::metrics().reset();
+  trace::metrics().add("test.main_thread");
+  trace::tracer().instant("main", "test");
+  const std::map<std::string, std::uint64_t> main_counters =
+      trace::metrics().counters();
+  const std::size_t main_events = trace::tracer().event_count();
+  const std::uint64_t main_injected = sim::faults().injected();
+
+  std::size_t worker_counters_before = 1;
+  std::size_t worker_events_before = 1;
+  std::uint64_t worker_injected_before = 1;
+  std::uint64_t worker_launches = 0;
+  std::size_t worker_events = 0;
+  std::uint64_t worker_injected = 0;
+  std::exception_ptr worker_error;
+  std::thread worker([&] {
+    try {
+      worker_counters_before = trace::metrics().counters().size();
+      worker_events_before = trace::tracer().event_count();
+      worker_injected_before = sim::faults().injected();
+      bc::Session session(
+          gen::small_world(40, 2, 0.1, 3),
+          {.engine = EngineKind::kGpuNode,
+           .approx = {.num_sources = 4, .seed = 1},
+           .runtime = {.tracing = true,
+                       .fault_injection = true,
+                       .fault_plan = {.seed = 17, .stall_rate = 1.0}}});
+      session.compute();
+      const std::vector<std::vector<std::pair<VertexId, VertexId>>> batches =
+          {{{1, 20}}, {{2, 30}}};
+      session.insert_edge_batches(batches);  // stream ops poll the injector
+      worker_launches = trace::metrics().counter_value("sim.launches");
+      worker_events = trace::tracer().event_count();
+      worker_injected = sim::faults().injected();
+    } catch (...) {
+      worker_error = std::current_exception();
+    }
+  });
+  worker.join();
+  if (worker_error) std::rethrow_exception(worker_error);
+
+  EXPECT_EQ(worker_counters_before, 0u);
+  EXPECT_EQ(worker_events_before, 0u);
+  EXPECT_EQ(worker_injected_before, 0u);
+  EXPECT_GT(worker_launches, 0u);
+  EXPECT_GT(worker_events, 0u);
+  EXPECT_GT(worker_injected, 0u);
+
+  EXPECT_EQ(trace::metrics().counters(), main_counters);
+  EXPECT_EQ(trace::tracer().event_count(), main_events);
+  EXPECT_EQ(sim::faults().injected(), main_injected);
 }
 
 }  // namespace

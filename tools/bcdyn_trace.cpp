@@ -495,6 +495,9 @@ int main(int argc, char** argv) {
     opt.pipeline = cli.get_count(
         "pipeline", opt.pipeline,
         "run the batch phase pipelined at this depth (0 = synchronous)");
+    if (opt.pipeline < 0) {
+      cli.reject("pipeline", "a depth >= 0 (0 = synchronous)");
+    }
     opt.threshold = cli.get_double("threshold", opt.threshold,
                                    "batch recompute-fallback threshold");
     if (!(opt.threshold >= 0.0)) cli.reject("threshold", "a number >= 0");
