@@ -17,6 +17,7 @@
 // --help for the list. (The engine default is the canonical gpu-edge; it
 // was gpu-node before the flags were unified.)
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -56,6 +57,16 @@ int main(int argc, char** argv) {
   const EngineKind kind = parse_engine_flag(std_flags.engine);
 
   const CSRGraph graph = gen::preferential_attachment(users, 4, 11);
+  // draw_batch draws absent friendships until a batch is full, so it would
+  // never finish on a graph with too few. Pipelined, every batch is drawn
+  // against the initial graph; synchronous batches add up.
+  const std::int64_t n = graph.num_vertices();
+  const std::int64_t absent = n * (n - 1) / 2 - graph.num_edges();
+  const std::int64_t wanted =
+      pipeline > 1 ? batch_size : std::int64_t{batches} * batch_size;
+  if (wanted > absent) {
+    cli.reject("batch-size", "batches that fit the graph's absent edges");
+  }
   std::printf("social graph: %d users, %lld friendships, engine=%s"
               " devices=%d\n",
               graph.num_vertices(), static_cast<long long>(graph.num_edges()),

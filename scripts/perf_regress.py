@@ -29,6 +29,9 @@ via --inject and require exit 1 with "regressed 1.2000x" in the output
         --benches bench_batch_update --inject 'seconds:1.2'
 
 and a host-work regression the same way, with --inject 'host_items:1.2'.
+An inject that matches a key whose baseline is already stale (current
+below baseline by more than the tolerance) may not fire; a note names
+the key so the baseline gets re-captured.
 """
 
 import argparse
@@ -55,12 +58,16 @@ def compare_bench(bench, baseline_gauges, current_gauges, policy, inject):
                             f"(renamed? regenerate the baseline deliberately)")
             continue
         cur = float(current_gauges[key])
+        if base <= 0.0:
+            continue  # degenerate baseline entry; nothing to gate
         if inject is not None:
             pattern, factor = inject
             if re.search(pattern, key):
+                if cur / base < 1.0 - tol:
+                    print(f"note: {bench}: baseline for {key} is stale "
+                          f"(current/baseline {cur / base:.4f}); the inject "
+                          f"cannot fire until it is re-captured")
                 cur *= factor
-        if base <= 0.0:
-            continue  # degenerate baseline entry; nothing to gate
         ratio = cur / base
         if not host_work:
             ratios.append(ratio)

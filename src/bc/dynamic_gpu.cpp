@@ -100,16 +100,29 @@ void arcs_into(const CSRGraph& g, std::span<const VertexId> heads,
 /// `sign` is +1 for insertions (u_low gains u_high's paths) and -1 for
 /// removals (it loses them).
 ///
+/// The host makes the uniform stores in bulk first; the charged loop then
+/// runs only u_low, whose charges differ when !case3, and charges every
+/// other vertex the uniform branch's cost (parallel_for_live).
+///
 /// Kept out of line, like finalize_kernel: inlined into its one caller,
-/// the per-vertex body stops being inlined into parallel_for, and these
-/// O(n) passes - most of a node-parallel update's host time - then pay a
-/// call per vertex (measured 15-20% slower updates with GCC -O3).
+/// the per-vertex body stops being inlined into the loop (measured 15-20%
+/// slower node-parallel updates with GCC -O3 when these loops ran every
+/// vertex on the host).
 [[gnu::noinline]] void init_kernel(BlockContext& ctx, GpuWorkspace& ws,
                                    const Rows& rows, VertexId u_high,
                                    VertexId u_low, bool case3,
                                    double sign = 1.0) {
   const std::size_t n = rows.sigma.size();
-  ctx.parallel_for(n, [&](std::size_t v) {
+  std::copy(rows.sigma.begin(), rows.sigma.end(), ws.sigma_hat.begin());
+  std::fill_n(ws.t.begin(), n, kUntouched);
+  std::fill_n(ws.delta_hat.begin(), n, 0.0);
+  if (case3) {
+    std::copy(rows.d.begin(), rows.d.end(), ws.d_new.begin());
+    std::fill_n(ws.moved.begin(), n, 0);
+    std::fill_n(ws.reset.begin(), n, 0);
+  }
+  const std::span<const VertexId> live(&u_low, case3 ? 0 : 1);
+  ctx.parallel_for_live(n, detail::item_ranges(live), [&](std::size_t v) {
     ctx.charge_instr(1);
     if (v == static_cast<std::size_t>(u_low) && !case3) {
       ctx.charge_read(rows.sigma, v);
@@ -125,40 +138,43 @@ void arcs_into(const CSRGraph& g, std::span<const VertexId> heads,
       ctx.charge_write(ws.t, v);
       ctx.charge_write(ws.sigma_hat, v);
       ctx.charge_write(ws.delta_hat, v);
-      ws.t[v] = kUntouched;
-      ws.sigma_hat[v] = rows.sigma[v];
     }
-    ws.delta_hat[v] = 0.0;
     if (case3) {
       ctx.charge_read(rows.d, v);
       ctx.charge_write(ws.d_new, v);
       ctx.charge_write(ws.moved, v);
       ctx.charge_write(ws.reset, v);
-      ws.d_new[v] = rows.d[v];
-      ws.moved[v] = 0;
-      ws.reset[v] = 0;
     }
   });
 }
 
 /// Algorithm 8: atomically fold BC deltas into the shared scores and copy
 /// the hatted values back into the per-source rows. Returns |touched|.
+/// The host copies the rows back in bulk; the charged loop runs only the
+/// touched vertices, which it gathers in ascending order into ws.live, so
+/// bc[] adds fold in vertex order, and charges every other vertex the
+/// uniform exit's cost (parallel_for_live).
 [[gnu::noinline]] VertexId finalize_kernel(BlockContext& ctx,
                                            GpuWorkspace& ws, const Rows& rows,
                                            std::span<double> bc, VertexId s,
                                            bool case3) {
   const std::size_t n = rows.sigma.size();
+  std::copy_n(ws.sigma_hat.begin(), n, rows.sigma.begin());
+  if (case3) std::copy_n(ws.d_new.begin(), n, rows.d.begin());
+  ws.live.clear();
+  for (std::size_t v = 0; v < n; ++v) {
+    if (ws.t[v] != kUntouched) ws.live.push_back(static_cast<VertexId>(v));
+  }
   VertexId touched = 0;
-  ctx.parallel_for(n, [&](std::size_t v) {
+  const auto live = detail::item_ranges<VertexId>(ws.live);
+  ctx.parallel_for_live(n, live, [&](std::size_t v) {
     ctx.charge_instr(2);
     ctx.charge_read(ws.sigma_hat, v);
     ctx.charge_read(ws.t, v);
     ctx.charge_write(rows.sigma, v);
-    rows.sigma[v] = ws.sigma_hat[v];
     if (case3) {
       ctx.charge_read(ws.d_new, v);
       ctx.charge_write(rows.d, v);
-      rows.d[v] = ws.d_new[v];
     }
     if (ws.t[v] == kUntouched) return;
     ++touched;

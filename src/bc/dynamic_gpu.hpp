@@ -100,9 +100,10 @@ struct GpuWorkspace {
   std::vector<VertexId> premarked;  // removal Phase 0: orphans' other children
   std::vector<VertexId> scratch;
   std::vector<std::uint32_t> flags;
-  // Host-side live sets of the edge-parallel sweeps (not device state):
-  // the source row's levels, one sweep's live vertices and, for sweeps
-  // keyed by the arc's head, its live arcs - all ascending.
+  // Host-side live sets of the sparse sweeps (not device state): the
+  // source row's levels, one sweep's live vertices (finalize's touched
+  // vertices included) and, for sweeps keyed by the arc's head, its live
+  // arcs - all ascending.
   LevelIndex levels;
   std::vector<VertexId> live;
   std::vector<EdgeId> live_arcs;
