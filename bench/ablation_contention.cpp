@@ -45,7 +45,8 @@ int main(int argc, char** argv) {
       double conflict_cycles = 0.0;
       for (const auto& [u, v] : stream.insertions) {
         g.insert_edge(u, v);
-        const auto r = engine.insert_edge_update(g, store, u, v);
+        const auto r =
+            engine.edge_update(/*removal=*/false, g, store, u, v);
         atomics += r.stats.total.atomics;
         conflicts += r.stats.total.atomic_conflicts;
         total_cycles += r.stats.total.cycles;

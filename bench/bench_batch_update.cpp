@@ -44,7 +44,8 @@ ModeResult run_mode(const analysis::EdgeStream& stream,
   for (const auto& [u, v] : stream.insertions) {
     g.insert_edge(u, v);
     out.single_seconds +=
-        single.insert_edge_update(g, single_store, u, v).stats.seconds;
+        single.edge_update(/*removal=*/false, g, single_store, u, v)
+            .stats.seconds;
   }
 
   BcStore batch_store(n, approx);

@@ -121,7 +121,7 @@ void BM_DynamicCpuUpdate(benchmark::State& state) {
     } while (u == v || g.has_edge(u, v));
     g.insert_edge(u, v);
     state.ResumeTiming();
-    engine.insert_edge_update(g, store, u, v);
+    engine.store_update(/*removal=*/false, g, store, u, v);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           store.num_sources());

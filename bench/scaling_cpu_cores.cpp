@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
     std::vector<double> makespans(lane_counts.size(), 0.0);
     for (const auto& [u, v] : stream.insertions) {
       g.insert_edge(u, v);
-      engine.insert_edge_update(g, store, u, v, source_ops);
+      engine.store_update(/*removal=*/false, g, store, u, v, source_ops);
       for (std::size_t i = 0; i < lane_counts.size(); ++i) {
         makespans[i] += lane_makespan(cm, source_ops, lane_counts[i]);
       }

@@ -40,7 +40,8 @@ ShardedRunResult run_sharded(const analysis::EdgeStream& stream,
   result.compute_seconds = bc.compute(g, store).seconds;
   for (const auto& [u, v] : stream.insertions) {
     g.insert_edge(u, v);
-    const GpuUpdateResult r = bc.insert_edge_update(g, store, u, v);
+    const GpuUpdateResult r =
+        bc.edge_update(/*removal=*/false, g, store, u, v);
     result.update_seconds += r.stats.seconds;
     result.steals += r.group.steals;
   }

@@ -23,7 +23,9 @@
 //   --interarrival-us=T   virtual us between arrivals (5.0)
 //   --depths=a,b          coalescing depths to compare (default 4,16)
 //   --min-speedup=X       geomean gate at the deepest setting
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -134,18 +136,6 @@ double max_rel_diff(const std::vector<double>& a,
   return worst;
 }
 
-std::vector<int> parse_depths(const std::string& spec) {
-  std::vector<int> depths;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    auto comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    depths.push_back(std::stoi(spec.substr(pos, comma - pos)));
-    pos = comma + 1;
-  }
-  return depths;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -167,8 +157,8 @@ int main(int argc, char** argv) {
       "remove-frac", 0.2, "fraction of writes that remove");
   const double interarrival_us = cli.get_double(
       "interarrival-us", 5.0, "virtual us between request arrivals");
-  const std::string depths_spec = cli.get(
-      "depths", "4,16", "coalescing depths to compare against depth 1");
+  const std::vector<std::int64_t> depth_flags = cli.get_int_list(
+      "depths", {4, 16}, "coalescing depths to compare against depth 1");
   const int devices = cli.get_count(
       "devices", 1, "simulated devices to shard the kernels across");
   const double min_speedup = cli.get_double(
@@ -180,8 +170,15 @@ int main(int argc, char** argv) {
     return 0;
   }
   bench::warn_unused(cli);
+  if (!bench::counts_at_least_one("depths", depth_flags)) return 2;
+  std::vector<int> depths;
+  std::string depths_spec;
+  for (const std::int64_t depth : depth_flags) {
+    if (depth > INT_MAX) cli.reject("depths", "int-sized depths");
+    depths.push_back(static_cast<int>(depth));
+    depths_spec += (depths_spec.empty() ? "" : ",") + std::to_string(depth);
+  }
   if (cfg.smoke) requests = std::min(requests, 160);
-  const std::vector<int> depths = parse_depths(depths_spec);
   const auto graphs = bench::build_graphs(cfg);
   bench::print_graph_summary(graphs);
 

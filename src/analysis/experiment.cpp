@@ -68,7 +68,7 @@ DynamicRunResult run_cpu_dynamic(const EdgeStream& stream,
   for (const auto& [u, v] : stream.insertions) {
     g.insert_edge(u, v);
     const CpuOpCounters before = engine.counters();
-    for (const auto& r : engine.insert_edge_update(g, store, u, v)) {
+    for (const auto& r : engine.store_update(/*removal=*/false, g, store, u, v)) {
       result.scenarios.record(r.update_case);
       if (touched != nullptr && r.update_case == UpdateCase::kAdjacent) {
         touched->record(r.touched);
@@ -99,7 +99,8 @@ DynamicRunResult run_gpu_dynamic(const EdgeStream& stream,
   util::Stopwatch clock;
   for (const auto& [u, v] : stream.insertions) {
     g.insert_edge(u, v);
-    const GpuUpdateResult r = engine.insert_edge_update(g, store, u, v);
+    const GpuUpdateResult r =
+        engine.edge_update(/*removal=*/false, g, store, u, v);
     for (const auto& o : r.outcomes) {
       result.scenarios.record(o.update_case);
       if (touched != nullptr && o.update_case == UpdateCase::kAdjacent) {

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <sstream>
-#include <stdexcept>
 
 #include "bc/batch_update.hpp"
 #include "bc/case_classify.hpp"
@@ -57,6 +56,11 @@ constexpr const char* kKindModeCounter[kNumLaunchKinds][2] = {
 };
 
 double clamp_rate(double r) { return std::clamp(r, 1.0 / 32.0, 32.0); }
+
+/// Exploration: a near tie (estimates within kExploreMargin of each other)
+/// probes the other mapping when its hash lands on 0 mod kExplorePeriod.
+constexpr std::uint64_t kExplorePeriod = 16;
+constexpr double kExploreMargin = 1.25;
 
 }  // namespace
 
@@ -329,40 +333,15 @@ Parallelism ParallelismPolicy::decide(const DecisionFeatures& f) {
   rec.source_index = f.source_index;
   rec.est_edge_cycles = estimate_cycles(f, Parallelism::kEdge);
   rec.est_node_cycles = estimate_cycles(f, Parallelism::kNode);
-
-  if (replay_) {
-    if (replay_cursor_ >= replay_->size()) {
-      throw std::runtime_error(
-          "ParallelismPolicy::decide: replay log exhausted at seq " +
-          std::to_string(rec.seq));
-    }
-    const DecisionRecord& want = (*replay_)[replay_cursor_++];
-    if (want.kind != f.kind || want.source_index != f.source_index) {
-      throw std::runtime_error(
-          "ParallelismPolicy::decide: replay divergence at seq " +
-          std::to_string(rec.seq) + " (logged " +
-          std::string(to_string(want.kind)) + "/source " +
-          std::to_string(want.source_index) + ", got " +
-          std::string(to_string(f.kind)) + "/source " +
-          std::to_string(f.source_index) + ")");
-    }
-    rec.mode = want.mode;
-    rec.explored = want.explored;
-  } else {
-    rec.mode = rec.est_node_cycles <= rec.est_edge_cycles ? Parallelism::kNode
-                                                          : Parallelism::kEdge;
-    if (config_.explore_period > 0) {
-      const double lo = std::min(rec.est_edge_cycles, rec.est_node_cycles);
-      const double hi = std::max(rec.est_edge_cycles, rec.est_node_cycles);
-      if (hi <= lo * config_.explore_margin &&
-          probe_hash(f, config_.seed) %
-                  static_cast<std::uint64_t>(config_.explore_period) ==
-              0) {
-        rec.mode = rec.mode == Parallelism::kEdge ? Parallelism::kNode
-                                                  : Parallelism::kEdge;
-        rec.explored = true;
-      }
-    }
+  rec.mode = rec.est_node_cycles <= rec.est_edge_cycles ? Parallelism::kNode
+                                                        : Parallelism::kEdge;
+  const double lo = std::min(rec.est_edge_cycles, rec.est_node_cycles);
+  const double hi = std::max(rec.est_edge_cycles, rec.est_node_cycles);
+  if (hi <= lo * kExploreMargin &&
+      probe_hash(f, config_.seed) % kExplorePeriod == 0) {
+    rec.mode = rec.mode == Parallelism::kEdge ? Parallelism::kNode
+                                              : Parallelism::kEdge;
+    rec.explored = true;
   }
 
   if (rec.mode == Parallelism::kEdge) {
@@ -522,12 +501,6 @@ std::int64_t ParallelismPolicy::planned_weight(const LaunchPlan& plan,
   const auto i = static_cast<std::size_t>(si);
   if (i >= plan.decided.size() || !plan.decided[i]) return 0;
   return job_weight(plan.features[i], plan.modes[i]);
-}
-
-void ParallelismPolicy::replay(std::vector<DecisionRecord> log) {
-  replay_ = std::move(log);
-  replay_cursor_ = 0;
-  log_.clear();
 }
 
 std::uint64_t ParallelismPolicy::decisions(Parallelism mode) const {

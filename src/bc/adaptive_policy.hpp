@@ -16,13 +16,11 @@
 // cost model is a pure function of the counted work, so the same run
 // produces the same observations, the same learned rates, and therefore
 // the same decisions on every host (DESIGN.md "Determinism"). Every
-// decision is appended to an in-memory log; a policy can replay a log
-// verbatim, which reruns the exact kernel sequence bit-identically.
+// decision is appended to an in-memory log (bcdyn_trace --decisions).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -86,9 +84,7 @@ struct DecisionFeatures {
   double batch_case3 = 0.0;  // kBatch: predicted case-3 edges in the job
 };
 
-/// One logged decision. `seq` is the position in the policy's call order;
-/// replay validates kind/source_index so a log can only drive the exact
-/// call sequence it was recorded from.
+/// One logged decision. `seq` is the position in the policy's call order.
 struct DecisionRecord {
   std::uint64_t seq = 0;
   LaunchKind kind = LaunchKind::kStatic;
@@ -101,15 +97,13 @@ struct DecisionRecord {
 
 struct AdaptiveConfig {
   /// Seeds the exploration hash only; decisions are otherwise a pure
-  /// function of features + learned state.
+  /// function of features + learned state. decide() probes the
+  /// non-preferred mapping on ~1/16 of near-tie decisions (estimates
+  /// within 1.25x of each other) so both cost arms keep receiving
+  /// observations; the probe trigger hashes (features, seed) - never a
+  /// call counter - so identical features always make the identical
+  /// choice.
   std::uint64_t seed = 0;
-  /// Probe the non-preferred mapping on ~1/explore_period of near-tie
-  /// decisions (estimate ratio below explore_margin) so both cost arms
-  /// keep receiving observations. 0 disables probing. The probe trigger
-  /// hashes (features, seed) - never a call counter - so identical
-  /// features always make the identical choice.
-  int explore_period = 16;
-  double explore_margin = 1.25;
 };
 
 /// Host-side pre-launch plan for one kernel launch: a decided mode per
@@ -145,8 +139,8 @@ class ParallelismPolicy {
   const GraphFeatures& graph_features(const CSRGraph& g,
                                       VertexId sample_source);
 
-  /// Feature builders used by every engine, kept here so the same decision
-  /// inputs are constructed identically at record and replay time.
+  /// Feature builders used by every engine, kept here so every engine
+  /// builds the same decision inputs.
   static DecisionFeatures static_features(int source_index,
                                           const GraphFeatures& gf);
   static DecisionFeatures update_features(LaunchKind kind, int source_index,
@@ -178,20 +172,15 @@ class ParallelismPolicy {
   /// Pre-launch planning, one call per kernel launch. Each classifies the
   /// launch's work per source from host-readable state (the store's dist
   /// rows), builds that source's DecisionFeatures, and calls decide() in
-  /// source-index order - deterministic, and identical at record and replay
-  /// time. Planning happens host-side and charges nothing to the modeled
-  /// device (the same information a real driver has before enqueueing).
+  /// source-index order, so the same run makes the same decisions.
+  /// Planning happens host-side and charges nothing to the modeled device
+  /// (the same information a real driver has before enqueueing).
   LaunchPlan plan_static(const CSRGraph& g, const BcStore& store);
-  LaunchPlan plan_insert(const CSRGraph& g, const BcStore& store, VertexId u,
-                         VertexId v) {
-    return plan_update(/*removal=*/false, g, store, u, v);
-  }
-  /// `g` is the post-removal graph (the kernels' classify_removal decides
-  /// Case 2 against Case 3 here too).
-  LaunchPlan plan_remove(const CSRGraph& g, const BcStore& store, VertexId u,
-                         VertexId v) {
-    return plan_update(/*removal=*/true, g, store, u, v);
-  }
+  /// One single-edge update of {u, v}. `g` is the post-update graph: with
+  /// the edge for an insertion, without it for a removal (the kernels'
+  /// classify_removal decides Case 2 against Case 3 here too).
+  LaunchPlan plan_update(bool removal, const CSRGraph& g, const BcStore& store,
+                         VertexId u, VertexId v);
   /// `g` is the batch's final graph; per-edge classification reads the
   /// pre-batch dist rows (the same approximation as batch_job_weight).
   LaunchPlan plan_batch(const CSRGraph& g, const BcStore& store,
@@ -207,14 +196,7 @@ class ParallelismPolicy {
   /// the LPT/work-queue input when a policy is active.
   std::int64_t planned_weight(const LaunchPlan& plan, int si) const;
 
-  /// Switches the policy to replay mode: decide() returns the logged modes
-  /// in order and throws std::runtime_error if the call sequence diverges
-  /// (kind or source mismatch, or the log runs out).
-  void replay(std::vector<DecisionRecord> log);
-  bool replaying() const { return replay_.has_value(); }
-
   const std::vector<DecisionRecord>& log() const { return log_; }
-  void clear_log() { log_.clear(); }
   std::uint64_t decisions(Parallelism mode) const;
   std::uint64_t explored() const { return explored_; }
   const AdaptiveConfig& config() const { return config_; }
@@ -229,9 +211,6 @@ class ParallelismPolicy {
     double samples = 0.0;
   };
 
-  /// The one single-edge planning loop behind plan_insert/plan_remove.
-  LaunchPlan plan_update(bool removal, const CSRGraph& g, const BcStore& store,
-                         VertexId u, VertexId v);
   double base_estimate(const DecisionFeatures& f, Parallelism mode) const;
   double edge_arc_sweep(const GraphFeatures& gf) const;
   double vertex_scan(const GraphFeatures& gf) const;
@@ -257,9 +236,6 @@ class ParallelismPolicy {
   std::uint64_t edge_decisions_ = 0;
   std::uint64_t node_decisions_ = 0;
   std::uint64_t explored_ = 0;
-
-  std::optional<std::vector<DecisionRecord>> replay_;
-  std::size_t replay_cursor_ = 0;
 
   // BFS scratch for the planning profile (reused across refreshes).
   std::vector<Dist> plan_dist_;

@@ -113,8 +113,8 @@ CpuBatchResult batch_insert_update(DynamicCpuEngine& engine,
         batch.edges.size(), n, recompute_threshold,
         [&](std::size_t i) {
           const auto [u, v] = batch.edges[i];
-          return engine.update_source(batch.graphs[i], s, d, sigma, delta,
-                                      store.bc(), u, v);
+          return engine.source_update(/*removal=*/false, batch.graphs[i], s,
+                                      d, sigma, delta, store.bc(), u, v);
         },
         [&] {
           old_delta.assign(delta.begin(), delta.end());

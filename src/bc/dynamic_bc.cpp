@@ -90,17 +90,20 @@ DynamicBc::DynamicBc(const CSRGraph& g, const bc::Options& options)
       const Parallelism mode = options_.engine == EngineKind::kGpuEdge
                                    ? Parallelism::kEdge
                                    : Parallelism::kNode;
+      // The paper's hardware: every analytic runs on the Tesla C2075, and
+      // a group shards round-robin (DynamicGpuBc takes other specs and
+      // policies directly).
+      const sim::DeviceSpec spec = sim::DeviceSpec::tesla_c2075();
       gpu_ = options_.num_devices > 1
                  ? std::make_unique<DynamicGpuBc>(
-                       options_.num_devices, options_.device_spec, mode,
-                       cost_model_, options_.track_atomic_conflicts,
-                       options_.shard_policy)
+                       options_.num_devices, spec, mode, cost_model_,
+                       options_.track_atomic_conflicts)
                  : std::make_unique<DynamicGpuBc>(
-                       options_.device_spec, mode, cost_model_,
+                       spec, mode, cost_model_,
                        options_.track_atomic_conflicts);
       if (options_.engine == EngineKind::kGpuAdaptive) {
-        policy_ = std::make_unique<ParallelismPolicy>(
-            options_.adaptive, options_.device_spec, cost_model_);
+        policy_ = std::make_unique<ParallelismPolicy>(options_.adaptive, spec,
+                                                      cost_model_);
         gpu_->set_policy(policy_.get());
       }
       break;
@@ -235,8 +238,7 @@ UpdateOutcome DynamicBc::run_update(trace::UpdateKind kind, VertexId u,
   util::Stopwatch clock;
   if (options_.engine == EngineKind::kCpu) {
     cpu_engine_->reset_counters();
-    fold_outcomes(insert ? cpu_engine_->insert_edge_update(csr_, store_, u, v)
-                         : cpu_engine_->remove_edge_update(csr_, store_, u, v),
+    fold_outcomes(cpu_engine_->store_update(!insert, csr_, store_, u, v),
                   outcome);
     const CpuOpCounters& ops = cpu_engine_->counters();
     outcome.modeled_seconds =
@@ -245,8 +247,7 @@ UpdateOutcome DynamicBc::run_update(trace::UpdateKind kind, VertexId u,
     // The labels seed the fault decisions, so each kind keeps its own.
     run_recovered(insert ? "bc.insert" : "bc.remove", [&] {
       const GpuUpdateResult r =
-          insert ? gpu_->insert_edge_update(csr_, store_, u, v)
-                 : gpu_->remove_edge_update(csr_, store_, u, v);
+          gpu_->edge_update(!insert, csr_, store_, u, v);
       fold_outcomes(r.outcomes, outcome);
       outcome.modeled_seconds = r.stats.seconds;
     }, outcome);

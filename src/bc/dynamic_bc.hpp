@@ -92,11 +92,10 @@ struct Runtime {
 struct Options {
   EngineKind engine = EngineKind::kCpu;
   ApproxConfig approx;  // source sampling (paper §II.B)
-  sim::DeviceSpec device_spec = sim::DeviceSpec::tesla_c2075();
-  /// GPU engines only: shard per-source jobs across this many simulated
-  /// devices with cross-device work stealing. 1 = one device, no group.
+  /// GPU engines only: shard per-source jobs round-robin across this many
+  /// simulated Tesla C2075s with cross-device work stealing. 1 = one
+  /// device, no group.
   int num_devices = 1;
-  ShardPolicy shard_policy = ShardPolicy::kRoundRobin;
   /// Turns on the simulator's per-address atomic conflict accounting
   /// (observability only - it feeds the sim.atomic_conflicts.* metrics
   /// and the bcdyn_trace report, never the modeled results).
@@ -108,9 +107,8 @@ struct Options {
   /// batches; 0.0 recomputes any source with non-case-1 work. Must be a
   /// number >= 0.
   double batch_recompute_threshold = 0.25;
-  /// kGpuAdaptive only: the parallelism policy's configuration (probe
-  /// seed, forced-mode override, exploration rate). Ignored by the
-  /// fixed engines.
+  /// kGpuAdaptive only: the parallelism policy's configuration (the
+  /// exploration probe's seed). Ignored by the fixed engines.
   AdaptiveConfig adaptive;
   /// Reaction to injected runtime faults (bc/recovery.hpp): bounded
   /// retries with deterministic modeled backoff, then an optional
@@ -179,7 +177,7 @@ class DynamicBc {
   /// Simulated devices the GPU engines run on (1 for the CPU engine).
   int num_devices() const;
   /// The adaptive parallelism policy (kGpuAdaptive only; null otherwise).
-  /// Exposes the decision log, replay mode, and decision counts.
+  /// Exposes the decision log and decision counts.
   ParallelismPolicy* policy() { return policy_.get(); }
   const ParallelismPolicy* policy() const { return policy_.get(); }
 

@@ -97,74 +97,42 @@ class DynamicCpuEngine {
  public:
   explicit DynamicCpuEngine(VertexId num_vertices);
 
-  /// Updates every source row of `store` plus its BC scores for the
-  /// insertion of {u, v} (`g` must already contain the edge): one
-  /// update_source per source, in ascending source order, folding straight
-  /// into store.bc(). Returns the per-source outcomes, indexed by source
-  /// index. A non-empty `source_ops` (one slot per source) receives each
-  /// source's counter delta. No charge depends on which source ran before
-  /// (init_scratch charges a fixed O(n) per call, the rest per operation),
-  /// so a contiguous chunk's sum is that chunk's cost on a lane of its own.
-  std::vector<SourceUpdateOutcome> insert_edge_update(
-      const CSRGraph& g, BcStore& store, VertexId u, VertexId v,
-      std::span<CpuOpCounters> source_ops = {}) {
-    return store_update(/*removal=*/false, g, store, u, v, source_ops);
-  }
-
-  /// Decremental counterpart (`g` must no longer contain the edge).
-  std::vector<SourceUpdateOutcome> remove_edge_update(
-      const CSRGraph& g, BcStore& store, VertexId u, VertexId v,
-      std::span<CpuOpCounters> source_ops = {}) {
-    return store_update(/*removal=*/true, g, store, u, v, source_ops);
-  }
-
-  /// Updates source s's rows (dist/sigma/delta, holding pre-insertion
-  /// values) and the shared BC scores for the insertion of edge {u, v}.
-  /// `g` must already contain the edge. Pass `force_general = true` to
-  /// route Case 2 through the general Case 3 framework (used by tests).
-  SourceUpdateOutcome update_source(const CSRGraph& g, VertexId s,
-                                    std::span<Dist> dist,
-                                    std::span<Sigma> sigma,
-                                    std::span<double> delta,
-                                    std::span<double> bc, VertexId u,
-                                    VertexId v, bool force_general = false) {
-    return source_update(/*removal=*/false, g, s, dist, sigma, delta, bc, u,
-                         v, force_general);
-  }
-
-  /// Decremental counterpart: updates source s's rows and the BC scores for
-  /// the *removal* of edge {u, v}. `g` must no longer contain the edge; the
-  /// rows hold pre-removal state. Same-level removals are free; a removal
-  /// whose u_low keeps another parent runs Case 2 with negative sigma
-  /// increments; otherwise the source row is recomputed from scratch
-  /// (reported as UpdateCase::kFar with touched = n).
-  SourceUpdateOutcome remove_update_source(const CSRGraph& g, VertexId s,
-                                           std::span<Dist> dist,
-                                           std::span<Sigma> sigma,
-                                           std::span<double> delta,
-                                           std::span<double> bc, VertexId u,
-                                           VertexId v) {
-    return source_update(/*removal=*/true, g, s, dist, sigma, delta, bc, u,
-                         v);
-  }
-
-  const CpuOpCounters& counters() const { return ops_; }
-  void reset_counters() { ops_ = {}; }
-
- private:
-  enum class Touch : std::uint8_t { kUntouched = 0, kDown = 1, kUp = 2 };
-
+  /// Updates every source row of `store` plus its BC scores for one
+  /// single-edge update of {u, v} (`removal` picks the direction; `g` is
+  /// the post-update graph: with the edge for an insertion, without it for
+  /// a removal): one source_update per source, in ascending source order,
+  /// folding straight into store.bc(). Returns the per-source outcomes,
+  /// indexed by source index. A non-empty `source_ops` (one slot per
+  /// source) receives each source's counter delta. No charge depends on
+  /// which source ran before (init_scratch charges a fixed O(n) per call,
+  /// the rest per operation), so a contiguous chunk's sum is that chunk's
+  /// cost on a lane of its own.
   std::vector<SourceUpdateOutcome> store_update(
       bool removal, const CSRGraph& g, BcStore& store, VertexId u, VertexId v,
-      std::span<CpuOpCounters> source_ops);
-  /// The one per-source body: classifies the update by direction and
-  /// dispatches to Case 2, Case 3 or (a distance-growing removal) Brandes.
+      std::span<CpuOpCounters> source_ops = {});
+
+  /// The one per-source body: updates source s's rows (dist/sigma/delta,
+  /// holding pre-update values) and the shared BC scores for the update
+  /// of edge {u, v}, with `g` as in store_update. It classifies the update
+  /// by direction and dispatches: same-level updates are free, adjacent
+  /// levels run Case 2 (negative sigma increments for a removal whose u_low
+  /// keeps another parent), distance-changing insertions run Case 3, and
+  /// any other removal recomputes the source row from scratch (reported as
+  /// UpdateCase::kFar with touched = n). Pass `force_general = true` to
+  /// route an insertion's Case 2 through the general Case 3 framework
+  /// (used by tests).
   SourceUpdateOutcome source_update(bool removal, const CSRGraph& g,
                                     VertexId s, std::span<Dist> dist,
                                     std::span<Sigma> sigma,
                                     std::span<double> delta,
                                     std::span<double> bc, VertexId u,
                                     VertexId v, bool force_general = false);
+
+  const CpuOpCounters& counters() const { return ops_; }
+  void reset_counters() { ops_ = {}; }
+
+ private:
+  enum class Touch : std::uint8_t { kUntouched = 0, kDown = 1, kUp = 2 };
 
   void init_scratch(std::span<const Sigma> sigma, bool case3,
                     std::span<const Dist> dist);

@@ -1568,16 +1568,6 @@ std::vector<sim::Device*> DynamicGpuBc::devices() {
   return devs;
 }
 
-std::vector<int> DynamicGpuBc::shard_sources(int k) const {
-  if (shard_policy_ == ShardPolicy::kRoundRobin) {
-    return round_robin_assign(k, num_devices());
-  }
-  const bool history = last_cycles_.size() == static_cast<std::size_t>(k);
-  return lpt_assign(history ? std::span<const std::int64_t>(last_cycles_)
-                            : std::span<const std::int64_t>(),
-                    k, num_devices());
-}
-
 void DynamicGpuBc::remember_weights(const sim::GroupLaunchResult& result) {
   last_cycles_.resize(result.placements.size());
   for (std::size_t j = 0; j < result.placements.size(); ++j) {
@@ -1684,29 +1674,17 @@ sim::KernelStats DynamicGpuBc::compute(const CSRGraph& g, BcStore& store,
   return out.stats;
 }
 
-GpuUpdateResult DynamicGpuBc::insert_edge_update(const CSRGraph& g,
-                                                 BcStore& store, VertexId u,
-                                                 VertexId v) {
-  return edge_update(SourceLaunchKind::kInsert, g, store, u, v);
-}
-
-GpuUpdateResult DynamicGpuBc::remove_edge_update(const CSRGraph& g,
-                                                 BcStore& store, VertexId u,
-                                                 VertexId v) {
-  return edge_update(SourceLaunchKind::kRemove, g, store, u, v);
-}
-
-GpuUpdateResult DynamicGpuBc::edge_update(SourceLaunchKind kind,
-                                          const CSRGraph& g, BcStore& store,
-                                          VertexId u, VertexId v) {
-  const bool removal = kind == SourceLaunchKind::kRemove;
+GpuUpdateResult DynamicGpuBc::edge_update(bool removal, const CSRGraph& g,
+                                          BcStore& store, VertexId u,
+                                          VertexId v) {
+  const SourceLaunchKind kind =
+      removal ? SourceLaunchKind::kRemove : SourceLaunchKind::kInsert;
   const int k = store.num_sources();
   GpuUpdateResult result;
   result.outcomes.resize(static_cast<std::size_t>(k));
   ws_.ensure(g.num_vertices());
   PlannedLaunch plan(kind, policy_, mode_, [&](ParallelismPolicy& p) {
-    return removal ? p.plan_remove(g, store, u, v)
-                   : p.plan_insert(g, store, u, v);
+    return p.plan_update(removal, g, store, u, v);
   });
   launch(
       kind, plan, k,

@@ -179,19 +179,16 @@ class DynamicGpuBc {
   sim::KernelStats compute(const CSRGraph& g, BcStore& store,
                            int num_blocks = 0);
 
-  /// Updates every source row of `store` plus the BC scores for the
-  /// insertion of {u, v}. `g` must already contain the edge; the store
-  /// holds pre-insertion state.
-  GpuUpdateResult insert_edge_update(const CSRGraph& g, BcStore& store,
-                                     VertexId u, VertexId v);
-
-  /// Decremental counterpart: `g` must no longer contain {u, v}; the store
-  /// holds pre-removal state. Same-level removals are free; adjacent-level
-  /// removals with a surviving parent run the negative-increment Case 2
-  /// kernels; distance-growing removals run the decremental Case 3 repair
-  /// (reported as UpdateCase::kFar with the repaired region as touched).
-  GpuUpdateResult remove_edge_update(const CSRGraph& g, BcStore& store,
-                                     VertexId u, VertexId v);
+  /// Updates every source row of `store` plus the BC scores for one
+  /// single-edge update of {u, v}: an insertion, or a removal when
+  /// `removal` is set. The store holds pre-update state and `g` is the
+  /// post-update graph: with the edge for an insertion, without it for a
+  /// removal. Same-level removals are free; adjacent-level removals with a
+  /// surviving parent run the negative-increment Case 2 kernels;
+  /// distance-growing removals run the decremental Case 3 repair (reported
+  /// as UpdateCase::kFar with the repaired region as touched).
+  GpuUpdateResult edge_update(bool removal, const CSRGraph& g, BcStore& store,
+                              VertexId u, VertexId v);
 
   /// Batched counterpart: one launch processes every (source, batch) job,
   /// applying the batch's insertions per source in sequence against the
@@ -200,12 +197,6 @@ class DynamicGpuBc {
   /// (bc/batch_update.hpp).
   GpuBatchResult insert_edge_batch(const BatchSnapshots& batch, BcStore& store,
                                    double recompute_threshold);
-
-  /// Home-queue assignment the shard policy would produce for k sources
-  /// from the previous launch's cycles (the static pass's shard; exposed
-  /// for tests). Updates and batches re-shard per launch from edge-aware
-  /// cost predictions instead. Meaningful on a group only.
-  std::vector<int> shard_sources(int k) const;
 
   const sim::DeviceSpec& spec() const;
   Parallelism mode() const { return mode_; }
@@ -227,11 +218,6 @@ class DynamicGpuBc {
   using SourceJob = sim::Device::JobKernel;
   /// Host-side cost prediction for one source's job: scheduling only.
   using Weigh = std::function<std::int64_t(int si)>;
-
-  /// The one insert/remove body: plans, launches and feeds back one
-  /// single-edge update of `kind` (kInsert or kRemove).
-  GpuUpdateResult edge_update(SourceLaunchKind kind, const CSRGraph& g,
-                              BcStore& store, VertexId u, VertexId v);
 
   /// The one step that differs by hardware: runs `job` once per source of
   /// a k-source launch planned by `plan`. On a device, the static pass and

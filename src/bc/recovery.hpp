@@ -26,10 +26,9 @@ namespace bcdyn {
 /// carries one). All recovery is deterministic; see the file comment.
 struct RecoveryPolicy {
   /// Re-issues of a faulted engine pass before giving up on it. Each retry
-  /// charges `backoff_cycles * 2^attempt` modeled cycles to the devices.
+  /// charges `detail::kBackoffCycles * 2^attempt` modeled cycles to the
+  /// devices.
   int max_retries = 3;
-  /// Base modeled backoff before the first retry (doubles per attempt).
-  double backoff_cycles = 20000.0;
   /// After retries are exhausted on a dynamic update, fall back to a full
   /// static recompute (the per-source patch is abandoned; scores then
   /// match the incremental result only to FP rounding). When false - or
@@ -39,6 +38,9 @@ struct RecoveryPolicy {
 };
 
 namespace detail {
+
+/// Base modeled backoff before the first retry (doubles per attempt).
+inline constexpr double kBackoffCycles = 20000.0;
 
 /// One caught fault: bumps bc.fault.caught.* metrics, emits a trace
 /// instant event, and flags a telemetry AnomalyEvent (type kFault) with
@@ -70,7 +72,7 @@ void retry_faults(const char* what, const RecoveryPolicy& policy,
       note_fault(what, error, "retry", devices);
       trace::metrics().add("bc.fault.retries.count");
       // ldexp, not an int shift: 1 << tries overflows at 31 retries.
-      const double wait = std::ldexp(policy.backoff_cycles, tries);
+      const double wait = std::ldexp(kBackoffCycles, tries);
       trace::metrics().observe("bc.fault.backoff_cycles", wait);
       backoff(wait);
     }

@@ -14,19 +14,39 @@ namespace bcdyn::bc {
 
 namespace {
 
+/// Front-end cost of serving one read from the pinned snapshot.
+constexpr double kReadCostSeconds = 1e-6;
+/// Front-end cost of dispatching one commit (epoch publication + batch
+/// hand-off) - the overhead coalescing amortizes.
+constexpr double kCommitCostSeconds = 10e-6;
+/// Snapshots kept resident in the SnapshotStore.
+constexpr std::size_t kSnapshotRetain = 64;
+
 std::string client_key(int client_id, const char* what) {
   return "bc.service.client." + std::to_string(client_id) + "." + what +
          ".count";
 }
 
-/// Rejects a ServiceConfig time that is negative, NaN or infinite: a
-/// negative cost completes work before it starts, and an infinite window
-/// commits at t = inf and pins every later read to the first epoch.
-void check_seconds(double value, const char* field) {
-  if (!std::isfinite(value) || value < 0.0) {
+/// Rejects a ServiceConfig field outside its range: a negative window
+/// commits before the first write arrives, an infinite one commits at
+/// t = inf and pins every later read to the first epoch, and a depth
+/// below 1 commits or queues nothing.
+void check_config(const ServiceConfig& config) {
+  const auto reject = [](const char* field, const char* want,
+                         const std::string& got) {
     throw std::invalid_argument(std::string("ServiceConfig::") + field +
-                                " must be finite and >= 0 (got " +
-                                std::to_string(value) + ")");
+                                " must be " + want + " (got " + got + ")");
+  };
+  if (!std::isfinite(config.coalesce_window_seconds) ||
+      config.coalesce_window_seconds < 0.0) {
+    reject("coalesce_window_seconds", "finite and >= 0",
+           std::to_string(config.coalesce_window_seconds));
+  }
+  if (config.coalesce_depth < 1) {
+    reject("coalesce_depth", ">= 1", std::to_string(config.coalesce_depth));
+  }
+  if (config.queue_depth < 1) {
+    reject("queue_depth", ">= 1", std::to_string(config.queue_depth));
   }
 }
 
@@ -58,7 +78,7 @@ ServiceConfig service_config_from_flags(const util::ServiceFlags& flags) {
   ServiceConfig config;
   config.coalesce_window_seconds = flags.window_us * 1e-6;
   config.coalesce_depth = flags.depth;
-  config.queue_depth = static_cast<std::size_t>(flags.queue);
+  config.queue_depth = flags.queue;
   if (flags.shed == "oldest-read") {
     config.shed = ShedPolicy::kOldestRead;
   } else if (flags.shed == "reject-new") {
@@ -75,12 +95,8 @@ Service::Service(const CSRGraph& g, const Options& options,
                  const ServiceConfig& config)
     : session_(g, options),
       config_(config),
-      snapshots_(config.snapshot_retain) {
-  check_seconds(config_.coalesce_window_seconds, "coalesce_window_seconds");
-  check_seconds(config_.read_cost_seconds, "read_cost_seconds");
-  check_seconds(config_.commit_cost_seconds, "commit_cost_seconds");
-  if (config_.coalesce_depth < 1) config_.coalesce_depth = 1;
-  if (config_.queue_depth < 1) config_.queue_depth = 1;
+      snapshots_(kSnapshotRetain) {
+  check_config(config_);
 }
 
 void Service::start() {
@@ -177,7 +193,7 @@ void Service::admit(const Request& req) {
 
 void Service::admit_read(std::size_t response_index) {
   const double arrival = responses_[response_index].arrival_time;
-  if (read_queue_.size() >= config_.queue_depth) {
+  if (read_queue_.size() >= static_cast<std::size_t>(config_.queue_depth)) {
     if (config_.shed == ShedPolicy::kOldestRead) {
       const std::size_t victim = read_queue_.front();
       read_queue_.pop_front();
@@ -223,7 +239,7 @@ void Service::serve_one_read() {
   Response& r = responses_[index];
   const double start = std::max(r.arrival_time, front_free_at_);
   r.start_time = start;
-  r.completion_time = start + config_.read_cost_seconds;
+  r.completion_time = start + kReadCostSeconds;
   front_free_at_ = r.completion_time;
 
   // The MVCC pin: the latest epoch committed at or before the read's
@@ -243,7 +259,7 @@ void Service::serve_one_read() {
   m.observe("bc.service.read_wait_us", (start - r.arrival_time) * 1e6);
   note_completion(r.completion_time);
 
-  if (config_.telemetry_reads && trace::telemetry().enabled()) {
+  if (trace::telemetry().enabled()) {
     trace::UpdateSample sample;
     sample.kind = trace::UpdateKind::kRead;
     sample.engine = bcdyn::to_string(session_.engine());
@@ -277,7 +293,7 @@ void Service::commit(double trigger) {
   drain_reads();
 
   const double dispatch = std::max(trigger, front_free_at_);
-  front_free_at_ = dispatch + config_.commit_cost_seconds;
+  front_free_at_ = dispatch + kCommitCostSeconds;
   const double engine_start = std::max(front_free_at_, engine_free_at_);
 
   UpdateOutcome outcome;

@@ -25,8 +25,8 @@
 // the same config is byte-identical either way. Each commit publishes
 // epoch N+1 to the SnapshotStore at its engine completion time.
 //
-// Read path: reads never wait on the engine. Each read costs
-// read_cost_seconds on the front-end timeline and pins
+// Read path: reads never wait on the engine. Each read costs 1 us on the
+// front-end timeline and pins
 // snapshots().pinned_at(start): the latest epoch committed at or before
 // the read's start, so a read racing an in-flight batch sees epoch N,
 // never a torn N+1. Admission is a bounded FIFO (queue_depth); on
@@ -34,15 +34,15 @@
 // (freeing the head for fresher traffic) or rejects the incoming one.
 //
 // Two timelines model the asymmetry the paper's serving framing needs:
-// the *front-end* serves reads and pays commit_cost_seconds to dispatch
-// each commit (the per-epoch publication overhead coalescing amortizes -
+// the *front-end* serves reads and pays 10 us to dispatch each commit
+// (the per-epoch publication overhead coalescing amortizes -
 // this is why read tail latency improves under a write-heavy stream),
 // while the *engine* timeline runs the analytic's own modeled seconds.
 // The initial static pass is provisioning: epoch 0 commits at t=0 with
 // both timelines free.
 //
-// Everything is observable under bc.service.* metrics and an optional
-// "kind:read" telemetry series; with no Service constructed, no
+// Everything is observable under bc.service.* metrics and, with the
+// telemetry layer on, a "kind:read" series; with no Service constructed, no
 // bc.service.* key exists and reports are byte-identical to before.
 #pragma once
 
@@ -110,16 +110,12 @@ struct ServiceConfig {
   /// buffered write's arrival. 0 disables time-based coalescing.
   double coalesce_window_seconds = 1e-3;
   /// Maximum writes per commit; 1 = one-update-per-request (the uncoalesced
-  /// baseline bench/service_throughput compares against).
+  /// baseline bench/service_throughput compares against). Must be >= 1.
   int coalesce_depth = 16;
-  /// Bounded read queue; an admission beyond this sheds per `shed`.
-  std::size_t queue_depth = 64;
+  /// Bounded read queue; an admission beyond this sheds per `shed`. Must
+  /// be >= 1.
+  int queue_depth = 64;
   ShedPolicy shed = ShedPolicy::kOldestRead;
-  /// Front-end cost of serving one read from the pinned snapshot.
-  double read_cost_seconds = 1e-6;
-  /// Front-end cost of dispatching one commit (epoch publication +
-  /// batch hand-off) - the overhead coalescing amortizes.
-  double commit_cost_seconds = 10e-6;
   /// Coalesced insert runs of size >= 2 dispatch through the fused
   /// batch engine (Session::insert_edge_batch): fastest, and scores
   /// agree with sequential application to 1e-7 (the batch path's
@@ -128,11 +124,6 @@ struct ServiceConfig {
   /// asserts). Set false to apply each coalesced write individually:
   /// final scores are then bit-identical at every coalescing depth.
   bool fused_commits = true;
-  /// Snapshots kept resident in the SnapshotStore.
-  std::size_t snapshot_retain = 64;
-  /// Record each served read as a telemetry UpdateSample (kind:read
-  /// series) when the telemetry layer is enabled.
-  bool telemetry_reads = true;
 };
 
 /// Aggregate accounting over the service lifetime (virtual time).
@@ -162,7 +153,8 @@ class Service {
   /// Owns a Session over `g` (applying options.runtime exactly as a bare
   /// Session would). The static pass runs on first use and publishes
   /// epoch 0 at virtual time 0. Throws std::invalid_argument naming the
-  /// field when a ServiceConfig time is negative or not finite.
+  /// field when coalesce_window_seconds is negative or not finite, or a
+  /// depth is below 1.
   Service(const CSRGraph& g, const Options& options,
           const ServiceConfig& config = {});
 

@@ -71,8 +71,7 @@ LaunchTimeline schedule_blocks(const std::vector<double>& block_cycles,
   timeline.placements.reserve(block_cycles.size());
   // Min-heap of (finish time, SM); each block goes to the earliest-free SM.
   // Ties break toward the lowest SM id, which never changes the popped
-  // finish *time*, so the makespan arithmetic matches schedule_makespan's
-  // original double-only heap exactly.
+  // finish *time*, so the makespan is the same as a heap of times alone.
   using Slot = std::pair<double, int>;
   std::priority_queue<Slot, std::vector<Slot>, std::greater<>> sms;
   for (int s = 0; s < num_sms; ++s) sms.emplace(0.0, s);
@@ -94,12 +93,6 @@ LaunchTimeline schedule_blocks(const std::vector<double>& block_cycles,
   }
   timeline.makespan_cycles = makespan;
   return timeline;
-}
-
-double schedule_makespan(const std::vector<double>& block_cycles, int num_sms,
-                         double dispatch_cycles) {
-  return schedule_blocks(block_cycles, num_sms, dispatch_cycles)
-      .makespan_cycles;
 }
 
 KernelStats Device::finish_launch(std::string_view name, std::string_view cat,

@@ -213,14 +213,9 @@ class Device {
   std::string fault_domain_ = "dev";     // replay-stable fault-site prefix
 };
 
-/// Computes the makespan of `block_cycles` over `num_sms` SMs under the
-/// greedy next-free-SM schedule, including dispatch overhead per block.
-double schedule_makespan(const std::vector<double>& block_cycles, int num_sms,
-                         double dispatch_cycles);
-
-/// Same greedy schedule, but returns the full block->SM placement list.
-/// schedule_makespan() is this with the placements thrown away; both use
-/// identical arithmetic, so the makespan is bit-identical.
+/// Places `block_cycles` on `num_sms` SMs under the greedy next-free-SM
+/// schedule, including dispatch overhead per block, and returns the
+/// block->SM placement list and the makespan.
 LaunchTimeline schedule_blocks(const std::vector<double>& block_cycles,
                                int num_sms, double dispatch_cycles);
 

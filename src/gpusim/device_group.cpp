@@ -142,22 +142,27 @@ GroupLaunchResult schedule_group(const std::vector<double>& job_cycles,
     return back[i] - front[i];
   };
 
-  // Min-heap of (free time, device, sm): each free SM pops its device's
-  // queue, or steals from the longest remaining peer queue, or retires.
+  // Min-heap of (free time, steal, device, sm): each free SM pops its
+  // device's queue, or steals from the longest remaining peer queue, or
+  // retires. An SM whose queue is drained goes back in as a thief, which
+  // orders it after every local pop due at the same time: SMs free at once
+  // act together, so no device steals a job its home device starts then.
   // The (device, sm) components make tie-breaks deterministic.
   struct Slot {
     double at;
+    bool steal;
     int device;
     int sm;
     bool operator>(const Slot& o) const {
       if (at != o.at) return at > o.at;
+      if (steal != o.steal) return steal;
       if (device != o.device) return device > o.device;
       return sm > o.sm;
     }
   };
   std::priority_queue<Slot, std::vector<Slot>, std::greater<>> sms;
   for (int d = 0; d < num_devices; ++d) {
-    for (int s = 0; s < num_sms; ++s) sms.push({0.0, d, s});
+    for (int s = 0; s < num_sms; ++s) sms.push({0.0, false, d, s});
   }
 
   int assigned = 0;
@@ -169,6 +174,9 @@ GroupLaunchResult schedule_group(const std::vector<double>& job_cycles,
     bool stolen = false;
     if (front[d] < back[d]) {
       job = queues[d][front[d]++];
+    } else if (!slot.steal) {
+      sms.push({slot.at, true, slot.device, slot.sm});
+      continue;
     } else {
       // Drained: steal from the back of the longest remaining queue.
       int victim = -1;
@@ -199,7 +207,7 @@ GroupLaunchResult schedule_group(const std::vector<double>& job_cycles,
     ++result.jobs_per_device[d];
     auto& dev = result.per_device[d];
     dev.makespan_cycles = std::max(dev.makespan_cycles, end);
-    sms.push({end, slot.device, slot.sm});
+    sms.push({end, false, slot.device, slot.sm});
     ++assigned;
   }
   for (const auto& dev : result.per_device) {

@@ -142,10 +142,12 @@ class DeviceGroup {
 /// tests: simulates every device's SMs popping jobs off their own queue
 /// (charging job_pop_cycles) and stealing from the back of the longest
 /// remaining peer queue when theirs is empty (charging steal_cycles).
-/// Ties - simultaneous free SMs, equally long victim queues - break toward
-/// the lowest device/SM id, so the schedule is a pure function of its
-/// inputs. Fills `group.makespan_cycles`/`per_device` makespans *without*
-/// launch-setup charges; launch_sharded adds those.
+/// SMs free at the same time act together: every local pop due then comes
+/// before any steal. Remaining ties - simultaneous free SMs, equally long
+/// victim queues - break toward the lowest device/SM id, so the schedule
+/// is a pure function of its inputs. Fills `group.makespan_cycles`/
+/// `per_device` makespans *without* launch-setup charges; launch_sharded
+/// adds those.
 GroupLaunchResult schedule_group(const std::vector<double>& job_cycles,
                                  std::span<const int> initial_device,
                                  std::span<const std::int64_t> priority,

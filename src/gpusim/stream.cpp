@@ -48,26 +48,6 @@ TransferStats Stream::memcpy_d2h(std::uint64_t bytes, std::string_view label) {
           (r.end_cycles - r.start_cycles) / (device_->spec().clock_ghz * 1e9)};
 }
 
-KernelStats Stream::launch_queue(int num_jobs, const Device::JobKernel& kernel,
-                                 std::vector<BlockCounters>* per_job,
-                                 std::string_view name) {
-  device_->wait_compute_until(ready_cycles_);
-  const double start = device_->compute_end_cycles();
-  KernelStats stats = device_->launch_queue(num_jobs, kernel, per_job, name);
-  ready_cycles_ = device_->compute_end_cycles();
-
-  auto& tr = trace::tracer();
-  if (tr.enabled()) {
-    const double us_per_cycle = 1.0 / (device_->spec().clock_ghz * 1e3);
-    tr.complete(device_->trace_pid(), trace::kStreamTrackBase + id_,
-                start * us_per_cycle, (ready_cycles_ - start) * us_per_cycle,
-                name.empty() ? "kernel" : std::string(name),
-                trace::kCatStream,
-                {{trace::kArgStream, static_cast<double>(id_)}});
-  }
-  return stats;
-}
-
 int Device::register_stream(std::string_view name) {
   const int id = num_streams_++;
   trace::metrics().add("sim.stream.created");

@@ -10,10 +10,12 @@
 //     costed from their byte count via CostModel (setup + bytes *
 //     per-byte), same-direction transfers queue on their engine, and
 //     opposite directions overlap;
-//   * a Stream is a FIFO of operations (transfers, kernel launches):
-//     operations on one stream execute in issue order, operations on
-//     different streams overlap whenever their engines are free - which
-//     is exactly how transfer/compute overlap arises;
+//   * a Stream is a FIFO of transfers: operations on one stream execute
+//     in issue order, operations on different streams overlap whenever
+//     their engines are free; a kernel that needs a stream's data orders
+//     itself after it with Device::wait_compute_until, and everything else
+//     overlaps the copy engines - which is how transfer/compute overlap
+//     arises;
 //   * an Event is a recorded stream timestamp another stream can wait on
 //     (cudaEventRecord / cudaStreamWaitEvent), the dependency edges the
 //     pipelined batch engine uses for its double-buffer reuse constraint.
@@ -111,16 +113,6 @@ class Stream {
   /// engine are done; occupies that engine until it completes.
   TransferStats memcpy_h2d(std::uint64_t bytes, std::string_view label = {});
   TransferStats memcpy_d2h(std::uint64_t bytes, std::string_view label = {});
-
-  /// Work-queue kernel launch ordered after this stream's previous ops:
-  /// the SMs stall until the stream's frontier (e.g. the input transfer)
-  /// has completed, then the launch schedules exactly like
-  /// Device::launch_queue. Compute still serializes across streams - the
-  /// device has one SM array - so cross-stream overlap is between
-  /// transfers and compute, not between two kernels.
-  KernelStats launch_queue(int num_jobs, const Device::JobKernel& kernel,
-                           std::vector<BlockCounters>* per_job = nullptr,
-                           std::string_view name = {});
 
   /// cudaEventRecord: captures this stream's current frontier.
   Event record_event() const { return Event::at(ready_cycles_); }

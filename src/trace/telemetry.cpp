@@ -12,6 +12,11 @@ namespace bcdyn::trace {
 
 namespace {
 
+/// EWMA smoothing for the baseline latency recorded on anomaly events.
+constexpr double kEwmaAlpha = 0.125;
+/// Retained anomaly records; the oldest drop past the cap.
+constexpr std::size_t kMaxEvents = 1024;
+
 /// Shortest round-trippable formatting for a double (same contract as the
 /// metrics exporter: JSON has no inf/nan and telemetry never stores them).
 std::string fmt_double(double v) {
@@ -170,7 +175,7 @@ void StreamTelemetry::flag(AnomalyEvent event) {
   if (sink_ != nullptr) {
     *sink_ << event.to_jsonl() << "\n";
   }
-  if (events_.size() >= config_.max_events && !events_.empty()) {
+  if (events_.size() >= kMaxEvents) {
     events_.erase(events_.begin());
   }
   events_.push_back(std::move(event));
@@ -197,8 +202,7 @@ void StreamTelemetry::record(const UpdateSample& sample) {
     ewma_seconds_ = x;
     have_ewma_ = true;
   } else {
-    ewma_seconds_ =
-        config_.ewma_alpha * x + (1.0 - config_.ewma_alpha) * ewma_seconds_;
+    ewma_seconds_ = kEwmaAlpha * x + (1.0 - kEwmaAlpha) * ewma_seconds_;
   }
 
   push(all_, x);
@@ -313,7 +317,7 @@ void StreamTelemetry::write_json_snapshot(std::ostream& out) const {
       << "\"window\": " << snap.config.window
       << ", \"slo_p99_seconds\": " << fmt_double(snap.config.slo_p99_seconds)
       << ", \"spike_factor\": " << fmt_double(snap.config.spike_factor)
-      << ", \"ewma_alpha\": " << fmt_double(snap.config.ewma_alpha)
+      << ", \"ewma_alpha\": " << fmt_double(kEwmaAlpha)
       << ", \"min_history\": " << snap.config.min_history << "},\n"
       << "  \"totals\": {\"updates\": " << snap.updates
       << ", \"spikes\": " << snap.spikes

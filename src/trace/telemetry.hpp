@@ -49,14 +49,9 @@ struct TelemetryConfig {
   /// Anomaly gate: flag an update whose modeled latency exceeds
   /// `spike_factor` x the running window median.
   double spike_factor = 8.0;
-  /// EWMA smoothing for the baseline latency recorded on anomaly events.
-  double ewma_alpha = 0.125;
   /// Updates that must be in the window before spike/SLO checks arm
   /// (cold-start guard; the first few updates have no baseline).
   std::size_t min_history = 16;
-  /// Retained anomaly records (oldest dropped past the cap; the streaming
-  /// JSONL sink still sees every event).
-  std::size_t max_events = 1024;
 };
 
 /// One attributed update, as reported by the DynamicBc hook.
@@ -149,6 +144,7 @@ class StreamTelemetry {
   std::uint64_t spike_count() const { return spikes_; }
   std::uint64_t slo_breach_count() const { return slo_breaches_; }
   std::uint64_t fault_count() const { return faults_; }
+  /// The newest 1,024 flagged updates (the streaming sink sees them all).
   const std::vector<AnomalyEvent>& events() const { return events_; }
 
   /// Streaming sink for flagged updates (one JSONL line each, written as

@@ -206,6 +206,8 @@ ServiceFlags parse_service_flags(const Cli& cli) {
                     "max writes coalesced per commit (1 = uncoalesced)");
   flags.queue =
       cli.get_count("service-queue", flags.queue, "bounded read-queue depth");
+  if (flags.depth < 1) cli.reject("service-depth", "a depth >= 1");
+  if (flags.queue < 1) cli.reject("service-queue", "a depth >= 1");
   flags.shed = cli.get("service-shed", flags.shed,
                        "read shed policy: oldest-read | reject-new");
   return flags;

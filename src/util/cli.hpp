@@ -123,7 +123,8 @@ struct ServiceFlags {
   std::string shed = "oldest-read";
 };
 
-/// Reads the shared --service-* flags (registering their help lines).
+/// Reads the shared --service-* flags (registering their help lines). A
+/// depth or queue below 1 exits 2 naming the flag (Cli::reject).
 ServiceFlags parse_service_flags(const Cli& cli);
 
 }  // namespace bcdyn::util

@@ -200,8 +200,9 @@ TEST(BatchUpdate, BatchModelsFasterThanSingleEdgeLaunches) {
     CSRGraph cur = g;
     for (const auto& [u, v] : edges) {
       cur = cur.with_edge(u, v);
-      single_seconds += single.insert_edge_update(cur, single_store, u, v)
-                            .stats.seconds;
+      single_seconds +=
+          single.edge_update(/*removal=*/false, cur, single_store, u, v)
+              .stats.seconds;
     }
 
     BcStore batch_store(n, cfg);

@@ -53,7 +53,7 @@ TEST(ScheduleGroup, OneDeviceMatchesLaunchQueueScheduleBitwise) {
                      cost);
   // Same greedy next-free-SM arithmetic as the launch_queue discipline.
   EXPECT_EQ(r.group.makespan_cycles,
-            schedule_makespan(job_cycles, 3, cost.job_pop_cycles));
+            schedule_blocks(job_cycles, 3, cost.job_pop_cycles).makespan_cycles);
   EXPECT_EQ(r.steals, 0);
   EXPECT_EQ(r.jobs_per_device.at(0), static_cast<int>(job_cycles.size()));
   for (const auto& p : r.placements) {
@@ -109,7 +109,7 @@ TEST(ScheduleGroup, IdleDeviceStealsFromTheBackAndBeatsOneDevice) {
                    3.0 * (cost.steal_cycles + 1000.0));
   EXPECT_DOUBLE_EQ(r.group.makespan_cycles, 4200.0);
   EXPECT_LT(r.group.makespan_cycles,
-            schedule_makespan(job_cycles, 1, cost.job_pop_cycles));
+            schedule_blocks(job_cycles, 1, cost.job_pop_cycles).makespan_cycles);
 }
 
 TEST(ScheduleGroup, StealsTargetTheLongestQueueWithLowestIdTieBreak) {
@@ -133,12 +133,32 @@ TEST(ScheduleGroup, StealsTargetTheLongestQueueWithLowestIdTieBreak) {
       schedule_group(even, even_shard, {}, 3, /*num_sms=*/1, cost);
   EXPECT_TRUE(tie.placements[1].stolen);
   EXPECT_EQ(tie.placements[1].device, 2);
-  // Both devices free again at t=540; device 0 wins that tie too and,
-  // its own queue now empty, steals device 1's remaining tail job.
-  EXPECT_TRUE(tie.placements[3].stolen);
-  EXPECT_EQ(tie.placements[3].device, 0);
+  // Both devices free again at t=540: device 1 pops its own remaining job
+  // before device 0, drained, may steal it.
+  EXPECT_FALSE(tie.placements[3].stolen);
+  EXPECT_EQ(tie.placements[3].device, 1);
   EXPECT_DOUBLE_EQ(tie.placements[3].start_cycles,
                    cost.job_pop_cycles + 500.0);
+  EXPECT_EQ(tie.steals, 1);
+}
+
+TEST(ScheduleGroup, LocalPopsComeBeforeStealsAtTheSameCycle) {
+  // Device 0 homes one job and device 1 two, on two SMs each. At t=0 all
+  // four SMs are free: device 1 starts both of its jobs itself, and device
+  // 0's spare SM finds nothing left to steal.
+  const std::vector<double> job_cycles(3, 1000.0);
+  const CostModel cost;
+  const std::vector<int> shard = {0, 1, 1};
+  const GroupLaunchResult r =
+      schedule_group(job_cycles, shard, {}, 2, /*num_sms=*/2, cost);
+  EXPECT_EQ(r.steals, 0);
+  for (int j = 0; j < 3; ++j) {
+    const auto& p = r.placements[static_cast<std::size_t>(j)];
+    EXPECT_FALSE(p.stolen) << j;
+    EXPECT_EQ(p.device, shard[static_cast<std::size_t>(j)]) << j;
+    EXPECT_DOUBLE_EQ(p.start_cycles, 0.0) << j;
+  }
+  EXPECT_DOUBLE_EQ(r.group.makespan_cycles, cost.job_pop_cycles + 1000.0);
 }
 
 TEST(ScheduleGroup, PriorityOrdersEachQueueHighestFirstStableById) {

@@ -126,12 +126,12 @@ TEST_P(DifferentialFuzz, AllPathsMatchFreshRecomputeAfterEveryStep) {
     const std::uint64_t cases_before = case_counter_total();
     for (int si = 0; si < cpu.store.num_sources(); ++si) {
       const VertexId s = cpu.store.sources()[static_cast<std::size_t>(si)];
-      cpu_engine.update_source(g, s, cpu.store.dist_row(si),
-                               cpu.store.sigma_row(si),
-                               cpu.store.delta_row(si), cpu.store.bc(), u, v);
+      cpu_engine.source_update(/*removal=*/false, g, s, cpu.store.dist_row(si),
+                               cpu.store.sigma_row(si), cpu.store.delta_row(si),
+                               cpu.store.bc(), u, v);
     }
-    edge_engine.insert_edge_update(g, edge.store, u, v);
-    node_engine.insert_edge_update(g, node.store, u, v);
+    edge_engine.edge_update(/*removal=*/false, g, edge.store, u, v);
+    node_engine.edge_update(/*removal=*/false, g, node.store, u, v);
     pending.emplace_back(u, v);
 
     // Metric accounting invariant: three engines just classified this
@@ -233,21 +233,17 @@ TEST_P(DifferentialFuzz, MixedInsertRemoveStreamMatchesFreshRecompute) {
       const auto d = cpu.store.dist_row(si);
       const auto sg = cpu.store.sigma_row(si);
       const auto dl = cpu.store.delta_row(si);
-      if (op.insert) {
-        cpu_engine.update_source(g, s, d, sg, dl, cpu.store.bc(), op.u, op.v);
-      } else {
-        cpu_engine.remove_update_source(g, s, d, sg, dl, cpu.store.bc(), op.u,
-                                        op.v);
-      }
+      cpu_engine.source_update(!op.insert, g, s, d, sg, dl, cpu.store.bc(),
+                               op.u, op.v);
     }
     for (const auto& [engine, path] :
          {std::pair{&edge_engine, &edge}, std::pair{&node_engine, &node}}) {
       if (op.insert) {
-        engine->insert_edge_update(g, path->store, op.u, op.v);
+        engine->edge_update(/*removal=*/false, g, path->store, op.u, op.v);
         continue;
       }
       const GpuUpdateResult r =
-          engine->remove_edge_update(g, path->store, op.u, op.v);
+          engine->edge_update(/*removal=*/true, g, path->store, op.u, op.v);
       for (const SourceUpdateOutcome& o : r.outcomes) {
         if (o.update_case == UpdateCase::kFar) ++case3_removals;
       }
@@ -292,9 +288,7 @@ SweepRun run_sweep_stream(DynamicGpuBc& engine, const CSRGraph& g0,
   run.stats.push_back(engine.compute(g, run.store));
   for (const MixedStep& op : ops) {
     g = op.insert ? g.with_edge(op.u, op.v) : g.without_edge(op.u, op.v);
-    const auto r = op.insert
-                       ? engine.insert_edge_update(g, run.store, op.u, op.v)
-                       : engine.remove_edge_update(g, run.store, op.u, op.v);
+    const auto r = engine.edge_update(!op.insert, g, run.store, op.u, op.v);
     run.stats.push_back(r.stats);
     if (op.insert) continue;
     for (const SourceUpdateOutcome& o : r.outcomes) {

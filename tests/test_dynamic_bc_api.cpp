@@ -366,28 +366,20 @@ TEST(DynamicBcApi, FrontDoorGraphMatchesFromCooAfterEveryCall) {
   }
 }
 
-TEST(DynamicBcApi, SessionRejectsMalformedDeviceSpec) {
-  // A spec the simulator cannot run fails at construction with an error
-  // naming the field, on one device and on a sharded group alike, and the
-  // Session leaves the process runtime toggles as it found them.
+TEST(DynamicBcApi, SessionRestoresRuntimeWhenConstructionThrows) {
+  // Options the analytic rejects fail at construction with an error naming
+  // the field, on one device and on a sharded group alike, and the Session
+  // leaves the process runtime toggles as it found them.
   const auto g = test::gnp_graph(20, 0.2, 9);
   const struct {
     const char* field;
-    void (*corrupt)(sim::DeviceSpec&);
+    void (*corrupt)(bc::Options&);
   } cases[] = {
-      {"num_sms", [](sim::DeviceSpec& s) { s.num_sms = 0; }},
-      {"num_sms", [](sim::DeviceSpec& s) { s.num_sms = -1; }},
-      {"threads_per_block",
-       [](sim::DeviceSpec& s) { s.threads_per_block = 0; }},
-      {"clock_ghz", [](sim::DeviceSpec& s) { s.clock_ghz = 0.0; }},
-      {"clock_ghz", [](sim::DeviceSpec& s) { s.clock_ghz = -1.0; }},
-      {"clock_ghz",
-       [](sim::DeviceSpec& s) {
-         s.clock_ghz = std::numeric_limits<double>::infinity();
-       }},
-      {"clock_ghz",
-       [](sim::DeviceSpec& s) {
-         s.clock_ghz = std::numeric_limits<double>::quiet_NaN();
+      {"pipeline_depth", [](bc::Options& o) { o.pipeline_depth = 0; }},
+      {"batch_recompute_threshold",
+       [](bc::Options& o) {
+         o.batch_recompute_threshold =
+             std::numeric_limits<double>::quiet_NaN();
        }},
   };
   // Every Runtime toggle is flipped, so each one's restore is checked.
@@ -411,13 +403,11 @@ TEST(DynamicBcApi, SessionRejectsMalformedDeviceSpec) {
                                 .strict_hazards = !before[2],
                                 .telemetry = !before[3],
                                 .fault_injection = !before[4]}};
-      c.corrupt(o.device_spec);
+      c.corrupt(o);
       const std::string where =
           std::string(c.field) + " devices=" + std::to_string(devices);
       try {
         bc::Session session(g, o);
-        session.compute();
-        session.insert_edge(0, 1);
         ADD_FAILURE() << where << ": no exception";
       } catch (const std::invalid_argument& e) {
         EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)

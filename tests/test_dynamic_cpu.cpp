@@ -34,9 +34,9 @@ void check_insertion_stream(CSRGraph g, const ApproxConfig& cfg, int steps,
     g = g.with_edge(u, v);
     for (int si = 0; si < store.num_sources(); ++si) {
       const VertexId s = store.sources()[static_cast<std::size_t>(si)];
-      engine.update_source(g, s, store.dist_row(si), store.sigma_row(si),
-                           store.delta_row(si), store.bc(), u, v,
-                           force_general);
+      engine.source_update(/*removal=*/false, g, s, store.dist_row(si),
+                           store.sigma_row(si), store.delta_row(si), store.bc(),
+                           u, v, force_general);
     }
     ++performed;
     if (performed_out != nullptr) *performed_out = performed;
@@ -114,7 +114,8 @@ TEST(DynamicCpu, PathGraphChordInsertions) {
     if (g.has_edge(u, v)) continue;
     g = g.with_edge(u, v);
     for (int si = 0; si < store.num_sources(); ++si) {
-      engine.update_source(g, store.sources()[static_cast<std::size_t>(si)],
+      engine.source_update(/*removal=*/false, g,
+                           store.sources()[static_cast<std::size_t>(si)],
                            store.dist_row(si), store.sigma_row(si),
                            store.delta_row(si), store.bc(), u, v);
     }
@@ -143,9 +144,10 @@ TEST(DynamicCpu, ComponentAttachment) {
 
   g = g.with_edge(2, 9);
   for (int si = 0; si < store.num_sources(); ++si) {
-    const auto r = engine.update_source(
-        g, store.sources()[static_cast<std::size_t>(si)], store.dist_row(si),
-        store.sigma_row(si), store.delta_row(si), store.bc(), 2, 9);
+    const auto r = engine.source_update(
+        /*removal=*/false, g, store.sources()[static_cast<std::size_t>(si)],
+        store.dist_row(si), store.sigma_row(si), store.delta_row(si),
+        store.bc(), 2, 9);
     EXPECT_EQ(r.update_case, UpdateCase::kFar);
   }
   BcStore fresh(12, cfg);
@@ -171,9 +173,10 @@ TEST(DynamicCpu, Case1InsertionLeavesStateUntouched) {
   g = g.with_edge(1, 3);  // d(1)=d(3) from sources 0 and 2; case 2 from 1, 3
   int case1 = 0;
   for (int si = 0; si < store.num_sources(); ++si) {
-    const auto r = engine.update_source(
-        g, store.sources()[static_cast<std::size_t>(si)], store.dist_row(si),
-        store.sigma_row(si), store.delta_row(si), store.bc(), 1, 3);
+    const auto r = engine.source_update(
+        /*removal=*/false, g, store.sources()[static_cast<std::size_t>(si)],
+        store.dist_row(si), store.sigma_row(si), store.delta_row(si),
+        store.bc(), 1, 3);
     if (r.update_case == UpdateCase::kNoWork) {
       ++case1;
       EXPECT_EQ(r.touched, 0);
@@ -197,8 +200,8 @@ TEST(DynamicCpu, TouchedCountBoundedByN) {
     const auto [u, v] = test::random_absent_edge(g, rng);
     g = g.with_edge(u, v);
     for (int si = 0; si < store.num_sources(); ++si) {
-      const auto r = engine.update_source(
-          g, store.sources()[static_cast<std::size_t>(si)],
+      const auto r = engine.source_update(
+          /*removal=*/false, g, store.sources()[static_cast<std::size_t>(si)],
           store.dist_row(si), store.sigma_row(si), store.delta_row(si),
           store.bc(), u, v);
       EXPECT_LE(r.touched, 300);
@@ -220,7 +223,7 @@ TEST(DynamicCpu, CountersIncreaseMonotonically) {
   for (int step = 0; step < 3; ++step) {
     const auto [u, v] = test::random_absent_edge(g, rng);
     g = g.with_edge(u, v);
-    engine.insert_edge_update(g, store, u, v);
+    engine.store_update(/*removal=*/false, g, store, u, v);
     const auto& ops = engine.counters();
     EXPECT_GT(ops.reads + ops.writes, last);
     last = ops.reads + ops.writes;
@@ -237,8 +240,7 @@ std::vector<SourceUpdateOutcome> lane_update(
     std::vector<DynamicCpuEngine>& engines, int lanes, VertexId u,
     VertexId v) {
   if (lanes == 0) {
-    return insert ? engines[0].insert_edge_update(g, store, u, v)
-                  : engines[0].remove_edge_update(g, store, u, v);
+    return engines[0].store_update(!insert, g, store, u, v);
   }
   const int k = store.num_sources();
   const int chunk = (k + lanes - 1) / lanes;
@@ -246,13 +248,9 @@ std::vector<SourceUpdateOutcome> lane_update(
   for (int si = 0; si < k; ++si) {
     auto& engine = engines[static_cast<std::size_t>(si / chunk)];
     const VertexId s = store.sources()[static_cast<std::size_t>(si)];
-    outcomes[static_cast<std::size_t>(si)] =
-        insert ? engine.update_source(g, s, store.dist_row(si),
-                                      store.sigma_row(si), store.delta_row(si),
-                                      store.bc(), u, v)
-               : engine.remove_update_source(
-                     g, s, store.dist_row(si), store.sigma_row(si),
-                     store.delta_row(si), store.bc(), u, v);
+    outcomes[static_cast<std::size_t>(si)] = engine.source_update(
+        !insert, g, s, store.dist_row(si), store.sigma_row(si),
+        store.delta_row(si), store.bc(), u, v);
   }
   return outcomes;
 }
@@ -337,7 +335,7 @@ TEST(CpuParallel, CountersAggregateAcrossLanes) {
   const auto [u, v] = test::random_absent_edge(g, rng);
   g = g.with_edge(u, v);
   lane_update(true, g, store_lanes, engines, 4, u, v);
-  whole.insert_edge_update(g, store_whole, u, v);
+  whole.store_update(/*removal=*/false, g, store_whole, u, v);
   CpuOpCounters ops;
   for (const auto& engine : engines) ops += engine.counters();
   EXPECT_GT(ops.reads, 0u);
@@ -359,10 +357,10 @@ TEST(CpuParallel, OutcomesMatchSequentialEngine) {
   BCDYN_SEEDED_RNG(rng, 9);
   const auto [u, v] = test::random_absent_edge(g, rng);
   g = g.with_edge(u, v);
-  const auto outcomes = par.insert_edge_update(g, store_par, u, v);
+  const auto outcomes = par.store_update(/*removal=*/false, g, store_par, u, v);
   for (int si = 0; si < 16; ++si) {
-    const auto r = seq.update_source(
-        g, store_seq.sources()[static_cast<std::size_t>(si)],
+    const auto r = seq.source_update(
+        /*removal=*/false, g, store_seq.sources()[static_cast<std::size_t>(si)],
         store_seq.dist_row(si), store_seq.sigma_row(si),
         store_seq.delta_row(si), store_seq.bc(), u, v);
     EXPECT_EQ(outcomes[static_cast<std::size_t>(si)].update_case,
@@ -418,11 +416,7 @@ TEST(DynamicCpu, SourceChunkCountersSumToStoreUpdate) {
       ++removals;
     }
     const CpuOpCounters before = whole_engine.counters();
-    if (insert) {
-      whole_engine.insert_edge_update(g, whole, u, v, source_ops);
-    } else {
-      whole_engine.remove_edge_update(g, whole, u, v, source_ops);
-    }
+    whole_engine.store_update(!insert, g, whole, u, v, source_ops);
     CpuOpCounters summed;
     for (const auto& ops : source_ops) summed += ops;
     EXPECT_EQ(summed, whole_engine.counters() - before) << "op=" << op;
@@ -435,14 +429,9 @@ TEST(DynamicCpu, SourceChunkCountersSumToStoreUpdate) {
           const int si = twin.reversed ? k - 1 - j : j;
           const VertexId s = twin.store.sources()[static_cast<std::size_t>(si)];
           BcStore& st = twin.store;
-          if (insert) {
-            twin.engine.update_source(g, s, st.dist_row(si), st.sigma_row(si),
-                                      st.delta_row(si), st.bc(), u, v);
-          } else {
-            twin.engine.remove_update_source(g, s, st.dist_row(si),
-                                             st.sigma_row(si), st.delta_row(si),
-                                             st.bc(), u, v);
-          }
+          twin.engine.source_update(!insert, g, s, st.dist_row(si),
+                                    st.sigma_row(si), st.delta_row(si),
+                                    st.bc(), u, v);
           expected += source_ops[static_cast<std::size_t>(si)];
         }
         EXPECT_EQ(twin.engine.counters() - chunk_before, expected)
@@ -491,14 +480,10 @@ void expect_golden_stream(CSRGraph g, const std::vector<GoldenOp>& ops,
   std::vector<CpuOpCounters> source_ops(5);
   for (std::size_t op = 0; op < ops.size(); ++op) {
     const GoldenOp& want = ops[op];
-    std::vector<SourceUpdateOutcome> out;
-    if (want.insert) {
-      ASSERT_TRUE(g.insert_edge(want.u, want.v));
-      out = engine.insert_edge_update(g, store, want.u, want.v, source_ops);
-    } else {
-      ASSERT_TRUE(g.remove_edge(want.u, want.v));
-      out = engine.remove_edge_update(g, store, want.u, want.v, source_ops);
-    }
+    ASSERT_TRUE(want.insert ? g.insert_edge(want.u, want.v)
+                            : g.remove_edge(want.u, want.v));
+    const std::vector<SourceUpdateOutcome> out = engine.store_update(
+        !want.insert, g, store, want.u, want.v, source_ops);
     ASSERT_EQ(out.size(), want.sources.size());
     for (std::size_t si = 0; si < out.size(); ++si) {
       const GoldenSource& w = want.sources[si];

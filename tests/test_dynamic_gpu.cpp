@@ -3,6 +3,9 @@
 // fine-grained mappings, across graph classes that hit all three cases.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "bc/brandes.hpp"
@@ -25,7 +28,8 @@ void check_gpu_stream(CSRGraph g, const ApproxConfig& cfg, Parallelism mode,
     const auto [u, v] = test::random_absent_edge(g, rng);
     if (u == kNoVertex) break;
     g = g.with_edge(u, v);
-    const auto result = engine.insert_edge_update(g, store, u, v);
+    const auto result =
+        engine.edge_update(/*removal=*/false, g, store, u, v);
     ASSERT_EQ(result.outcomes.size(),
               static_cast<std::size_t>(store.num_sources()));
 
@@ -96,8 +100,10 @@ TEST(DynamicGpu, EdgeAndNodeAgreeOnLongStream) {
     if (u == kNoVertex) break;
     ge = ge.with_edge(u, v);
     gn = ge;
-    const auto re = edge.insert_edge_update(ge, store_e, u, v);
-    const auto rn = node.insert_edge_update(gn, store_n, u, v);
+    const auto re =
+        edge.edge_update(/*removal=*/false, ge, store_e, u, v);
+    const auto rn =
+        node.edge_update(/*removal=*/false, gn, store_n, u, v);
     // Case classification is mapping-independent.
     for (std::size_t si = 0; si < re.outcomes.size(); ++si) {
       ASSERT_EQ(re.outcomes[si].update_case, rn.outcomes[si].update_case);
@@ -120,7 +126,7 @@ TEST(DynamicGpu, ComponentAttachmentBothModes) {
     brandes_all(g, store);
     DynamicGpuBc engine(sim::DeviceSpec::gtx_560(), mode);
     g = g.with_edge(3, 10);
-    engine.insert_edge_update(g, store, 3, 10);
+    engine.edge_update(/*removal=*/false, g, store, 3, 10);
     BcStore fresh(14, cfg);
     brandes_all(g, fresh);
     test::expect_near_spans(store.bc(), fresh.bc(), 1e-9, "bc");
@@ -137,7 +143,7 @@ TEST(DynamicGpu, Case1OnlyInsertionIsCheap) {
   brandes_all(g0, store);
   DynamicGpuBc engine(sim::DeviceSpec::tesla_c2075(), Parallelism::kNode);
   const auto g1 = g0.with_edge(4, 9);
-  const auto r = engine.insert_edge_update(g1, store, 4, 9);
+  const auto r = engine.edge_update(/*removal=*/false, g1, store, 4, 9);
   int case1 = 0;
   for (const auto& o : r.outcomes) {
     if (o.update_case == UpdateCase::kNoWork) {
@@ -167,8 +173,10 @@ TEST(DynamicGpu, NodeTouchedSetIsTight) {
   for (int step = 0; step < 4; ++step) {
     const auto [u, v] = test::random_absent_edge(g, rng);
     g = g.with_edge(u, v);
-    const auto re = edge.insert_edge_update(g, store_e, u, v);
-    const auto rn = node.insert_edge_update(g, store_n, u, v);
+    const auto re =
+        edge.edge_update(/*removal=*/false, g, store_e, u, v);
+    const auto rn =
+        node.edge_update(/*removal=*/false, g, store_n, u, v);
     for (std::size_t si = 0; si < re.outcomes.size(); ++si) {
       if (re.outcomes[si].update_case == UpdateCase::kAdjacent) {
         EXPECT_GE(re.outcomes[si].touched, rn.outcomes[si].touched)
@@ -193,10 +201,60 @@ TEST(DynamicGpu, ModeledTimeNodeBeatsEdgeOnSparseGraph) {
   for (int step = 0; step < 3; ++step) {
     const auto [u, v] = test::random_absent_edge(g, rng);
     g = g.with_edge(u, v);
-    te += edge.insert_edge_update(g, store_e, u, v).stats.seconds;
-    tn += node.insert_edge_update(g, store_n, u, v).stats.seconds;
+    te += edge.edge_update(/*removal=*/false, g, store_e, u, v)
+              .stats.seconds;
+    tn += node.edge_update(/*removal=*/false, g, store_n, u, v)
+              .stats.seconds;
   }
   EXPECT_GT(te, tn);
+}
+
+TEST(DynamicGpu, RejectsMalformedDeviceSpecNamingTheField) {
+  // A spec the simulator cannot run fails at construction with an error
+  // naming the field: on a device, on a group, and on the engine over
+  // either.
+  const struct {
+    const char* field;
+    void (*corrupt)(sim::DeviceSpec&);
+  } cases[] = {
+      {"num_sms", [](sim::DeviceSpec& s) { s.num_sms = 0; }},
+      {"num_sms", [](sim::DeviceSpec& s) { s.num_sms = -1; }},
+      {"threads_per_block",
+       [](sim::DeviceSpec& s) { s.threads_per_block = 0; }},
+      {"clock_ghz", [](sim::DeviceSpec& s) { s.clock_ghz = 0.0; }},
+      {"clock_ghz", [](sim::DeviceSpec& s) { s.clock_ghz = -1.0; }},
+      {"clock_ghz",
+       [](sim::DeviceSpec& s) {
+         s.clock_ghz = std::numeric_limits<double>::infinity();
+       }},
+      {"clock_ghz",
+       [](sim::DeviceSpec& s) {
+         s.clock_ghz = std::numeric_limits<double>::quiet_NaN();
+       }},
+  };
+  const auto expect_rejected = [](const std::string& where, const char* field,
+                                   auto&& construct) {
+    try {
+      construct();
+      ADD_FAILURE() << where << ": no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << where << ": " << e.what();
+    }
+  };
+  for (const auto& c : cases) {
+    sim::DeviceSpec spec = sim::DeviceSpec::tesla_c2075();
+    c.corrupt(spec);
+    expect_rejected(std::string(c.field) + " device", c.field,
+                    [&] { sim::Device device(spec); });
+    expect_rejected(std::string(c.field) + " group", c.field,
+                    [&] { sim::DeviceGroup group(2, spec); });
+    expect_rejected(std::string(c.field) + " engine", c.field,
+                    [&] { DynamicGpuBc engine(spec, Parallelism::kNode); });
+    expect_rejected(std::string(c.field) + " sharded engine", c.field, [&] {
+      DynamicGpuBc engine(2, spec, Parallelism::kEdge);
+    });
+  }
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ TEST(EngineRobustness, WorkspaceReuseAcrossGraphSizes) {
       const auto [u, v] = test::random_absent_edge(g, rng);
       if (u == kNoVertex) break;
       g = g.with_edge(u, v);
-      engine.insert_edge_update(g, store, u, v);
+      engine.edge_update(/*removal=*/false, g, store, u, v);
     }
     BcStore fresh(n, cfg);
     brandes_all(g, fresh);
@@ -48,7 +48,8 @@ TEST(EngineRobustness, ModeledTimeIsDeterministic) {
     for (int step = 0; step < 5; ++step) {
       const auto [u, v] = test::random_absent_edge(g, rng);
       g = g.with_edge(u, v);
-      const auto r = engine.insert_edge_update(g, store, u, v);
+      const auto r =
+          engine.edge_update(/*removal=*/false, g, store, u, v);
       seconds.push_back(r.stats.seconds);
       reads.push_back(r.stats.total.global_reads);
     }
@@ -74,7 +75,8 @@ TEST(EngineRobustness, InsertionStatsScaleWithTouchedWork) {
 
   // Leaf-leaf insertion: case 2 for the two leaf sources, case 1 elsewhere.
   const auto g1 = g0.with_edge(5, 6);
-  const auto cheap = engine.insert_edge_update(g1, store, 5, 6);
+  const auto cheap =
+      engine.edge_update(/*removal=*/false, g1, store, 5, 6);
 
   // Rebuild state, then an insertion chaining two leaves via a path-like
   // restructure: hub-leaf edge already exists, so use leaf-leaf again but
@@ -83,7 +85,8 @@ TEST(EngineRobustness, InsertionStatsScaleWithTouchedWork) {
   BcStore pstore(400, cfg);
   brandes_all(path, pstore);
   path = path.with_edge(0, 399);
-  const auto expensive = engine.insert_edge_update(path, pstore, 0, 399);
+  const auto expensive =
+      engine.edge_update(/*removal=*/false, path, pstore, 0, 399);
 
   EXPECT_LT(cheap.stats.seconds * 3, expensive.stats.seconds);
   EXPECT_LT(cheap.stats.total.global_reads,
@@ -102,7 +105,7 @@ TEST(EngineRobustness, FoldedAndDynamicAgreeOnEvolvingGraph) {
   for (int step = 0; step < 6; ++step) {
     const auto [u, v] = test::random_absent_edge(g, rng);
     g = g.with_edge(u, v);
-    engine.insert_edge_update(g, store, u, v);
+    engine.edge_update(/*removal=*/false, g, store, u, v);
     const auto folded = betweenness_exact_folded(g);
     test::expect_near_spans(store.bc(), folded, 1e-8, "folded-vs-dynamic");
   }
@@ -115,7 +118,8 @@ TEST(EngineRobustness, OutcomesIndexedBySourceOrder) {
   brandes_all(g0, store);
   DynamicGpuBc engine(sim::DeviceSpec::tesla_c2075(), Parallelism::kNode);
   const auto g1 = g0.with_edge(0, 29);
-  const auto r = engine.insert_edge_update(g1, store, 0, 29);
+  const auto r =
+      engine.edge_update(/*removal=*/false, g1, store, 0, 29);
   ASSERT_EQ(r.outcomes.size(), 8u);
   // Re-derive the expected classification per source from the fresh graph.
   for (int si = 0; si < 8; ++si) {

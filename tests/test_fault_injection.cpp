@@ -383,7 +383,7 @@ TEST(Recovery, LongRetryBudgetKeepsBackoffFiniteAndPositive) {
   EXPECT_EQ(waits.count, 40u);
   EXPECT_GT(waits.min, 0.0);
   EXPECT_TRUE(std::isfinite(waits.sum));
-  EXPECT_EQ(waits.max, std::ldexp(opt.recovery.backoff_cycles, 39));
+  EXPECT_EQ(waits.max, std::ldexp(detail::kBackoffCycles, 39));
 }
 
 // --- recovered scores: bit-identical to the fault-free reference ----------

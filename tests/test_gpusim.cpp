@@ -257,24 +257,30 @@ TEST(BlockContext, LiveLoopRunsEveryItemUnderTheHazardShadow) {
   EXPECT_EQ(ctx.counters().items, 10u);
 }
 
+/// The greedy schedule's makespan (gpusim/device.hpp).
+double makespan(const std::vector<double>& blocks, int num_sms,
+                double dispatch_cycles) {
+  return schedule_blocks(blocks, num_sms, dispatch_cycles).makespan_cycles;
+}
+
 TEST(ScheduleMakespan, PerfectDivisionIsFlat) {
   // 4 equal blocks on 2 SMs: makespan = 2 blocks' worth per SM.
   const std::vector<double> blocks(4, 100.0);
-  EXPECT_DOUBLE_EQ(schedule_makespan(blocks, 2, 0.0), 200.0);
-  EXPECT_DOUBLE_EQ(schedule_makespan(blocks, 4, 0.0), 100.0);
+  EXPECT_DOUBLE_EQ(makespan(blocks, 2, 0.0), 200.0);
+  EXPECT_DOUBLE_EQ(makespan(blocks, 4, 0.0), 100.0);
   // More SMs than blocks doesn't help further.
-  EXPECT_DOUBLE_EQ(schedule_makespan(blocks, 8, 0.0), 100.0);
+  EXPECT_DOUBLE_EQ(makespan(blocks, 8, 0.0), 100.0);
 }
 
 TEST(ScheduleMakespan, GreedyBalancesUnevenBlocks) {
   const std::vector<double> blocks = {100, 10, 10, 10, 10, 10};
   // Greedy: SM0 takes 100; SM1 takes the five 10s = 50. Makespan 100.
-  EXPECT_DOUBLE_EQ(schedule_makespan(blocks, 2, 0.0), 100.0);
+  EXPECT_DOUBLE_EQ(makespan(blocks, 2, 0.0), 100.0);
 }
 
 TEST(ScheduleMakespan, DispatchOverheadCharged) {
   const std::vector<double> blocks = {5.0, 5.0};
-  EXPECT_DOUBLE_EQ(schedule_makespan(blocks, 1, 2.0), 14.0);
+  EXPECT_DOUBLE_EQ(makespan(blocks, 1, 2.0), 14.0);
 }
 
 TEST(Device, LaunchAggregatesBlockCounters) {

@@ -366,8 +366,8 @@ TEST_P(HazardCleanSweep, DynamicInsertAndRemoveRunClean) {
     const auto [u, v] = test::random_absent_edge(g, rng);
     if (u == kNoVertex) break;
     g = g.with_edge(u, v);
-    edge_engine.insert_edge_update(g, edge_store, u, v);
-    node_engine.insert_edge_update(g, node_store, u, v);
+    edge_engine.edge_update(/*removal=*/false, g, edge_store, u, v);
+    node_engine.edge_update(/*removal=*/false, g, node_store, u, v);
     inserted.emplace_back(u, v);
   }
   ASSERT_FALSE(inserted.empty());
@@ -387,9 +387,11 @@ TEST_P(HazardCleanSweep, DynamicInsertAndRemoveRunClean) {
   const auto remove = [&](VertexId u, VertexId v) {
     g = g.without_edge(u, v);
     case3_edge +=
-        count_case3(edge_engine.remove_edge_update(g, edge_store, u, v));
+        count_case3(edge_engine.edge_update(/*removal=*/true, g,
+                                            edge_store, u, v));
     case3_node +=
-        count_case3(node_engine.remove_edge_update(g, node_store, u, v));
+        count_case3(node_engine.edge_update(/*removal=*/true, g,
+                                            node_store, u, v));
   };
   for (const auto& [u, v] : inserted) remove(u, v);
   for (int cut = 0; cut < 3; ++cut) {

@@ -85,7 +85,7 @@ TEST(Integration, ResultsIndependentOfSmCount) {
       for (int step = 0; step < 6; ++step) {
         const auto [u, v] = test::random_absent_edge(g, rng);
         g = g.with_edge(u, v);
-        engine.insert_edge_update(g, store, u, v);
+        engine.edge_update(/*removal=*/false, g, store, u, v);
       }
       finals.emplace_back(store.bc().begin(), store.bc().end());
     }

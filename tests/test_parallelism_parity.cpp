@@ -72,8 +72,10 @@ TEST(ParallelismParity, IdenticalOnConnectedUpdateStream) {
     const auto [u, v] = test::random_absent_edge(g, rng);
     ASSERT_NE(u, kNoVertex);
     g = g.with_edge(u, v);
-    const auto re = edge_engine.insert_edge_update(g, edge_store, u, v);
-    const auto rn = node_engine.insert_edge_update(g, node_store, u, v);
+    const auto re =
+        edge_engine.edge_update(/*removal=*/false, g, edge_store, u, v);
+    const auto rn =
+        node_engine.edge_update(/*removal=*/false, g, node_store, u, v);
     // Classification is data-dependent only: both mappings agree per
     // source. (The touched COUNT may differ - the two mappings mark
     // different carry sets while traversing - so only the case and the
@@ -107,8 +109,10 @@ TEST(ParallelismParity, Case3BridgesBetweenComponents) {
   for (const auto& [u, v] : bridges) {
     ASSERT_FALSE(g.has_edge(u, v));
     g = g.with_edge(u, v);
-    const auto re = edge_engine.insert_edge_update(g, edge_store, u, v);
-    const auto rn = node_engine.insert_edge_update(g, node_store, u, v);
+    const auto re =
+        edge_engine.edge_update(/*removal=*/false, g, edge_store, u, v);
+    const auto rn =
+        node_engine.edge_update(/*removal=*/false, g, node_store, u, v);
     for (std::size_t si = 0; si < re.outcomes.size(); ++si) {
       ASSERT_EQ(re.outcomes[si].update_case, rn.outcomes[si].update_case);
       if (re.outcomes[si].update_case == UpdateCase::kFar) ++case3_seen;

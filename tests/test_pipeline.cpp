@@ -111,9 +111,8 @@ TEST(StreamModel, OppositeDirectionsUseSeparateEngines) {
 
 TEST(StreamModel, TransferOverlapsComputeAcrossStreams) {
   sim::Device dev(unit_clock_spec());
-  sim::Stream compute(dev, "compute");
   sim::Stream copy(dev, "copy");
-  compute.launch_queue(8, busy_job, nullptr, "busy");
+  dev.launch_queue(8, busy_job, nullptr, "busy");
   ASSERT_GT(dev.compute_end_cycles(), 0.0);
   // The copy stream has no dependency on the kernel: its transfer starts
   // at cycle 0, fully under the running kernel.
@@ -167,7 +166,8 @@ TEST(StreamModel, LaunchWaitsForTheStreamFrontier) {
   sim::Device dev(unit_clock_spec());
   sim::Stream s(dev, "s");
   const sim::TransferStats up = s.memcpy_h2d(1 << 20);
-  s.launch_queue(4, busy_job, nullptr, "after_upload");
+  dev.wait_compute_until(s.ready_cycles());
+  dev.launch_queue(4, busy_job, nullptr, "after_upload");
   // The kernel could not start before its input landed.
   EXPECT_GE(dev.compute_end_cycles(), up.end_cycles);
 }

@@ -96,7 +96,8 @@ TEST_P(SuiteClassSweep, StoreStaysValidUnderUpdates) {
     if (u == kNoVertex) break;
     g = g.with_edge(u, v);
     for (int si = 0; si < store.num_sources(); ++si) {
-      engine.update_source(g, store.sources()[static_cast<std::size_t>(si)],
+      engine.source_update(/*removal=*/false, g,
+                           store.sources()[static_cast<std::size_t>(si)],
                            store.dist_row(si), store.sigma_row(si),
                            store.delta_row(si), store.bc(), u, v);
     }
@@ -184,7 +185,8 @@ TEST(LargeSigma, DynamicUpdateKeepsHugeCountsExact) {
   // a distance shortcut) and verify against recompute.
   g = g.with_edge(s, 7);
   for (int si = 0; si < store.num_sources(); ++si) {
-    engine.update_source(g, store.sources()[static_cast<std::size_t>(si)],
+    engine.source_update(/*removal=*/false, g,
+                         store.sources()[static_cast<std::size_t>(si)],
                          store.dist_row(si), store.sigma_row(si),
                          store.delta_row(si), store.bc(), s, 7);
   }

@@ -37,9 +37,9 @@ void check_removal_stream(CSRGraph g, const ApproxConfig& cfg, int steps,
     g = g.without_edge(u, v);
     for (int si = 0; si < store.num_sources(); ++si) {
       const VertexId s = store.sources()[static_cast<std::size_t>(si)];
-      const auto r = engine.remove_update_source(
-          g, s, store.dist_row(si), store.sigma_row(si), store.delta_row(si),
-          store.bc(), u, v);
+      const auto r = engine.source_update(
+          /*removal=*/true, g, s, store.dist_row(si), store.sigma_row(si),
+          store.delta_row(si), store.bc(), u, v);
       if (r.update_case == UpdateCase::kAdjacent && case2_seen) ++*case2_seen;
       if (r.update_case == UpdateCase::kFar && fallback_seen) ++*fallback_seen;
     }
@@ -116,9 +116,10 @@ TEST(Removal, BridgeRemovalDisconnects) {
   DynamicCpuEngine engine(10);
   g = g.without_edge(4, 5);
   for (int si = 0; si < store.num_sources(); ++si) {
-    engine.remove_update_source(g, store.sources()[static_cast<std::size_t>(si)],
-                                store.dist_row(si), store.sigma_row(si),
-                                store.delta_row(si), store.bc(), 4, 5);
+    engine.source_update(/*removal=*/true, g,
+                         store.sources()[static_cast<std::size_t>(si)],
+                         store.dist_row(si), store.sigma_row(si),
+                         store.delta_row(si), store.bc(), 4, 5);
   }
   BcStore fresh(10, cfg);
   brandes_all(g, fresh);
@@ -141,14 +142,16 @@ TEST(Removal, InsertThenRemoveRoundTripsExactly) {
     const auto [u, v] = test::random_absent_edge(g, rng);
     const auto g_plus = g.with_edge(u, v);
     for (int si = 0; si < store.num_sources(); ++si) {
-      engine.update_source(g_plus, store.sources()[static_cast<std::size_t>(si)],
+      engine.source_update(/*removal=*/false, g_plus,
+                           store.sources()[static_cast<std::size_t>(si)],
                            store.dist_row(si), store.sigma_row(si),
                            store.delta_row(si), store.bc(), u, v);
     }
     for (int si = 0; si < store.num_sources(); ++si) {
-      engine.remove_update_source(
-          g, store.sources()[static_cast<std::size_t>(si)], store.dist_row(si),
-          store.sigma_row(si), store.delta_row(si), store.bc(), u, v);
+      engine.source_update(/*removal=*/true, g,
+                           store.sources()[static_cast<std::size_t>(si)],
+                           store.dist_row(si), store.sigma_row(si),
+                           store.delta_row(si), store.bc(), u, v);
     }
     test::expect_near_spans(store.bc(), bc0, 1e-7, "round trip");
   }
@@ -188,7 +191,7 @@ TEST(Removal, GpuEnginesMatchStaticRecompute) {
       const auto [u, v] =
           coo.edges[static_cast<std::size_t>(rng.next_below(coo.edges.size()))];
       g = g.without_edge(u, v);
-      engine.remove_edge_update(g, store, u, v);
+      engine.edge_update(/*removal=*/true, g, store, u, v);
 
       BcStore fresh(40, cfg);
       brandes_all(g, fresh);
@@ -223,13 +226,13 @@ TEST(Removal, GpuMixedInsertRemoveStream) {
     if (rng.next_bool(0.6) || added.empty()) {
       const auto [u, v] = test::random_absent_edge(g, rng);
       g = g.with_edge(u, v);
-      engine.insert_edge_update(g, store, u, v);
+      engine.edge_update(/*removal=*/false, g, store, u, v);
       added.emplace_back(u, v);
     } else {
       const auto [u, v] = added.back();
       added.pop_back();
       g = g.without_edge(u, v);
-      engine.remove_edge_update(g, store, u, v);
+      engine.edge_update(/*removal=*/true, g, store, u, v);
     }
   }
   BcStore fresh(g.num_vertices(), cfg);
@@ -266,23 +269,21 @@ struct GpuVariant {
   const char* name;
   EngineKind engine;
   int devices;
-  ShardPolicy shard_policy;
 };
 
 constexpr GpuVariant kGpuVariants[] = {
-    {"gpu-node", EngineKind::kGpuNode, 1, ShardPolicy::kRoundRobin},
-    {"gpu-edge", EngineKind::kGpuEdge, 1, ShardPolicy::kRoundRobin},
-    {"sharded-node", EngineKind::kGpuNode, 2, ShardPolicy::kRoundRobin},
-    {"sharded-edge", EngineKind::kGpuEdge, 2, ShardPolicy::kLptTouched},
-    {"gpu-adaptive", EngineKind::kGpuAdaptive, 1, ShardPolicy::kRoundRobin},
+    {"gpu-node", EngineKind::kGpuNode, 1},
+    {"gpu-edge", EngineKind::kGpuEdge, 1},
+    {"sharded-node", EngineKind::kGpuNode, 2},
+    {"sharded-edge", EngineKind::kGpuEdge, 2},
+    {"gpu-adaptive", EngineKind::kGpuAdaptive, 1},
 };
 
 DynamicBc make_gpu_bc(const CSRGraph& g, const GpuVariant& variant,
                       const ApproxConfig& approx) {
   DynamicBc bc(g, {.engine = variant.engine,
                    .approx = approx,
-                   .num_devices = variant.devices,
-                   .shard_policy = variant.shard_policy});
+                   .num_devices = variant.devices});
   bc.compute();
   return bc;
 }

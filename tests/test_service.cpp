@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -444,15 +445,15 @@ TEST(Service, ShedOldestReadFreesQueueForNewcomers) {
   ServiceConfig config;
   config.queue_depth = 2;
   config.shed = ShedPolicy::kOldestRead;
-  // Reads so slow that after the first one starts, the front-end stays
-  // busy past every later arrival: the queue can only back up.
-  config.read_cost_seconds = 1.0;
   Service service(g, gpu_options(), config);
 
+  // Arrivals 0.1 us apart, under the 1 us a read costs: once the first
+  // read starts, the front-end stays busy past every later arrival, so
+  // the queue can only back up.
   std::vector<Request> stream;
   for (int i = 0; i < 5; ++i) {
     stream.push_back({.client_id = i,
-                      .arrival_time = 1e-6 * static_cast<double>(i + 1),
+                      .arrival_time = 1e-7 * static_cast<double>(i + 1),
                       .kind = RequestKind::kRead,
                       .u = 0});
   }
@@ -479,13 +480,13 @@ TEST(Service, RejectNewShedsTheIncomingRead) {
   ServiceConfig config;
   config.queue_depth = 2;
   config.shed = ShedPolicy::kRejectNew;
-  config.read_cost_seconds = 1.0;
   Service service(g, gpu_options(), config);
 
+  // Arrivals 0.1 us apart, under the 1 us a read costs.
   std::vector<Request> stream;
   for (int i = 0; i < 5; ++i) {
     stream.push_back({.client_id = i,
-                      .arrival_time = 1e-6 * static_cast<double>(i + 1),
+                      .arrival_time = 1e-7 * static_cast<double>(i + 1),
                       .kind = RequestKind::kRead,
                       .u = 0});
   }
@@ -505,12 +506,12 @@ TEST(Service, ShedAccountingMatchesMetrics) {
   const CSRGraph g = test::gnp_graph(24, 0.25, 2);
   ServiceConfig config;
   config.queue_depth = 1;
-  config.read_cost_seconds = 1.0;
   Service service(g, gpu_options(), config);
+  // Arrivals 0.1 us apart, under the 1 us a read costs.
   std::vector<Request> stream;
   for (int i = 0; i < 4; ++i) {
     stream.push_back({.client_id = 7,
-                      .arrival_time = 1e-6 * static_cast<double>(i + 1),
+                      .arrival_time = 1e-7 * static_cast<double>(i + 1),
                       .kind = RequestKind::kRead,
                       .u = 1});
   }
@@ -646,9 +647,6 @@ TEST(UpdateOutcomeAbsorb, SumsCountsAndTakesMaxEpoch) {
 
 // --- input validation -----------------------------------------------------
 
-const double kBadSeconds[] = {-1.0, std::numeric_limits<double>::infinity(),
-                              std::numeric_limits<double>::quiet_NaN()};
-
 /// Runs `call`, expecting std::invalid_argument whose message names `field`.
 template <typename Call>
 void expect_rejected(Call&& call, const std::string& field, double value) {
@@ -661,31 +659,30 @@ void expect_rejected(Call&& call, const std::string& field, double value) {
   }
 }
 
-/// Builds a Service whose config has `field` set to each bad value.
-void expect_config_rejected(double ServiceConfig::*field,
-                            const std::string& name) {
+/// Builds a Service whose config has `field` set to each of `bad`.
+template <typename T>
+void expect_config_rejected(T ServiceConfig::*field, const std::string& name,
+                            std::initializer_list<T> bad) {
   const CSRGraph g = test::gnp_graph(12, 0.3, 3);
-  for (double bad : kBadSeconds) {
+  for (const T value : bad) {
     ServiceConfig config;
-    config.*field = bad;
-    expect_rejected(
-        [&] { Service service(g, gpu_options(), config); }, name, bad);
+    config.*field = value;
+    expect_rejected([&] { Service service(g, gpu_options(), config); }, name,
+                    static_cast<double>(value));
   }
 }
 
 TEST(ServiceValidation, RejectsBadCoalesceWindow) {
   expect_config_rejected(&ServiceConfig::coalesce_window_seconds,
-                         "coalesce_window_seconds");
+                         "coalesce_window_seconds",
+                         {-1.0, std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()});
 }
 
-TEST(ServiceValidation, RejectsBadReadCost) {
-  expect_config_rejected(&ServiceConfig::read_cost_seconds,
-                         "read_cost_seconds");
-}
-
-TEST(ServiceValidation, RejectsBadCommitCost) {
-  expect_config_rejected(&ServiceConfig::commit_cost_seconds,
-                         "commit_cost_seconds");
+TEST(ServiceValidation, RejectsDepthsBelowOne) {
+  expect_config_rejected(&ServiceConfig::coalesce_depth, "coalesce_depth",
+                         {0, -1});
+  expect_config_rejected(&ServiceConfig::queue_depth, "queue_depth", {0, -3});
 }
 
 TEST(ServiceValidation, RejectsNonFiniteArrivalTime) {
@@ -718,7 +715,7 @@ TEST(ServiceFlags, ParseAndConvert) {
   const ServiceConfig config = bc::service_config_from_flags(flags);
   EXPECT_DOUBLE_EQ(config.coalesce_window_seconds, 250e-6);
   EXPECT_EQ(config.coalesce_depth, 4);
-  EXPECT_EQ(config.queue_depth, 16u);
+  EXPECT_EQ(config.queue_depth, 16);
   EXPECT_EQ(config.shed, ShedPolicy::kRejectNew);
 }
 

@@ -5,6 +5,7 @@
 // function of its inputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -49,12 +50,13 @@ StreamEnd run_stream(int devices, Parallelism mode, ShardPolicy policy,
     const auto [u, v] = test::random_absent_edge(g, rng);
     if (u == kNoVertex) break;
     g = g.with_edge(u, v);
-    last = bc.insert_edge_update(g, store, u, v).group;
+    last = bc.edge_update(/*removal=*/false, g, store, u, v).group;
     inserted = {u, v};
   }
   if (inserted.first != kNoVertex) {
     g = g.without_edge(inserted.first, inserted.second);
-    last = bc.remove_edge_update(g, store, inserted.first, inserted.second)
+    last = bc.edge_update(/*removal=*/true, g, store, inserted.first,
+                          inserted.second)
                .group;
   }
   std::vector<std::pair<VertexId, VertexId>> edges;
@@ -182,43 +184,82 @@ TEST(ShardedBc, GroupScheduleIsDeterministic) {
 }
 
 TEST(ShardedBc, ShardPoliciesAssignEverySourceAValidHome) {
-  DynamicGpuBc rr(3, sim::DeviceSpec::tesla_c2075(), Parallelism::kEdge, {},
-                  false, ShardPolicy::kRoundRobin);
-  const auto rr_shard = rr.shard_sources(8);
-  ASSERT_EQ(rr_shard.size(), 8u);
-  for (int si = 0; si < 8; ++si) {
-    EXPECT_EQ(rr_shard[static_cast<std::size_t>(si)], si % 3) << si;
-  }
+  // 9 sources on 3 devices of 14 SMs: every home queue fits on its
+  // device's SMs, so each job runs on its home device at cycle 0 and no
+  // device steals (a placement that is not stolen shows the job's home).
+  const auto run_update = [](ShardPolicy policy, const CSRGraph& g0,
+                             VertexId u, VertexId v, BcStore& store) {
+    DynamicGpuBc engine(3, sim::DeviceSpec::tesla_c2075(), Parallelism::kEdge,
+                        {}, false, policy);
+    engine.compute(g0, store);
+    return engine.edge_update(/*removal=*/false, g0.with_edge(u, v), store, u,
+                              v);
+  };
 
-  // LPT with no history has only equal (zero) weights, which must spread
-  // sources round-robin instead of piling them onto device 0.
-  DynamicGpuBc lpt(3, sim::DeviceSpec::tesla_c2075(), Parallelism::kEdge, {},
-                   false, ShardPolicy::kLptTouched);
-  EXPECT_EQ(lpt.shard_sources(8), rr_shard);
-
-  // With history (after a launch) the LPT shard is deterministic, in range,
-  // and uses every device when there are at least as many sources.
+  // Round-robin homes source si on device si % 3.
   const auto g = test::gnp_graph(36, 0.08, 47);
   const ApproxConfig cfg{.num_sources = 9, .seed = 4};
-  BcStore store(g.num_vertices(), cfg);
-  lpt.compute(g, store);
-  const auto warm = lpt.shard_sources(9);
-  EXPECT_EQ(warm, lpt.shard_sources(9));
-  std::vector<int> used(3, 0);
-  for (const int d : warm) {
-    ASSERT_GE(d, 0);
-    ASSERT_LT(d, 3);
-    ++used[static_cast<std::size_t>(d)];
+  BCDYN_SEEDED_RNG(rng, 5);
+  const auto [u, v] = test::random_absent_edge(g, rng);
+  BcStore rr_store(g.num_vertices(), cfg);
+  const auto rr =
+      run_update(ShardPolicy::kRoundRobin, g, u, v, rr_store).group;
+  ASSERT_EQ(rr.placements.size(), 9u);
+  EXPECT_EQ(rr.steals, 0);
+  for (std::size_t si = 0; si < rr.placements.size(); ++si) {
+    EXPECT_FALSE(rr.placements[si].stolen) << si;
+    EXPECT_EQ(static_cast<std::size_t>(rr.placements[si].device), si % 3)
+        << si;
   }
-  for (int d = 0; d < 3; ++d) EXPECT_GT(used[static_cast<std::size_t>(d)], 0);
+
+  // LPT with equal predicted weights must spread sources round-robin
+  // instead of piling them onto device 0. Joining two leaves of a star
+  // that are not sources is no work for every source (weight 0 each).
+  const auto star = test::star_graph(40);
+  BcStore star_store(star.num_vertices(), cfg);
+  std::vector<VertexId> leaves;
+  for (VertexId w = 1; w < star.num_vertices() && leaves.size() < 2; ++w) {
+    const auto srcs = star_store.sources();
+    if (std::find(srcs.begin(), srcs.end(), w) == srcs.end()) {
+      leaves.push_back(w);
+    }
+  }
+  ASSERT_EQ(leaves.size(), 2u);
+  const auto even = run_update(ShardPolicy::kLptTouched, star, leaves[0],
+                               leaves[1], star_store);
+  for (const SourceUpdateOutcome& o : even.outcomes) {
+    ASSERT_EQ(o.update_case, UpdateCase::kNoWork);
+  }
+  ASSERT_EQ(even.group.placements.size(), 9u);
+  for (std::size_t si = 0; si < even.group.placements.size(); ++si) {
+    EXPECT_FALSE(even.group.placements[si].stolen) << si;
+    EXPECT_EQ(static_cast<std::size_t>(even.group.placements[si].device),
+              si % 3)
+        << si;
+  }
+
+  // With the update's case-based weights LPT still homes at least one
+  // source on every device; only jobs that were not stolen count.
+  BcStore lpt_store(g.num_vertices(), cfg);
+  const auto lpt =
+      run_update(ShardPolicy::kLptTouched, g, u, v, lpt_store).group;
+  ASSERT_EQ(lpt.placements.size(), 9u);
+  std::vector<int> homed(3, 0);
+  for (const sim::GroupJobPlacement& p : lpt.placements) {
+    ASSERT_GE(p.device, 0);
+    ASSERT_LT(p.device, 3);
+    if (!p.stolen) ++homed[static_cast<std::size_t>(p.device)];
+  }
+  for (int d = 0; d < 3; ++d) {
+    EXPECT_GT(homed[static_cast<std::size_t>(d)], 0) << "device " << d;
+  }
 }
 
 TEST(ShardedBc, DynamicBcRoutesUpdatesThroughTheGroup) {
   const auto g = test::gnp_graph(42, 0.07, 53);
   DynamicBc analytic(g, {.engine = EngineKind::kGpuNode,
                          .approx = {.num_sources = 12, .seed = 6},
-                         .num_devices = 3,
-                         .shard_policy = ShardPolicy::kLptTouched});
+                         .num_devices = 3});
   EXPECT_EQ(analytic.num_devices(), 3);
   analytic.compute();
   BCDYN_SEEDED_RNG(rng, 29);
@@ -307,15 +348,15 @@ TEST(ShardedBc, FuzzStreamBitIdenticalOneVsThreeDevices) {
         const auto [u, v] = present.back();
         present.pop_back();
         g = g.without_edge(u, v);
-        one.remove_edge_update(g, store_one, u, v);
-        three.remove_edge_update(g, store_three, u, v);
+        one.edge_update(/*removal=*/true, g, store_one, u, v);
+        three.edge_update(/*removal=*/true, g, store_three, u, v);
       } else {
         const auto [u, v] = test::random_absent_edge(g, rng);
         if (u == kNoVertex) break;
         g = g.with_edge(u, v);
         present.emplace_back(u, v);
-        one.insert_edge_update(g, store_one, u, v);
-        three.insert_edge_update(g, store_three, u, v);
+        one.edge_update(/*removal=*/false, g, store_one, u, v);
+        three.edge_update(/*removal=*/false, g, store_three, u, v);
       }
       expect_stores_identical(store_one, store_three, "mid-stream");
     }

@@ -278,24 +278,22 @@ TEST_F(TelemetryTest, SloBreachesCountAgainstBudget) {
 
 TEST_F(TelemetryTest, EventRetentionIsCappedButCountersAreNot) {
   auto& tel = trace::telemetry();
-  tel.configure({.window = 64,
-                 .spike_factor = 2.0,
-                 .min_history = 2,
-                 .max_events = 4});
+  tel.configure({.window = 64, .spike_factor = 2.0, .min_history = 2});
   tel.set_enabled(true);
-  // Alternate tiny/huge so every huge sample spikes vs the tiny median.
-  for (int i = 0; i < 20; ++i) {
+  // Alternate tiny/huge so every huge sample spikes vs the tiny median:
+  // 1,100 spikes, past the 1,024 retained.
+  for (int i = 0; i < 1100; ++i) {
     tel.record(sample_with(1e-6));
     tel.record(sample_with(1e-6));
     tel.record(sample_with(1.0));
   }
-  EXPECT_GT(tel.spike_count(), 4u);
+  EXPECT_EQ(tel.spike_count(), 1100u);
   const auto events = tel.events();
-  ASSERT_EQ(events.size(), 4u);  // oldest dropped past the cap
+  ASSERT_EQ(events.size(), 1024u);  // oldest dropped past the cap
   for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_LT(events[i - 1].seq, events[i].seq);
+    EXPECT_EQ(events[i].seq, events[i - 1].seq + 3) << i;
   }
-  EXPECT_EQ(events.back().seq, 60u);  // the most recent flagged update
+  EXPECT_EQ(events.back().seq, 3300u);  // the most recent flagged update
 }
 
 TEST_F(TelemetryTest, SnapshotAndPrometheusExportersRoundTrip) {

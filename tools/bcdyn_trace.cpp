@@ -32,7 +32,7 @@
 // With --engine=gpu-adaptive the run plans every launch through the
 // adaptive parallelism policy; the report gains an "== adaptive policy =="
 // section (decision counts per launch kind, exploration probes, estimator
-// accuracy) and --decisions=PATH writes the replayable decision log, one
+// accuracy) and --decisions=PATH writes the deterministic decision log, one
 // "seq kind source mode explored est_edge est_node" line per decision.
 //
 // --telemetry=PATH turns on the stream-telemetry layer for the run:
